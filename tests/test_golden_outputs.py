@@ -1,0 +1,70 @@
+"""Byte-identity of computed outputs.
+
+Each entry is the sha256 of canonical output text (``serialize_polymap``
+for maps, ``rat_to_str`` for coefficients) on fixed corpus maps.  The
+digests were recorded before the sparse kernels were folded into one
+product loop and one accumulate step, and must never change: a change to
+the series core that alters any output byte fails here.
+"""
+
+import hashlib
+
+from forminv import cross_check, deformation_inverse, formal_flow, jacobi_coefficient
+from forminv.mapdoc import serialize_polymap
+from forminv.randmaps import acceptance_corpus
+from forminv.rat import rat_to_str
+
+CORPUS = acceptance_corpus(12)
+SMALL = [f for f in CORPUS if f.n <= 2][:3]
+
+# exponents per dimension for the residue (Laurent) coefficients
+JACOBI_EXPS = {1: [(2,), (4,), (5,)], 2: [(2, 0), (1, 2), (3, 1)]}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _outputs():
+    for idx, f in enumerate(CORPUS):
+        yield f"cross_check[{idx}]", serialize_polymap(cross_check(f, 6).inverse, 6)
+    for idx, f in enumerate(SMALL):
+        yield f"formal_flow[{idx}]", serialize_polymap(formal_flow(f, 5).map, 5)
+        yield f"deformation_inverse[{idx}]", serialize_polymap(
+            deformation_inverse(f, 6).n_t, 6
+        )
+        coeffs = [
+            rat_to_str(jacobi_coefficient(f, i, k))
+            for i in range(f.n)
+            for k in JACOBI_EXPS[f.n]
+        ]
+        yield f"jacobi[{idx}]", " ".join(coeffs)
+
+
+GOLDEN = {
+    "cross_check[0]": "7dba651e998e4a819243e6fcad3c4a934ae84ff02c52d50fa5d31b29ab6b6b37",
+    "cross_check[1]": "2b3ffe5ffe5009959c066df0d5e0fe57f4c650c76cf1e57351a1a85be2e4eed6",
+    "cross_check[2]": "869ac8feccfe1fddb37be20a06d099856401e862e2b18a8e39225565e8e78031",
+    "cross_check[3]": "49f4516dc2f2f226c9a6124678bfba4f09a5f6fc52ff59d703781482b314719e",
+    "cross_check[4]": "66f3f7de2590ad7017ff7fb57f02cd0478a1233c1883b8f7ef2a81a9fbe75319",
+    "cross_check[5]": "c3b9a3f62d8d9777ec5f6051b7ac9df69706677409af168f23dcc8cbea2fa3d8",
+    "cross_check[6]": "355930abb1778e6b83baef50e379e0495ad0a2d4d1fa58dde723663f479177b8",
+    "cross_check[7]": "fd71248ddad3c086c920483b6880b5a2fa564cefe329a6ca48e40a6ead77e6fb",
+    "cross_check[8]": "8071e080903d4455885f528d5aa1e1bd1feebcf5171b8b239233c95ec6e395b1",
+    "cross_check[9]": "075bd727c2e5ed61cb090e6521255fa6ee0e2bae7ecb789a39f375ead85d6bc7",
+    "cross_check[10]": "ccbcaee36fbd4ff6bb53ece145fba0c774c30207e5d78c9659158dcaaa5d5148",
+    "cross_check[11]": "63f3a571e1b5c75629b4fe2c3b507289812912067acaee15c58917edfb73b11e",
+    "formal_flow[0]": "d0da0b653a43a1b43f9c850753faeed3f36b9a212a671169d76e3b58023ca63b",
+    "deformation_inverse[0]": "6fa09f88ca14f4aad79179291778c3fae68163a37b7a8545d3b1439e8c96e4e5",
+    "jacobi[0]": "eeca68bdcbb939e056d1ebc822c1ff3e96959c25bf0c4964a96c80eaad919138",
+    "formal_flow[1]": "bdfd5b8448543aa223d3dd6e2db1429661c69c006cc1fa3e5d1950267cf9cd10",
+    "deformation_inverse[1]": "1aeae8db51e1eb1bcab07e494aadb4977dc6468e30cab788b044bf9c874d0c83",
+    "jacobi[1]": "f91ed0878284c53ed6c481e9c044a5fb086565518257ab7b7e80fae5450944fd",
+    "formal_flow[2]": "5c41c97d100d5f38eb7fc96bcebd8e1a952aa6a263b16924f5eee6e931023a6e",
+    "deformation_inverse[2]": "3518b3551ccffcbfa694b245462e2797ec121d1d959a5b3fab92ca111fab1af8",
+    "jacobi[2]": "0650d67eb25510d050b33b76aa1691a53e8657d45a4bcbd2ee74ec6c70cb532e",
+}
+
+
+def test_output_digests_are_unchanged():
+    assert {name: _sha(text) for name, text in _outputs()} == GOLDEN
