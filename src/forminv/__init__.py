@@ -37,7 +37,6 @@ from .tpoly import TPoly
 from .trees import (
     RootedTree,
     TreePolyCache,
-    aut_order,
     enumerate_trees,
     order_polynomial,
     strict_order_count,

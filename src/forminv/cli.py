@@ -19,6 +19,7 @@ aggregation order regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bench as bench_mod
@@ -36,8 +37,10 @@ EXIT_INPUT_ERROR = 2
 
 
 def _read_document(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return parse_map(text)
+    if path == "-":
+        return parse_map(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_map(fh.read())
 
 
 def _print_map(m: PolyMap, degree: int, fmt: str, names=None):
@@ -150,6 +153,11 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    max_workers = os.cpu_count() or 1
+    if not 1 <= args.workers <= max_workers:
+        raise ForminvError(
+            f"--workers must be between 1 and {max_workers}, got {args.workers}"
+        )
     inputs = []
     for idx, path in enumerate(args.input):
         doc = _read_document(path)

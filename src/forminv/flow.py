@@ -37,7 +37,7 @@ from .series import (
     mat_vec,
 )
 from .tpoly import TPoly
-from .trees import TreePolyCache, enumerate_trees, order_polynomial
+from .trees import order_polynomial, tree_sums
 
 
 # -- reports -----------------------------------------------------------------
@@ -516,25 +516,19 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
     inverse at t = -1."""
     n = f.n
     acc = PolyMap.zero(n, degree, nparams=1)
-    if degree >= 2:
-        cache = TreePolyCache(f.h, cap=degree)
-        by_size = enumerate_trees(degree - 1)
-        for size in range(1, degree):
-            sign = -1 if size % 2 else 1
-            for tree in by_size[size]:
-                weight = order_polynomial(tree).scale(Rat(sign, tree.aut))
-                factor = _tpoly_factor(n, weight)
-                comps = []
-                contributes = False
-                for i in range(n):
-                    q = cache.labeled_root_sum(tree, i)
-                    if q.is_zero():
-                        comps.append(MSeries.zero(n, degree, 1))
-                        continue
-                    contributes = True
-                    comps.append(q.with_params(1).mul(factor, cap=degree))
-                if contributes:
-                    acc = acc + PolyMap(comps)
+    for tree, sums in tree_sums(f.h, degree):
+        if all(q.is_zero() for q in sums):
+            continue
+        sign = -1 if tree.size % 2 else 1
+        weight = order_polynomial(tree).scale(Rat(sign, tree.aut))
+        factor = _tpoly_factor(n, weight)
+        comps = [
+            MSeries.zero(n, degree, 1)
+            if q.is_zero()
+            else q.with_params(1).mul(factor, cap=degree)
+            for q in sums
+        ]
+        acc = acc + PolyMap(comps)
     flow_map = (PolyMap.identity(n, trunc=degree, nparams=1) + acc).truncate(degree)
     return FlowSeries(flow_map, degree)
 

@@ -48,7 +48,7 @@ from .series import (
     series_det,
     unit_inverse,
 )
-from .trees import TreePolyCache, enumerate_trees
+from .trees import tree_sums
 
 
 # -- fixed-point oracle --------------------------------------------------------
@@ -294,17 +294,11 @@ def invert_bcw(f: MapF, degree: int) -> PolyMap:
     their labeled sums through a common cache."""
     n = f.n
     acc = [MSeries.zero(n, degree) for _ in range(n)]
-    if degree >= 2:
-        cache = TreePolyCache(f.h, cap=degree)
-        by_size = enumerate_trees(degree - 1)
-        for size in range(1, degree):
-            for tree in by_size[size]:
-                w = Rat(1, tree.aut)
-                for i in range(n):
-                    q = cache.labeled_root_sum(tree, i)
-                    if q.is_zero():
-                        continue
-                    acc[i] = acc[i] + q.scale(w)
+    for tree, sums in tree_sums(f.h, degree):
+        w = Rat(1, tree.aut)
+        for i, q in enumerate(sums):
+            if not q.is_zero():
+                acc[i] = acc[i] + q.scale(w)
     ident = PolyMap.identity(n, trunc=degree)
     return (ident + PolyMap(acc)).truncate(degree)
 

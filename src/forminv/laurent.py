@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, TruncationError
 from .rat import ONE, Rat, ZERO
-from .series import INF, MapF, MSeries
+from .series import INF, MapF, MSeries, _collect, _product
 
 
 class LaurentExpr:
@@ -51,27 +51,10 @@ class LaurentExpr:
     def mul(self, other: "LaurentExpr", window=None) -> "LaurentExpr":
         if self.n != other.n:
             raise DimensionMismatch("Laurent operand dimension mismatch")
-        low_self = min((sum(e) for e in self.terms), default=0)
-        low_other = min((sum(e) for e in other.terms), default=0)
-        w = min(self.window + low_other, other.window + low_self)
+        w = min(self.window + other._low(), other.window + self._low())
         if window is not None:
             w = min(w, window)
-        out = {}
-        items = sorted(other.terms.items(), key=lambda t: sum(t[0]))
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in items:
-                if da + sum(eb) > w:
-                    break
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = ca * cb
-                s = out.get(e)
-                s = v if s is None else s + v
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentExpr(self.n, w, out)
+        return LaurentExpr(self.n, w, _product(self.terms, other.terms, self.n, w))
 
     def mul_series(self, s: MSeries, window=None) -> "LaurentExpr":
         """Product with an ordinary (non-negative exponent) series."""
@@ -85,28 +68,10 @@ class LaurentExpr:
             w = min(w, s.trunc + self._low())
         if window is not None:
             w = min(w, window)
-        other = LaurentExpr(self.n, w, dict(s.terms))
-        return self._mul_raw(other, w)
+        return LaurentExpr(self.n, w, _product(self.terms, s.terms, self.n, w))
 
     def _low(self):
         return min((sum(e) for e in self.terms), default=0)
-
-    def _mul_raw(self, other, w):
-        out = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if da + sum(eb) > w:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = ca * cb
-                s = out.get(e)
-                s = v if s is None else s + v
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentExpr(self.n, w, out)
 
     def shift(self, exp) -> "LaurentExpr":
         """Multiply by the monomial z^exp (entries may be negative)."""
@@ -166,15 +131,7 @@ def laurent_inv_power(f: MapF, k: Sequence[int], window: int) -> LaurentExpr:
 
 def _laurent_add(a: LaurentExpr, b: LaurentExpr, scale) -> LaurentExpr:
     scale = Rat(scale)
-    out = dict(a.terms)
-    for e, c in b.terms.items():
-        v = c * scale
-        s = out.get(e)
-        s = v if s is None else s + v
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+    out = _collect(((e, c * scale) for e, c in b.terms.items()), dict(a.terms))
     return LaurentExpr(a.n, min(a.window, b.window), out)
 
 

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import MapFormatError
+from .errors import ForminvError, MapFormatError
 from .rat import rat_from_str, rat_to_str
 from .series import INF, MapF, MSeries, PolyMap, default_names
 
@@ -49,7 +49,7 @@ class MapDocument:
     def to_mapf(self) -> MapF:
         try:
             return MapF.from_map(self.to_polymap())
-        except Exception as exc:
+        except ForminvError as exc:
             raise MapFormatError(f"document is not a canonical map: {exc}") from exc
 
 

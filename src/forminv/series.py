@@ -16,6 +16,11 @@ count toward the truncation degree; coefficients stay plain rationals, so
 identities that are polynomial in the parameters are checked exactly.
 Derivatives with respect to a parameter do not lose precision in z.
 
+``_product`` is the only truncated product loop and ``_collect`` the only
+accumulate-and-cancel step: every operation that sums coefficients by
+exponent goes through them, including those of ``laurent``.  No stored
+coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
+
 All values are immutable after construction and all operations are pure,
 so the whole module is safe to use from multiple threads.
 """
@@ -23,6 +28,9 @@ so the whole module is safe to use from multiple threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import islice
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -36,6 +44,40 @@ from .rat import ONE, Rat, ZERO, rat_to_str
 INF = math.inf
 
 Exponent = tuple  # tuple[int, ...] of length n + nparams
+
+
+def _collect(pairs, out=None) -> dict:
+    """Sum the (exponent, coefficient) pairs by exponent into `out` (a
+    fresh dict by default), then drop the exponents whose sum is zero."""
+    out = {} if out is None else out
+    zeros = []
+    for e, c in pairs:
+        s = out.get(e)
+        s = c if s is None else s + c
+        out[e] = s
+        if not s:
+            zeros.append(e)
+    for e in zeros:
+        if e in out and not out[e]:
+            del out[e]
+    return out
+
+
+def _product(a_terms: dict, b_terms: dict, n: int, cap) -> dict:
+    """Truncated sparse product: the terms of degree <= cap, where the
+    degree of an exponent is the sum of its first n entries.  The shorter
+    operand drives the outer loop; the inner one stops at the first term of
+    too high a degree."""
+    a = sorted(((sum(e[:n]), e, c) for e, c in a_terms.items()), key=itemgetter(0))
+    b = sorted(((sum(e[:n]), e, c) for e, c in b_terms.items()), key=itemgetter(0))
+    if len(a) > len(b):
+        a, b = b, a
+    degs = [d for d, _, _ in b]
+    return _collect(
+        (tuple(map(add, ea, eb)), ca * cb)
+        for da, ea, ca in a
+        for _, eb, cb in islice(b, bisect_right(degs, cap - da))
+    )
 
 
 def _grlex_key(n):
@@ -153,14 +195,7 @@ class MSeries:
             other = MSeries.const(self.n, other, nparams=self.nparams)
         self._check_compat(other)
         trunc = min(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+        out = _collect(other.terms.items(), dict(self.terms))
         if trunc < self.trunc or trunc < other.trunc:
             out = {e: c for e, c in out.items() if self.zdeg(e) <= trunc}
         return MSeries(self.n, trunc, out, self.nparams)
@@ -234,29 +269,7 @@ class MSeries:
             return MSeries.zero(self.n, trunc, self.nparams)
         if self.order + other.order > trunc:
             return MSeries.zero(self.n, trunc, self.nparams)
-        a = sorted(
-            ((self.zdeg(e), e, c) for e, c in self.terms.items()), key=lambda t: t[0]
-        )
-        b = sorted(
-            ((other.zdeg(e), e, c) for e, c in other.terms.items()),
-            key=lambda t: t[0],
-        )
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for da, ea, ca in a:
-            budget = trunc - da
-            for db, eb, cb in b:
-                if db > budget:
-                    break
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = ca * cb
-                s = out.get(e)
-                s = v if s is None else s + v
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+        out = _product(self.terms, other.terms, self.n, trunc)
         return MSeries(self.n, trunc, out, self.nparams)
 
     def truncate(self, degree) -> "MSeries":
@@ -329,19 +342,10 @@ class MSeries:
             raise DimensionMismatch(f"parameter index {j} out of range")
         value = Rat(value)
         pos = self.n + j
-        out = {}
-        for e, c in self.terms.items():
-            k = e[pos]
-            e2 = e[:pos] + e[pos + 1 :]
-            v = c * value**k if k else c
-            if not v:
-                continue
-            s = out.get(e2)
-            s = v if s is None else s + v
-            if s:
-                out[e2] = s
-            elif e2 in out:
-                del out[e2]
+        out = _collect(
+            (e[:pos] + e[pos + 1 :], c * value ** e[pos] if e[pos] else c)
+            for e, c in self.terms.items()
+        )
         return MSeries(self.n, self.trunc, out, self.nparams - 1)
 
     def subst_param_sum(self, j: int, k: int) -> "MSeries":
@@ -350,22 +354,17 @@ class MSeries:
         if j == k:
             raise DimensionMismatch("parameters must differ")
         pj, pk = self.n + j, self.n + k
-        out = {}
-        for e, c in self.terms.items():
-            a = e[pj]
-            for r in range(a + 1):
-                coeff = c * math.comb(a, r)
-                e2 = list(e)
-                e2[pj] = a - r
-                e2[pk] = e[pk] + r
-                e2 = tuple(e2)
-                s = out.get(e2)
-                s = coeff if s is None else s + coeff
-                if s:
-                    out[e2] = s
-                elif e2 in out:
-                    del out[e2]
-        return MSeries(self.n, self.trunc, out, self.nparams)
+
+        def expand():
+            for e, c in self.terms.items():
+                a = e[pj]
+                for r in range(a + 1):
+                    e2 = list(e)
+                    e2[pj] = a - r
+                    e2[pk] = e[pk] + r
+                    yield tuple(e2), c * math.comb(a, r)
+
+        return MSeries(self.n, self.trunc, _collect(expand()), self.nparams)
 
     def strip_params(self) -> "MSeries":
         """Drop parameter positions entirely; requires no parameter appears
@@ -445,28 +444,24 @@ def series_from_terms(n, trunc, items: Iterable, nparams=0) -> MSeries:
     coefficients dropped.  Rejects negative exponents, wrong exponent
     length, and terms whose z-degree exceeds the truncation bound."""
     width = n + nparams
-    out = {}
-    for exp, coeff in items:
-        exp = tuple(exp)
-        if len(exp) != width:
-            raise DimensionMismatch(
-                f"exponent {exp} has length {len(exp)}, expected {width}"
-            )
-        if any(k < 0 for k in exp):
-            raise TruncationError(f"negative exponent in {exp}")
-        deg = sum(exp[:n])
-        if deg > trunc:
-            raise TruncationError(
-                f"term of degree {deg} exceeds truncation bound {trunc}"
-            )
-        coeff = Rat(coeff)
-        s = out.get(exp)
-        s = coeff if s is None else s + coeff
-        if s:
-            out[exp] = s
-        elif exp in out:
-            del out[exp]
-    return MSeries(n, trunc, out, nparams)
+
+    def checked():
+        for exp, coeff in items:
+            exp = tuple(exp)
+            if len(exp) != width:
+                raise DimensionMismatch(
+                    f"exponent {exp} has length {len(exp)}, expected {width}"
+                )
+            if any(k < 0 for k in exp):
+                raise TruncationError(f"negative exponent in {exp}")
+            deg = sum(exp[:n])
+            if deg > trunc:
+                raise TruncationError(
+                    f"term of degree {deg} exceeds truncation bound {trunc}"
+                )
+            yield exp, Rat(coeff)
+
+    return MSeries(n, trunc, _collect(checked()), nparams)
 
 
 # -- composition ---------------------------------------------------------------
@@ -533,25 +528,15 @@ def compose_map_components(fs: Sequence[MSeries], g: "PolyMap", cap=None):
     n = f0.n
     zexps = {e[:n] if f0.nparams else e for f in fs for e in f.terms}
     table = _power_table(zexps, g, trunc)
+    params = f0.nparams
     results = []
     for f in fs:
-        out = {}
-        for e, c in f.terms.items():
-            ze = e[:n] if f.nparams else e
-            pe = e[n:]
-            for eg, cg in table[ze].terms.items():
-                if f.nparams:
-                    e2 = eg[:n] + tuple(x + y for x, y in zip(eg[n:], pe))
-                else:
-                    e2 = eg
-                v = c * cg
-                s = out.get(e2)
-                s = v if s is None else s + v
-                if s:
-                    out[e2] = s
-                elif e2 in out:
-                    del out[e2]
-        results.append(MSeries(n, trunc, out, f0.nparams))
+        out = _collect(
+            (eg[:n] + tuple(map(add, eg[n:], e[n:])) if params else eg, c * cg)
+            for e, c in f.terms.items()
+            for eg, cg in table[e[:n]].terms.items()
+        )
+        results.append(MSeries(n, trunc, out, params))
     return results
 
 
@@ -619,9 +604,6 @@ class PolyMap:
 
     def scale(self, c):
         return PolyMap(tuple(a.scale(c) for a in self.components))
-
-    def mul_each(self, s: MSeries, cap=None):
-        return PolyMap(tuple(a.mul(s, cap=cap) for a in self.components))
 
     def truncate(self, degree):
         return PolyMap(tuple(a.truncate(degree) for a in self.components))
@@ -752,45 +734,12 @@ def mat_mul(a, b, cap=None):
     return out
 
 
-def mat_identity(n, template: MSeries):
-    return [
-        [
-            MSeries.const(template.n, ONE if i == j else ZERO, INF, template.nparams)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_is_zero_through(a, degree):
-    return all(entry.is_zero_through(degree) for row in a for entry in row)
-
-
 def _mul_trusted(a: MSeries, b: MSeries, cap) -> MSeries:
     """Product of the stored terms through z-degree cap, with the result's
     truncation *asserted* to be cap.  Only for algorithms (Newton-style
     iterations) whose own convergence argument certifies the result beyond
     what the generic order-aware rule can see."""
-    out = {}
-    bs = sorted(((b.zdeg(e), e, c) for e, c in b.terms.items()), key=lambda t: t[0])
-    for ea, ca in a.terms.items():
-        budget = cap - a.zdeg(ea)
-        for db, eb, cb in bs:
-            if db > budget:
-                break
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = ca * cb
-            acc = out.get(e)
-            acc = v if acc is None else acc + v
-            if acc:
-                out[e] = acc
-            elif e in out:
-                del out[e]
-    return MSeries(a.n, cap, out, a.nparams)
+    return MSeries(a.n, cap, _product(a.terms, b.terms, a.n, cap), a.nparams)
 
 
 def unit_inverse(s: MSeries, degree) -> MSeries:

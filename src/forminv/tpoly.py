@@ -32,10 +32,6 @@ class TPoly:
         return cls((c,))
 
     @classmethod
-    def t(cls):
-        return cls((ZERO, ONE))
-
-    @classmethod
     def interpolate(cls, points):
         """Unique polynomial of degree < len(points) through (x_i, y_i),
         by Lagrange basis expansion with exact arithmetic."""

@@ -133,11 +133,6 @@ def enumerate_trees(max_size: int) -> dict[int, list[RootedTree]]:
     return by_size
 
 
-def aut_order(tree: RootedTree) -> int:
-    """Order of the root-preserving automorphism group."""
-    return tree.aut
-
-
 # -- strict order polynomials -----------------------------------------------
 
 
@@ -259,14 +254,15 @@ def tree_poly(tree: RootedTree, h: PolyMap, i: int, cap=None) -> MSeries:
     return TreePolyCache(h, cap=cap).tree_poly(tree, i)
 
 
-def labeled_rooted_tree_identity(max_size: int) -> bool:
-    """Cayley consistency: sum over trees of size s of s!/|Aut(T)| must be
-    s^{s-1} (the number of labeled rooted trees).  Used as a self-check."""
-    import math
-
-    by_size = enumerate_trees(max_size)
-    for s, trees in by_size.items():
-        total = sum(Rat(math.factorial(s), t.aut) for t in trees)
-        if total != s ** (s - 1):
-            return False
-    return True
+def tree_sums(h: PolyMap, degree: int):
+    """Yield (tree, [labeled_root_sum(tree, i) for each root label i]) for
+    every tree with at most degree - 1 vertices, by size and then encoding.
+    Larger trees only reach degrees above `degree`; the sums share one
+    cache, capped at `degree`."""
+    if degree < 2:
+        return
+    cache = TreePolyCache(h, cap=degree)
+    by_size = enumerate_trees(degree - 1)
+    for size in range(1, degree):
+        for tree in by_size[size]:
+            yield tree, [cache.labeled_root_sum(tree, i) for i in range(h.n)]

@@ -1,0 +1,62 @@
+"""Input boundaries of the CLI: exit codes, error reporting and files."""
+
+import builtins
+import os
+
+import pytest
+
+from forminv import bench
+from forminv.cli import run_command
+from forminv.series import MapF
+
+CATALAN_DOC = '{"n":1,"D":8,"components":[[{"exp":[1],"c":"1"},{"exp":[2],"c":"-1"}]]}'
+
+
+@pytest.fixture
+def catalan_path(tmp_path):
+    p = tmp_path / "catalan.json"
+    p.write_text(CATALAN_DOC)
+    return str(p)
+
+
+def test_noncanonical_document_is_an_input_error(capsys, tmp_path):
+    p = tmp_path / "noncanon.json"
+    p.write_text('{"n":1,"D":4,"components":[[{"exp":[1],"c":"2"}]]}')
+    assert run_command(["invert", "--input", str(p)]) == 2
+    assert "error: document is not a canonical map:" in capsys.readouterr().err
+
+
+def test_programming_error_is_not_reported_as_bad_input(monkeypatch, catalan_path):
+    def broken(cls, f):
+        raise TypeError("broken from_map")
+
+    monkeypatch.setattr(MapF, "from_map", classmethod(broken))
+    with pytest.raises(TypeError, match="broken from_map"):
+        run_command(["invert", "--input", catalan_path])
+
+
+def test_input_file_is_closed(monkeypatch, capsys, catalan_path):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", tracking_open)
+    assert run_command(["invert", "--method", "recurrent", "--input", catalan_path]) == 0
+    assert opened and all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize("workers", [0, (os.cpu_count() or 1) + 1])
+def test_bench_workers_out_of_range(monkeypatch, capsys, catalan_path, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    code = run_command(
+        ["bench", "--deg-range", "3", "--input", catalan_path, "--workers", str(workers)]
+    )
+    assert code == 2
+    assert "--workers must be between 1 and" in capsys.readouterr().err

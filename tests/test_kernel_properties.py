@@ -1,0 +1,233 @@
+"""Property tests of the sparse kernels against naive double loops.
+
+Operands are small random sparse series (optionally carrying one
+parameter position) and Laurent expressions with negative exponents.  The
+reference implementations below multiply every term pair without any
+truncation logic, then keep the degrees the result claims to certify.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forminv.laurent import LaurentExpr, _laurent_add
+from forminv.rat import Rat
+from forminv.series import INF, MSeries, PolyMap, compose, series_from_terms, unit_inverse
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)])
+
+
+def exponents(n, nparams, lo=0, hi=3):
+    z = st.tuples(*[st.integers(lo, hi)] * n)
+    p = st.tuples(*[st.integers(0, 2)] * nparams)
+    return st.builds(lambda a, b: a + b, z, p)
+
+
+def term_dicts(n, nparams=0, lo=0, hi=3, max_size=6):
+    return st.dictionaries(exponents(n, nparams, lo, hi), COEFFS, max_size=max_size)
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 1))
+    a = MSeries(n, INF, draw(term_dicts(n, p)), p)
+    b = MSeries(n, INF, draw(term_dicts(n, p)), p)
+    return a, b
+
+
+def zdeg(e, n):
+    return sum(e[:n])
+
+
+def naive_product(a_terms, b_terms, keep):
+    out = {}
+    for ea, ca in a_terms.items():
+        for eb, cb in b_terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c and keep(e)}
+
+
+def no_zero_coefficient(terms):
+    return all(c for c in terms.values())
+
+
+@SETTINGS
+@given(series_pairs(), st.integers(0, 8))
+def test_mul_matches_naive(pair, cap):
+    a, b = pair
+    r = a.mul(b, cap=cap)
+    assert r.trunc == cap
+    assert r.terms == naive_product(a.terms, b.terms, lambda e: zdeg(e, a.n) <= cap)
+    assert no_zero_coefficient(r.terms)
+
+
+@SETTINGS
+@given(series_pairs())
+def test_add_matches_naive(pair):
+    a, b = pair
+    want = dict(a.terms)
+    for e, c in b.terms.items():
+        want[e] = want.get(e, 0) + c
+    r = a + b
+    assert r.terms == {e: c for e, c in want.items() if c}
+    assert no_zero_coefficient(r.terms)
+    assert (a + (-a)).is_zero()
+    assert (r - b).terms == a.terms
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), term_dicts(n, hi=3), COEFFS)
+    ),
+    st.integers(0, 7),
+)
+def test_unit_inverse_matches_naive(data, degree):
+    n, terms, c0 = data
+    terms[(0,) * n] = c0
+    s = MSeries(n, INF, terms)
+    inv = unit_inverse(s, degree)
+    assert inv.trunc == degree
+    assert no_zero_coefficient(inv.terms)
+    assert all(sum(e) <= degree for e in inv.terms)
+    one = naive_product(s.terms, inv.terms, lambda e: sum(e) <= degree)
+    assert one == {(0,) * n: Rat(1)}
+
+
+@st.composite
+def laurent_pairs(draw):
+    n = draw(st.integers(1, 3))
+    a = draw(term_dicts(n, lo=-2, hi=3))
+    b = draw(term_dicts(n, lo=-2, hi=3))
+    wa = draw(st.integers(-2, 6))
+    wb = draw(st.integers(-2, 6))
+    a = {e: c for e, c in a.items() if sum(e) <= wa}
+    b = {e: c for e, c in b.items() if sum(e) <= wb}
+    return LaurentExpr(n, wa, a), LaurentExpr(n, wb, b), draw(st.integers(-3, 8))
+
+
+@SETTINGS
+@given(laurent_pairs())
+def test_laurent_mul_matches_naive(data):
+    a, b, window = data
+    r = a.mul(b, window=window)
+    assert r.window <= window
+    assert r.terms == naive_product(a.terms, b.terms, lambda e: sum(e) <= r.window)
+    assert no_zero_coefficient(r.terms)
+
+
+@SETTINGS
+@given(laurent_pairs(), COEFFS)
+def test_laurent_add_drops_cancelled_terms(data, scale):
+    a, b, _ = data
+    r = _laurent_add(a, b, scale)
+    assert no_zero_coefficient(r.terms)
+    want = dict(a.terms)
+    for e, c in b.terms.items():
+        want[e] = want.get(e, 0) + c * scale
+    assert r.terms == {e: c for e, c in want.items() if c}
+    assert not _laurent_add(a, a, -1).terms
+
+
+@st.composite
+def compositions(draw):
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(0, 1))
+    f = MSeries(n, INF, draw(term_dicts(n, p, hi=2, max_size=4)), p)
+    comps = []
+    for _ in range(n):
+        terms = draw(term_dicts(n, p, hi=2, max_size=3))
+        comps.append(MSeries(n, INF, {e: c for e, c in terms.items() if zdeg(e, n)}, p))
+    return f, PolyMap(comps), draw(st.integers(1, 6))
+
+
+def naive_compose(f, g):
+    """sum_e c_e * prod_i g_i^{e_i} * (parameter monomial of e), untruncated."""
+    n = f.n
+    out = {}
+    for e, c in f.terms.items():
+        acc = {(0,) * n + e[n:]: c}
+        for i in range(n):
+            for _ in range(e[i]):
+                acc = naive_product(acc, g.components[i].terms, lambda _: True)
+        for k, v in acc.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+@SETTINGS
+@given(compositions())
+def test_compose_matches_naive(data):
+    f, g, cap = data
+    r = compose(f, g, cap=cap)
+    assert r.trunc == cap
+    want = naive_compose(f, g)
+    assert r.terms == {e: c for e, c in want.items() if zdeg(e, f.n) <= cap}
+    assert no_zero_coefficient(r.terms)
+
+
+@st.composite
+def param_series(draw):
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 2))
+    return MSeries(n, INF, draw(term_dicts(n, p, max_size=8)), p)
+
+
+@SETTINGS
+@given(param_series(), st.sampled_from([Rat(0), Rat(1), Rat(-1), Rat(2), Rat(-1, 2)]))
+def test_eval_param_matches_naive(s, value):
+    r = s.eval_param(0, value)
+    assert no_zero_coefficient(r.terms)
+    pos = s.n
+    want = {}
+    for e, c in s.terms.items():
+        e2 = e[:pos] + e[pos + 1 :]
+        want[e2] = want.get(e2, 0) + c * value ** e[pos]
+    assert r.terms == {e: c for e, c in want.items() if c}
+
+
+@SETTINGS
+@given(param_series())
+def test_subst_param_sum_matches_naive(s):
+    if s.nparams < 2:
+        s = s.with_params(1)
+    r = s.subst_param_sum(0, 1)
+    assert no_zero_coefficient(r.terms)
+    pj, pk = s.n, s.n + 1
+    want = {}
+    for e, c in s.terms.items():
+        a = e[pj]
+        for k in range(a + 1):
+            e2 = list(e)
+            e2[pj], e2[pk] = a - k, e[pk] + k
+            want[tuple(e2)] = want.get(tuple(e2), 0) + c * math.comb(a, k)
+    assert r.terms == {e: c for e, c in want.items() if c}
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(exponents(n, 0), st.sampled_from([0, 1, -1, 2, "1/2", "-1/2"])),
+                max_size=10,
+            ),
+        )
+    )
+)
+def test_series_from_terms_sums_duplicates(data):
+    n, items = data
+    s = series_from_terms(n, INF, items)
+    assert no_zero_coefficient(s.terms)
+    want = {}
+    for e, c in items:
+        want[e] = want.get(e, 0) + Rat(c)
+    assert s.terms == {e: c for e, c in want.items() if c}
+    cancelled = series_from_terms(n, INF, items + [(e, -c) for e, c in want.items()])
+    assert cancelled.is_zero()

@@ -9,7 +9,6 @@ from forminv import (
     MSeries,
     PolyMap,
     RootedTree,
-    aut_order,
     enumerate_trees,
     order_polynomial,
     strict_order_count,
@@ -127,10 +126,10 @@ class TestEnumeration:
 
 class TestAut:
     def test_examples(self):
-        assert aut_order(RootedTree.leaf()) == 1
-        assert aut_order(RootedTree.star(2)) == 2
-        assert aut_order(RootedTree.chain(3)) == 1
-        assert aut_order(RootedTree.star(4)) == 24
+        assert RootedTree.leaf().aut == 1
+        assert RootedTree.star(2).aut == 2
+        assert RootedTree.chain(3).aut == 1
+        assert RootedTree.star(4).aut == 24
 
     def test_nested(self):
         # root with two identical 2-chain children: swap + nothing inside
