@@ -60,7 +60,6 @@ from .inversion import (
     recurrent_layers,
 )
 from .flow import (
-    DeformedInverse,
     FlowSeries,
     Report,
     check_bcw_quadratic_nilpotent,

@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import HomogeneityError, NilpotencyError
-from .inversion import invert_fixed_point, invert_recurrent, recurrent_layers
+from .inversion import (
+    GradedInverse,
+    invert_fixed_point,
+    invert_recurrent,
+    recurrent_layers,
+)
 from .rat import ONE, Rat
 from .series import (
     INF,
@@ -32,7 +37,7 @@ from .series import (
     MSeries,
     PolyMap,
     compose_map_components,
-    first_difference,
+    first_mismatch,
     mat_mul,
     mat_vec,
 )
@@ -74,12 +79,10 @@ class Report:
 
     def add_equality(self, name, lhs: PolyMap, rhs: PolyMap, degree, detail=""):
         failure = None
-        for i, (a, b) in enumerate(zip(lhs.components, rhs.components)):
-            diff = first_difference(a, b, through=degree)
-            if diff is not None:
-                exp, va, vb = diff
-                failure = f"component {i + 1}, exponent {exp}: {va} vs {vb}"
-                break
+        diff = first_mismatch(zip(lhs.components, rhs.components), through=degree)
+        if diff is not None:
+            i, exp, va, vb = diff
+            failure = f"component {i + 1}, exponent {exp}: {va} vs {vb}"
         self.add(name, failure is None, detail, failure)
 
     def to_dict(self):
@@ -111,60 +114,15 @@ class Report:
 # -- the deformed inverse ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformedInverse:
-    """Inverse family of z - tH: the layers N_[1..M] reinterpreted as
-    N_t = sum_m t^{m-1} N_[m], carried as one series with the parameter t
-    in its exponents."""
-
-    h: PolyMap
-    layers: tuple
-    trunc: float
-    n_t: PolyMap  # one parameter (t)
-
-    @property
-    def n(self):
-        return self.h.n
-
-    def f_t(self) -> PolyMap:
-        """z - t H."""
-        ident = PolyMap.identity(self.n, trunc=self.h.trunc, nparams=1)
-        return ident - self.h.with_params(1).shift_param(0)
-
-    def g_t(self) -> PolyMap:
-        """z + t N_t."""
-        ident = PolyMap.identity(self.n, trunc=self.trunc, nparams=1)
-        return ident + self.n_t.shift_param(0)
-
-    def at(self, t_value) -> PolyMap:
-        """G_t for a concrete rational t."""
-        return self.g_t().eval_param(0, t_value)
-
-
-def _stack_layers(layers, nparams=1, param=0, start_power=0) -> PolyMap:
-    """sum_m t^{start_power + m - 1} N_[m] as a parameter-carrying map."""
-    if not layers:
-        raise ValueError("no layers")
-    n = layers[0].n
-    trunc = min(l.trunc for l in layers)
-    acc = PolyMap.zero(n, trunc, nparams=nparams)
-    for m, layer in enumerate(layers, start=1):
-        acc = acc + layer.with_params(nparams).shift_param(
-            param, start_power + m - 1
-        )
-    return acc
-
-
-def deformation_inverse(f: MapF, degree: int) -> DeformedInverse:
-    """Layers m <= degree-1 (later ones sit above the working degree), with
-    the t-grading attached:  G_t = z + t N_t inverts z - tH through
+def deformation_inverse(f: MapF, degree: int) -> GradedInverse:
+    """Layers m <= degree-1 (later ones sit above the working degree), read
+    through their t-graded view:  G_t = z + t N_t inverts z - tH through
     `degree` for symbolic t."""
     layers = recurrent_layers(f.h, max(degree - 1, 1), cap=degree)
-    n_t = _stack_layers(layers)
-    return DeformedInverse(f.h, tuple(layers), degree, n_t)
+    return GradedInverse(f.h, tuple(layers), degree)
 
 
-def pde_residual(dinv: DeformedInverse) -> PolyMap:
+def pde_residual(dinv: GradedInverse) -> PolyMap:
     """dN/dt - JN . N, symbolic in t; identically zero for any genuine
     deformed inverse, and sensitive to any corrupted layer."""
     lhs = PolyMap(tuple(c.pdiff(0) for c in dinv.n_t.components))
@@ -205,26 +163,23 @@ def check_lemma31(f: MapF, degree: int) -> Report:
                 target[i][j] = target[i][j] + power[i][j].shift_param(0, k - 1)
         if k < degree:
             power = mat_mul(power, [[e.with_params(1) for e in row] for row in jh])
-    ok = True
     failure = None
-    for idx in range(n * n):
-        a = composed[idx]
-        b = target[idx // n][idx % n]
-        diff = first_difference(a, b.truncate(degree - 1), through=degree - 1)
-        if diff is not None:
-            exp, va, vb = diff
-            ok = False
-            failure = f"entry ({idx // n + 1},{idx % n + 1}), exponent {exp}: {va} vs {vb}"
-            break
+    diff = first_mismatch(
+        zip(composed, (b.truncate(degree - 1) for row in target for b in row)),
+        through=degree - 1,
+    )
+    if diff is not None:
+        idx, exp, va, vb = diff
+        failure = f"entry ({idx // n + 1},{idx % n + 1}), exponent {exp}: {va} vs {vb}"
     report.add(
         "JN_t(F_t) = sum_k JH^k t^(k-1)",
-        ok,
+        failure is None,
         f"checked through z-degree {degree - 1}",
         failure,
     )
 
-    jh_index = _nilpotency_index_exact(jh, n)
-    jn_index = _nilpotency_index_through(jn, n, degree - 1)
+    jh_index = _nilpotency_index(jh, n)
+    jn_index = _nilpotency_index(jn, n, degree - 1)
     report.data["JH nilpotency index"] = jh_index if jh_index else "not nilpotent"
     report.data["JN_t nilpotency index (through truncation)"] = (
         jn_index if jn_index else "not nilpotent"
@@ -237,18 +192,10 @@ def check_lemma31(f: MapF, degree: int) -> Report:
     return report
 
 
-def _nilpotency_index_exact(mat, n) -> Optional[int]:
-    """Index of an exact polynomial matrix, or None.  Over the integral
+def _nilpotency_index(mat, n, degree=INF) -> Optional[int]:
+    """Index of a matrix whose powers vanish through z-degree `degree`
+    (all of it for an exact polynomial matrix), or None.  Over the integral
     domain Q[z] a nilpotent matrix has index at most n."""
-    power = mat
-    for k in range(1, n + 1):
-        if all(entry.is_zero() for row in power for entry in row):
-            return k
-        power = mat_mul(power, mat)
-    return None
-
-
-def _nilpotency_index_through(mat, n, degree) -> Optional[int]:
     power = mat
     for k in range(1, n + 1):
         if all(entry.is_zero_through(degree) for row in power for entry in row):
@@ -337,12 +284,10 @@ def check_prop310(f: MapF, degree: int, s_order: int, t_order: int) -> Report:
     """The family is closed under inversion: z - s N_t has inverse
     z + s N_{t+s}, and both factor through the deformation itself."""
     work = degree + 1
-    layers = recurrent_layers(f.h, max(work - 1, 1), cap=work)
-    n = f.n
-    n_t = _stack_layers(layers, nparams=2, param=0)
-    ident = PolyMap.identity(n, trunc=work, nparams=2)
+    n_t = deformation_inverse(f, work).n_t.with_params(1)
+    ident = PolyMap.identity(f.n, trunc=work, nparams=2)
     u = ident - n_t.shift_param(1)  # z - s N_t
-    n_ts = PolyMap(tuple(c.subst_param_sum(0, 1) for c in n_t.components))
+    n_ts = n_t.subst_param_sum(0, 1)
     v = ident + n_ts.shift_param(1)  # z + s N_{t+s}
 
     report = Report(
@@ -586,7 +531,7 @@ def polynomiality_probe(h: PolyMap, layer_bound: int) -> ProbeReport:
     if d is None or d < 2:
         raise HomogeneityError("probe needs homogeneous H of degree >= 2")
     jh = h.jacobian()
-    if _nilpotency_index_exact(jh, h.n) is None:
+    if _nilpotency_index(jh, h.n) is None:
         raise NilpotencyError("JH is not nilpotent; the probe does not apply")
     layers = recurrent_layers(h, layer_bound)
     last = 0

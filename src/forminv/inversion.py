@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -42,7 +43,7 @@ from .series import (
     MapF,
     MSeries,
     PolyMap,
-    first_difference,
+    first_mismatch,
     jacobian_det,
     mat_vec,
     series_det,
@@ -74,7 +75,12 @@ def invert_fixed_point(f: MapF, degree: int) -> PolyMap:
 class GradedInverse:
     """Layers N_[1], ..., N_[M] with o(N_[m]) >= m+1 and, for polynomial H,
     deg N_[m] <= (deg H - 1)m + 1.  Summing the layers on top of z gives the
-    inverse."""
+    inverse.
+
+    The same layers, t-graded, give the inverse family of the deformation
+    F_t = z - tH: G_t = z + t N_t with N_t = sum_m t^{m-1} N_[m], carried
+    as one series with the parameter t in its exponents (`n_t`, built on
+    first use)."""
 
     h: PolyMap
     layers: tuple
@@ -94,6 +100,29 @@ class GradedInverse:
         for layer in self.layers:
             g = g + layer
         return g.truncate(self.trunc)
+
+    @cached_property
+    def n_t(self) -> PolyMap:
+        """sum_m t^{m-1} N_[m], with one parameter (t)."""
+        trunc = min((layer.trunc for layer in self.layers), default=self.trunc)
+        acc = PolyMap.zero(self.h.n, trunc, nparams=1)
+        for m, layer in enumerate(self.layers, start=1):
+            acc = acc + layer.with_params(1).shift_param(0, m - 1)
+        return acc
+
+    def f_t(self) -> PolyMap:
+        """z - t H."""
+        ident = PolyMap.identity(self.h.n, trunc=self.h.trunc, nparams=1)
+        return ident - self.h.with_params(1).shift_param(0)
+
+    def g_t(self) -> PolyMap:
+        """z + t N_t."""
+        ident = PolyMap.identity(self.h.n, trunc=self.trunc, nparams=1)
+        return ident + self.n_t.shift_param(0)
+
+    def at(self, t_value) -> PolyMap:
+        """G_t for a concrete rational t."""
+        return self.g_t().eval_param(0, t_value)
 
 
 def recurrent_layers(h: PolyMap, count: int, cap=None) -> list[PolyMap]:
@@ -490,11 +519,10 @@ def cross_check(
 
 
 def _require_equal(a: PolyMap, b: PolyMap, degree, name_a, name_b):
-    for i, (ca, cb) in enumerate(zip(a.components, b.components)):
-        diff = first_difference(ca, cb, through=degree)
-        if diff is not None:
-            exp, va, vb = diff
-            raise MethodDisagreement(
-                f"methods {name_a!r} and {name_b!r} disagree at component "
-                f"{i + 1}, exponent {exp}: {va} vs {vb}"
-            )
+    diff = first_mismatch(zip(a.components, b.components), through=degree)
+    if diff is not None:
+        i, exp, va, vb = diff
+        raise MethodDisagreement(
+            f"methods {name_a!r} and {name_b!r} disagree at component "
+            f"{i + 1}, exponent {exp}: {va} vs {vb}"
+        )

@@ -620,9 +620,6 @@ class PolyMap:
     def subst_param_sum(self, j, k):
         return PolyMap(tuple(a.subst_param_sum(j, k) for a in self.components))
 
-    def strip_params(self):
-        return PolyMap(tuple(a.strip_params() for a in self.components))
-
     def compose(self, g: "PolyMap", cap=None) -> "PolyMap":
         """self after g, i.e. z -> self(g(z))."""
         return PolyMap(tuple(compose_map_components(self.components, g, cap)))
@@ -694,11 +691,6 @@ class MapF:
     def map(self) -> PolyMap:
         return PolyMap.identity(self.n, trunc=self.h.trunc) - self.h
 
-    def deformed(self, nparams=1, param=0) -> PolyMap:
-        """The family z - t*H as a parameter-carrying map."""
-        h = self.h.with_params(nparams).shift_param(param)
-        return PolyMap.identity(self.n, trunc=self.h.trunc, nparams=nparams) - h
-
     def __repr__(self):
         return f"MapF(z - H) with H =\n{self.h.format()}"
 
@@ -763,38 +755,37 @@ def unit_inverse(s: MSeries, degree) -> MSeries:
     return MSeries(s.n, degree, inv.terms, s.nparams)
 
 
-def _div_unit(a: MSeries, b: MSeries, cap) -> MSeries:
-    """Exact quotient a/b for unit-constant b.  Only used where the
-    quotient is known to exist (Bareiss elimination steps)."""
-    if cap == INF:
-        # a and b are exact polynomials; so is the quotient, with degree
-        # at most deg(a).  Compute through that bound and restore
-        # exactness, since the geometric tail of 1/b cancels identically.
-        bound = max((a.zdeg(e) for e in a.terms), default=0)
-        q = a.mul(unit_inverse(b.truncate(bound), bound), cap=bound)
-        return MSeries(a.n, INF, q.terms, a.nparams)
-    depth = min(cap, b.trunc)
-    return a.mul(unit_inverse(b.truncate(depth), depth), cap=depth)
+def series_det(matrix, cap=None) -> MSeries:
+    """Determinant of a square matrix of series, division-free: dynamic
+    programming over column subsets, O(n 2^n) series multiplications.
 
+    The result claims no truncation beyond that of each product it sums.
+    A zero entry is skipped only when it is known to vanish through the
+    cap (all of it when there is none); any other zero entry enters its
+    products, whose certified truncation it lowers.  Exact entries give an
+    exact determinant (capped at `cap`).
 
-def _det_minors(rows, cap):
-    """Division-free determinant by dynamic programming over column
-    subsets; O(n 2^n) series multiplications."""
-    n = len(rows)
-    states = {(): MSeries.const(rows[0][0].n, ONE, INF, rows[0][0].nparams)}
-    for i in range(n):
+    Fraction-free Gaussian elimination was used here before and dropped.
+    Each of its exact divisions runs a unit inverse through the dividend's
+    degree, which costs more than it saves on the exact Jacobians every
+    caller passes.  Median ms per determinant, elimination vs expansion,
+    on Jacobians of random maps of degree <= 3 with <= 3 terms per
+    component (2-vCPU Xeon, `fractions` backend): n=2 0.15 vs 0.20, n=3
+    1.05 vs 0.50, n=4 7.0 vs 0.95, n=5 591 vs 2.8.
+    """
+    first = matrix[0][0]
+    limit = INF if cap is None else cap
+    states = {(): MSeries.const(first.n, ONE, INF, first.nparams)}
+    for row in matrix:
         new = {}
         for cols, val in states.items():
-            used = set(cols)
-            for j in range(n):
-                if j in used:
+            for j, entry in enumerate(row):
+                if j in cols:
                     continue
-                entry = rows[i][j]
-                if entry.is_zero():
+                if entry.is_zero() and entry.trunc >= limit:
                     continue
-                sign = -1 if sum(1 for c in cols if c > j) % 2 else 1
                 term = val.mul(entry, cap=cap)
-                if sign < 0:
+                if sum(1 for c in cols if c > j) % 2:
                     term = -term
                 key = tuple(sorted(cols + (j,)))
                 acc = new.get(key)
@@ -802,56 +793,8 @@ def _det_minors(rows, cap):
         states = new
         if not states:
             break
-    full = tuple(range(n))
-    zero_trunc = min(
-        (entry.trunc for row in rows for entry in row),
-        default=INF,
-    )
-    if cap is not None:
-        zero_trunc = min(zero_trunc, cap)
-    return states.get(full, MSeries.zero(rows[0][0].n, zero_trunc, rows[0][0].nparams))
-
-
-def series_det(matrix, cap=None) -> MSeries:
-    """Determinant of a square matrix of series.
-
-    Uses fraction-free (Bareiss) elimination with graded truncation after
-    each step when unit pivots are available - the case for every Jacobian
-    of a canonical map, where the matrix is I - (positive order).  Falls
-    back to division-free minor expansion otherwise.
-    """
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0] if cap is None else matrix[0][0].truncate(cap)
-    a = [list(row) for row in matrix]
-    width = (a[0][0].n + a[0][0].nparams)
-    const_exp = (0,) * width
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        pivot_row = None
-        for r in range(k, n):
-            if a[r][k].terms.get(const_exp):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            # no unit pivot available at this step: recompute from the
-            # original matrix with the division-free expansion
-            return _det_minors(matrix, cap)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k].mul(a[i][j], cap=cap) - a[i][k].mul(a[k][j], cap=cap)
-                a[i][j] = num if prev is None else _div_unit(num, prev, _cap_of(num, cap))
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _cap_of(s: MSeries, cap):
-    return s.trunc if cap is None else min(s.trunc, cap)
+    full = tuple(range(len(matrix)))
+    return states.get(full, MSeries.zero(first.n, limit, first.nparams))
 
 
 def jacobian(m: PolyMap):
@@ -880,4 +823,14 @@ def first_difference(a: MSeries, b: MSeries, through=None):
         cb = db.get(e, ZERO)
         if ca != cb:
             return e, ca, cb
+    return None
+
+
+def first_mismatch(pairs, through=None):
+    """First (index, exponent, a_value, b_value) where the paired series
+    of `pairs` differ, or None; the index counts the pairs."""
+    for i, (a, b) in enumerate(pairs):
+        diff = first_difference(a, b, through=through)
+        if diff is not None:
+            return (i,) + diff
     return None

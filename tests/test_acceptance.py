@@ -139,10 +139,10 @@ def test_a5_pde_residual():
     # fault injection: perturb N_[2] by z^3 on the Catalan map
     f = MapF(PolyMap([MSeries.monomial(1, (2,), 1)]))
     dinv = deformation_inverse(f, DEGREE)
-    fault = MSeries.monomial(1, (3,), 1).with_params(1).shift_param(0, 1)
-    corrupted = dataclasses.replace(
-        dinv, n_t=PolyMap([dinv.n_t.components[0] + fault])
-    )
+    fault = MSeries.monomial(1, (3,), 1)
+    layers = list(dinv.layers)
+    layers[1] = PolyMap([layers[1].components[0] + fault])
+    corrupted = dataclasses.replace(dinv, layers=tuple(layers))
     res = pde_residual(corrupted)
     assert not all(c.is_zero_through(5) for c in res.components)
     _passed("A5 PDE residual", "50 maps zero; injected fault detected")

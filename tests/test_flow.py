@@ -79,10 +79,10 @@ class TestPdeResidual:
     def test_detects_injected_fault(self, catalan_map):
         dinv = deformation_inverse(catalan_map, 6)
         # perturb the second layer by z^3: shows up at t-degree 0
-        fault = mono(1, (3,), 1).with_params(1).shift_param(0, 1)
-        corrupted = dataclasses.replace(
-            dinv, n_t=PolyMap([dinv.n_t.components[0] + fault])
-        )
+        fault = mono(1, (3,), 1)
+        layers = list(dinv.layers)
+        layers[1] = PolyMap([layers[1].components[0] + fault])
+        corrupted = dataclasses.replace(dinv, layers=tuple(layers))
         res = pde_residual(corrupted)
         assert not all(c.is_zero_through(4) for c in res.components)
         # the t^0 coefficient is already nonzero
