@@ -32,7 +32,7 @@ from .series import (
     series_from_terms,
     unit_inverse,
 )
-from .laurent import LaurentExpr, laurent_inv_power, residue
+from .laurent import laurent_inv_power, residue
 from .tpoly import TPoly
 from .trees import (
     RootedTree,

@@ -377,23 +377,20 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
 
     # expansions in powers of JN_t . z; the k-th term has z-order >= k+1
     ratio = Rat(d - 1, d)
+    jnk_z = []  # JN_t^k z for k = 1..degree
+    power = jn
+    for k in range(1, degree + 1):
+        if k > 1:
+            power = mat_mul(power, jn, cap=degree)
+        jnk_z.append(PolyMap(mat_vec(power, ident.components, cap=degree)))
     sum1 = PolyMap.zero(n, degree, nparams=1)
     sum2 = PolyMap.zero(n, degree, nparams=1)
-    power = jn
     for k in range(1, degree):
-        jnk_z = PolyMap(mat_vec(power, ident.components, cap=degree))
         coeff = ratio ** (k - 1) if k > 1 else ONE
         if (k - 1) % 2:
             coeff = -coeff
-        sum1 = sum1 + PolyMap(
-            tuple(c.shift_param(0, k - 1).scale(coeff) for c in jnk_z.components)
-        )
-        power_next = mat_mul(power, jn, cap=degree)
-        jnk1_z = PolyMap(mat_vec(power_next, ident.components, cap=degree))
-        sum2 = sum2 + PolyMap(
-            tuple(c.shift_param(0, k - 1).scale(coeff) for c in jnk1_z.components)
-        )
-        power = power_next
+        sum1 = sum1 + jnk_z[k - 1].shift_param(0, k - 1).scale(coeff)
+        sum2 = sum2 + jnk_z[k].shift_param(0, k - 1).scale(coeff)
     report.add_equality(
         "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z",
         n_t.truncate(degree),

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -199,24 +201,7 @@ def b_form_apply(form: BForm, args: Sequence[PolyMap], cap=None) -> PolyMap:
     return form.apply(args, cap=cap)
 
 
-def _partitions_into(parts: int, total: int):
-    """Non-decreasing tuples of `parts` non-negative ints summing to total."""
-
-    def rec(remaining, slots, minimum):
-        if slots == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for first in range(minimum, remaining // slots + 1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, parts, 0)
-
-
-def invert_homogeneous(
-    f: MapF, layer_count: Optional[int] = None, degree: Optional[int] = None
-) -> GradedInverse:
+def invert_homogeneous(f: MapF, degree: int) -> GradedInverse:
     """Differential-free recurrence for homogeneous H of degree d >= 2:
     N_[0] = z, N_[1] = H,
     N_[m+1] = sum over d-tuples k_1 + ... + k_d = m of B(N_[k_1], ..., N_[k_d]).
@@ -227,32 +212,18 @@ def invert_homogeneous(
     """
     form = BForm(f.h)
     d = form.d
-    if layer_count is None:
-        if degree is None:
-            raise ValueError("provide layer_count or degree")
-        layer_count = max((degree - 1) // (d - 1), 1)
     by_index = [PolyMap.identity(f.n, trunc=INF), f.h]  # N_[0], N_[1]
-    for m in range(1, layer_count):
+    for m in range(1, max((degree - 1) // (d - 1), 1)):
         acc: Optional[PolyMap] = None
-        for multiset in _partitions_into(d, m):
-            mult = math.factorial(d)
-            for _, run in _run_lengths(multiset):
-                mult //= math.factorial(run)
+        for multiset in combinations_with_replacement(range(m + 1), d):
+            if sum(multiset) != m:
+                continue
+            runs = Counter(multiset).values()
+            mult = math.factorial(d) // math.prod(map(math.factorial, runs))
             val = form.apply([by_index[k] for k in multiset]).scale(mult)
             acc = val if acc is None else acc + val
         by_index.append(acc)
-    trunc = degree if degree is not None else (d - 1) * (layer_count + 1)
-    return GradedInverse(f.h, tuple(by_index[1:]), trunc)
-
-
-def _run_lengths(values):
-    out = []
-    for v in values:
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return [(v, r) for v, r in out]
+    return GradedInverse(f.h, tuple(by_index[1:]), degree)
 
 
 # -- derivative expansion --------------------------------------------------------
@@ -350,8 +321,7 @@ def jacobi_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:
             f"need j(F) z_i through degree {total}, certified {weight.trunc}"
         )
     expansion = laurent_inv_power(f, k, window=-n - 1)
-    product = expansion.mul_series(weight, window=-n)
-    return residue(product)
+    return residue(expansion.mul(weight, cap=-n))
 
 
 def _quotient_by_variable(h: MSeries, i: int) -> MSeries:

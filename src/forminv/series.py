@@ -16,10 +16,15 @@ count toward the truncation degree; coefficients stay plain rationals, so
 identities that are polynomial in the parameters are checked exactly.
 Derivatives with respect to a parameter do not lose precision in z.
 
+Exponents may be negative: a Laurent expansion (see ``laurent``) is an
+``MSeries`` whose terms reach below degree 0, and the truncation rules
+above apply to it unchanged.  Only ``series_from_terms``, which validates
+outside input, rejects negative exponents.
+
 ``_product`` is the only truncated product loop and ``_collect`` the only
 accumulate-and-cancel step: every operation that sums coefficients by
-exponent goes through them, including those of ``laurent``.  No stored
-coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
+exponent goes through them.  No stored coefficient is ever zero, which
+``is_zero`` and ``order`` rely on.
 
 All values are immutable after construction and all operations are pure,
 so the whole module is safe to use from multiple threads.
@@ -88,7 +93,8 @@ def _grlex_key(n):
 
 
 class MSeries:
-    """One truncated power series.  Use the factory helpers or
+    """One truncated power series, or a Laurent expansion when some
+    exponents are negative.  Use the factory helpers or
     :func:`series_from_terms`; the raw constructor trusts its input."""
 
     __slots__ = ("n", "nparams", "trunc", "terms", "_order")
@@ -231,8 +237,8 @@ class MSeries:
         )
 
     def mul_monomial(self, exp, coeff=ONE) -> "MSeries":
-        """Multiply by coeff * z^exp with non-negative exponents; the
-        certified degree shifts up by the monomial's z-degree."""
+        """Multiply by coeff * z^exp; exponents may be negative.  The
+        certified degree shifts by the monomial's z-degree."""
         exp = tuple(exp)
         if len(exp) != self.n + self.nparams:
             raise DimensionMismatch(
@@ -406,7 +412,7 @@ class MSeries:
             for name, k in zip(allnames, e):
                 if k == 1:
                     factors.append(name)
-                elif k > 1:
+                elif k:
                     factors.append(f"{name}^{k}")
             mono = "*".join(factors)
             coeff = abs(c)

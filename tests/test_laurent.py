@@ -6,8 +6,8 @@ import math
 import pytest
 
 from forminv import (
-    LaurentExpr,
     MapF,
+    MSeries,
     PolyMap,
     TruncationError,
     jacobi_coefficient,
@@ -95,13 +95,13 @@ class TestLaurentInvPower:
 
 class TestResidue:
     def test_basic(self):
-        e = LaurentExpr(1, 0, {(-1,): Rat(1)})
+        e = MSeries(1, 0, {(-1,): Rat(1)})
         assert residue(e) == 1
-        e = LaurentExpr(1, 0, {(-2,): Rat(1), (-1,): Rat(3)})
+        e = MSeries(1, 0, {(-2,): Rat(1), (-1,): Rat(3)})
         assert residue(e) == 3
 
     def test_window_guard(self):
-        e = LaurentExpr(1, -2, {(-2,): Rat(1)})
+        e = MSeries(1, -2, {(-2,): Rat(1)})
         with pytest.raises(TruncationError):
             residue(e)
 
@@ -110,8 +110,15 @@ class TestResidue:
         # i.e. j(F) F^{-4} z for F = z - z^2 and k = 3
         e = laurent_inv_power(catalan_map, (3,), window=-2)
         weight = mono(1, (1,), 1) + mono(1, (2,), -2)  # z * (1 - 2z)
-        prod = e.mul_series(weight.truncate(5), window=-1)
+        prod = e.mul(weight.truncate(5), cap=-1)
         assert residue(prod) == 2
+
+
+class TestFormat:
+    def test_negative_exponents(self):
+        e = MSeries(1, 0, {(-2,): Rat(1), (-1,): Rat(3)})
+        assert e.format() == "z^-2 + 3*z^-1"
+        assert MSeries(2, 0, {(-1, -1): Rat(2)}).format() == "2*z1^-1*z2^-1"
 
 
 class TestJacobiCoefficient:
