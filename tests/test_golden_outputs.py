@@ -4,18 +4,60 @@ Each entry is the sha256 of canonical output text (``serialize_polymap``
 for maps, ``rat_to_str`` for coefficients) on fixed corpus maps.  The
 digests were recorded before the sparse kernels were folded into one
 product loop and one accumulate step, and must never change: a change to
-the series core that alters any output byte fails here.
+the series core that alters any output byte fails here.  The ``homog``
+entries (every layer of ``invert_homogeneous``, with its truncation) were
+recorded while the multilinear form was still evaluated by polarization.
 """
 
 import hashlib
+import itertools
+import random
 
-from forminv import cross_check, deformation_inverse, formal_flow, jacobi_coefficient
+from forminv import (
+    MapF,
+    MSeries,
+    PolyMap,
+    cross_check,
+    deformation_inverse,
+    formal_flow,
+    invert_homogeneous,
+    jacobi_coefficient,
+)
 from forminv.mapdoc import serialize_polymap
-from forminv.randmaps import acceptance_corpus
-from forminv.rat import rat_to_str
+from forminv.randmaps import CORPUS_SEED, acceptance_corpus, random_map
+from forminv.rat import Rat, rat_to_str
+from forminv.series import INF
 
 CORPUS = acceptance_corpus(12)
 SMALL = [f for f in CORPUS if f.n <= 2][:3]
+
+
+def _dense_cubic():
+    """The A10 map: every cubic monomial in n = 3 variables, in every
+    component, coefficients cycling through a fixed pool."""
+    pool = [Rat(c) for c in (1, -1, 2, -2, 1, 1, -1, 2, 1, -2)]
+    exps = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+    return MapF(
+        PolyMap(
+            [
+                MSeries(3, INF, {e: pool[(i + j) % len(pool)] for j, e in enumerate(exps)})
+                for i in range(3)
+            ]
+        )
+    )
+
+
+def _quadratics():
+    """The homogeneous quadratic maps of the 50-map corpus (both n = 1), and
+    two seeded homogeneous quadratics with n = 2 and n = 3."""
+    corpus = [f for f in acceptance_corpus(50) if f.h.homogeneous_degree() == 2][:2]
+    rng = random.Random(CORPUS_SEED)
+    return corpus + [random_map(rng, n, homogeneous_degree=2) for n in (2, 3)]
+
+
+HOMOG = [("dense_cubic", _dense_cubic(), 8)] + [
+    (f"quadratic[{idx}]", f, 8) for idx, f in enumerate(_quadratics())
+]
 
 # exponents per dimension for the residue (Laurent) coefficients
 JACOBI_EXPS = {1: [(2,), (4,), (5,)], 2: [(2, 0), (1, 2), (3, 1)]}
@@ -39,6 +81,11 @@ def _outputs():
             for k in JACOBI_EXPS[f.n]
         ]
         yield f"jacobi[{idx}]", " ".join(coeffs)
+    for name, f, degree in HOMOG:
+        layers = invert_homogeneous(f, degree).layers
+        yield f"homog.{name}", "\n".join(
+            f"{layer.trunc} {serialize_polymap(layer, degree)}" for layer in layers
+        )
 
 
 GOLDEN = {
@@ -63,6 +110,11 @@ GOLDEN = {
     "formal_flow[2]": "5c41c97d100d5f38eb7fc96bcebd8e1a952aa6a263b16924f5eee6e931023a6e",
     "deformation_inverse[2]": "3518b3551ccffcbfa694b245462e2797ec121d1d959a5b3fab92ca111fab1af8",
     "jacobi[2]": "0650d67eb25510d050b33b76aa1691a53e8657d45a4bcbd2ee74ec6c70cb532e",
+    "homog.dense_cubic": "03fa9d2ab3ccac149d4606ee6a6a031a447784be913daf52ed8c59fc7401284e",
+    "homog.quadratic[0]": "1acfbc55ff9203709be04959e07cab821cf39e1b418a671a62d1465da749ff52",
+    "homog.quadratic[1]": "855978edca21d0e9ea3cd2b33ec7e1a02c43ec8c5fb9d79f8f1d6041e37dda6c",
+    "homog.quadratic[2]": "cf8158375b72bf3581012b03d3d1f75052bb89dddb5189e397dea7c1a9d0658e",
+    "homog.quadratic[3]": "32fb770bcaf70bdf75915b531969a81f51dc689189ca00aa485d6724672d181e",
 }
 
 
