@@ -743,10 +743,17 @@ def _mul_trusted(a: MSeries, b: MSeries, cap) -> MSeries:
 def unit_inverse(s: MSeries, degree) -> MSeries:
     """Reciprocal of a series with nonzero constant term, exact through
     `degree` (Newton iteration, quadratic convergence: each step doubles
-    the number of correct layers, which is what certifies the result)."""
-    c0 = s.terms.get((0,) * (s.n + s.nparams))
+    the number of correct layers, which is what certifies the result).
+    The part of z-degree <= 0 must be a nonzero constant: a parameter
+    there, as in 1 + t, has no reciprocal polynomial in the parameters."""
+    const = (0,) * (s.n + s.nparams)
+    c0 = s.terms.get(const)
     if not c0:
         raise SubstitutionError("series has no constant term, not invertible")
+    if any(e != const and s.zdeg(e) <= 0 for e in s.terms):
+        raise SubstitutionError(
+            "the part of z-degree <= 0 is not a constant, not invertible"
+        )
     if degree > s.trunc:
         raise TruncationError(
             f"need input through degree {degree}, certified {s.trunc}"

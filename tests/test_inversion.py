@@ -5,6 +5,7 @@ import pytest
 
 from forminv import (
     BForm,
+    DimensionMismatch,
     DivisibilityError,
     HomogeneityError,
     MapF,
@@ -150,6 +151,40 @@ class TestBForm:
         h = PolyMap([mono(1, (2,)) + mono(1, (3,))])
         with pytest.raises(HomogeneityError):
             BForm(h)
+
+    def test_argument_of_other_dimension(self):
+        form = BForm(PolyMap([mono(2, (1, 1)), mono(2, (2, 0))]))
+        with pytest.raises(DimensionMismatch):
+            form.apply([PolyMap.identity(2), PolyMap.identity(3)])
+
+    def test_argument_with_wrong_component_count(self):
+        form = BForm(PolyMap([mono(2, (1, 1)), mono(2, (2, 0))]))
+        three = [mono(2, (1, 0)), mono(2, (0, 1)), mono(2, (1, 1))]
+        with pytest.raises(DimensionMismatch):
+            form.apply([PolyMap.identity(2), three])
+
+    def test_argument_with_parameters(self):
+        form = BForm(PolyMap([mono(2, (1, 1)), mono(2, (2, 0))]))
+        with pytest.raises(DimensionMismatch):
+            form.apply([PolyMap.identity(2), PolyMap.identity(2, nparams=1)])
+
+    def test_form_of_map_with_parameters(self):
+        with pytest.raises(DimensionMismatch):
+            BForm(PolyMap([mono(1, (2,)).with_params(1)]))
+
+    def test_arguments_with_constant_terms(self):
+        # H = (z1 z2, z1^2): B(U, V) = ((U1 V2 + U2 V1) / 2, U1 V1)
+        form = BForm(PolyMap([mono(2, (1, 1)), mono(2, (2, 0))]))
+        u = PolyMap([mono(2, (0, 0)), mono(2, (1, 0))])  # (1, z1)
+        v = PolyMap([mono(2, (0, 1)), mono(2, (0, 0), 3)])  # (z2, 3)
+        for args in ([u, v], [v, u]):
+            out = form.apply(args)
+            assert out.components[0].terms == {(0, 0): Rat(3, 2), (1, 1): Rat(1, 2)}
+            assert out.components[1].terms == {(0, 1): 1}
+            assert out.trunc == float("inf")
+        capped = form.apply([u, v], cap=1)
+        assert capped.components[0].terms == {(0, 0): Rat(3, 2)}
+        assert capped.trunc == 1
 
 
 class TestHomogeneous:

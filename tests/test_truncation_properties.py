@@ -6,13 +6,14 @@ operation on the exact operand through the truncation the result claims.
 A claim beyond what is exact would show as a mismatch.
 """
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from forminv.errors import TruncationError
+from forminv.errors import SubstitutionError, TruncationError
 from forminv.laurent import laurent_inv_power
 from forminv.rat import Rat
-from forminv.series import INF, MapF, MSeries, PolyMap
+from forminv.series import INF, MapF, MSeries, PolyMap, compose, unit_inverse
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -63,16 +64,28 @@ def test_laurent_inv_power_truncated_h(f, degree, k, window):
     assert got.terms == through(exact.terms, got.trunc, n)
 
 
-@st.composite
-def exact_series(draw):
-    n = draw(st.integers(1, 2))
-    p = draw(st.integers(0, 1))
+def series_in(n, p, lo=0, hi=5, max_size=6):
+    """An exact series in n variables and p parameters, z-degrees lo..hi."""
     exps = st.builds(
         lambda z, t: z + t,
-        graded_exponents(n, 0, 5),
+        graded_exponents(n, lo, hi),
         st.tuples(*[st.integers(0, 2)] * p),
     )
-    return MSeries(n, INF, draw(st.dictionaries(exps, COEFFS, max_size=6)), p)
+    return st.dictionaries(exps, COEFFS, max_size=max_size).map(
+        lambda terms: MSeries(n, INF, terms, p)
+    )
+
+
+@st.composite
+def exact_series(draw):
+    return draw(series_in(draw(st.integers(1, 2)), draw(st.integers(0, 1))))
+
+
+@st.composite
+def exact_series_pairs(draw):
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(0, 1))
+    return draw(series_in(n, p)), draw(series_in(n, p))
 
 
 @SETTINGS
@@ -82,3 +95,60 @@ def test_diff_truncated_operand(s, degree, i):
     got = s.truncate(degree).diff(i)
     assert got.trunc == degree - 1
     assert got.terms == through(s.diff(i).terms, degree - 1, s.n)
+
+
+@SETTINGS
+@given(exact_series_pairs(), st.integers(0, 6), st.integers(0, 6))
+def test_mul_truncated_operands(pair, da, db):
+    a, b = pair
+    got = a.truncate(da).mul(b.truncate(db))
+    assert got.terms == through(a.mul(b).terms, got.trunc, a.n)
+
+
+@SETTINGS
+@given(exact_series_pairs(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 10))
+def test_mul_truncated_operands_with_cap(pair, da, db, cap):
+    a, b = pair
+    got = a.truncate(da).mul(b.truncate(db), cap=cap)
+    assert got.trunc <= cap
+    assert got.terms == through(a.mul(b).terms, got.trunc, a.n)
+
+
+@st.composite
+def exact_compositions(draw):
+    """An exact series f and an exact map g without constant term, n <= 2."""
+    n = draw(st.integers(1, 2))
+    f = draw(series_in(n, 0, lo=1, hi=3, max_size=4))
+    g = PolyMap([draw(series_in(n, 0, lo=1, hi=3, max_size=3)) for _ in range(n)])
+    return f, g
+
+
+@SETTINGS
+@given(exact_compositions(), st.integers(1, 6), st.integers(1, 6))
+def test_compose_truncated_operands(fg, df, dg):
+    f, g = fg
+    got = compose(f.truncate(df), g.truncate(dg))
+    assert got.terms == through(compose(f, g).terms, got.trunc, f.n)
+
+
+@SETTINGS
+@given(exact_series(), st.integers(0, 6), st.integers(0, 8))
+def test_unit_inverse_truncated_operand(s, degree, want):
+    const = (0,) * (s.n + s.nparams)
+    s = s + 1 if not s.terms.get(const) else s
+    if any(e != const and sum(e[: s.n]) == 0 for e in s.terms):
+        # 1 + t has no reciprocal polynomial in t
+        event("parameter in the constant part")
+        with pytest.raises(SubstitutionError):
+            unit_inverse(s.truncate(degree), want)
+        return
+    try:
+        got = unit_inverse(s.truncate(degree), want)
+    except TruncationError:
+        event("raised")
+        assert want > degree
+        return
+    event("compared")
+    assert got.trunc == want
+    # s * got = 1 through the claimed degree, with s exact
+    assert s.mul(got).terms == {const: 1}
