@@ -133,6 +133,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_trees(args) -> int:
+    if args.max_size < 1:
+        raise ForminvError(f"--max-size must be >= 1, got {args.max_size}")
     by_size = enumerate_trees(args.max_size)
     total = 0
     for size in sorted(by_size):
@@ -158,6 +160,8 @@ def _cmd_bench(args) -> int:
         raise ForminvError(
             f"--workers must be between 1 and {max_workers}, got {args.workers}"
         )
+    if args.runs < 1:
+        raise ForminvError(f"--runs must be >= 1, got {args.runs}")
     inputs = []
     for idx, path in enumerate(args.input):
         doc = _read_document(path)

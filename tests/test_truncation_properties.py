@@ -21,8 +21,10 @@ COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2
 
 
 def graded_exponents(n, lo, hi):
-    """Exponent tuples of n non-negative entries with total in [lo, hi]."""
-    return st.tuples(*[st.integers(0, hi)] * n).filter(lambda e: lo <= sum(e) <= hi)
+    """Exponent tuples of n non-negative entries with total in [lo, hi],
+    drawn as lists of variable indices, so no example is filtered out."""
+    idx = st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)
+    return idx.map(lambda ks: tuple(ks.count(k) for k in range(n)))
 
 
 def through(terms, degree, n):
