@@ -30,6 +30,7 @@ from .series import (
     jacobian_det,
     series_det,
     series_from_terms,
+    series_sum,
     unit_inverse,
 )
 from .laurent import laurent_inv_power, residue

@@ -50,10 +50,19 @@ def _print_map(m: PolyMap, degree: int, fmt: str, names=None):
         print(m.format(names=names))
 
 
+def _degree(args, doc) -> int:
+    """The working degree: --deg, or the document's D when it is absent."""
+    if args.deg is None:
+        return doc.degree
+    if args.deg < 1:
+        raise ForminvError(f"--deg must be >= 1, got {args.deg}")
+    return args.deg
+
+
 def _cmd_invert(args) -> int:
     doc = _read_document(args.input)
     f = doc.to_mapf()
-    degree = args.deg or doc.degree
+    degree = _degree(args, doc)
     if args.method == "all":
         names = applicable_methods(
             f, list(MAP_METHODS) + ["jacobi", "lagrange"]
@@ -71,7 +80,7 @@ def _cmd_invert(args) -> int:
 def _cmd_verify(args) -> int:
     doc = _read_document(args.input)
     f = doc.to_mapf()
-    degree = args.deg or doc.degree
+    degree = _degree(args, doc)
     if args.suite == "lemma31":
         report = flow_mod.check_lemma31(f, degree)
     elif args.suite == "newp":
@@ -105,7 +114,12 @@ def _cmd_verify(args) -> int:
 def _cmd_flow(args) -> int:
     doc = _read_document(args.input)
     f = doc.to_mapf()
-    degree = args.deg or doc.degree
+    degree = _degree(args, doc)
+    if args.t != "t":
+        try:
+            value = rat_from_str(args.t)
+        except ValueError as exc:
+            raise ForminvError(str(exc)) from None
     fl = flow_mod.formal_flow(f, degree)
     if args.t == "t":
         if args.format == "json":
@@ -119,7 +133,6 @@ def _cmd_flow(args) -> int:
         else:
             print(fl.map.format(names=doc.names, param_names=["t"]))
         return EXIT_OK
-    value = rat_from_str(args.t)
     _print_map(fl.at(value).truncate(degree), degree, args.format, doc.names)
     return EXIT_OK
 
@@ -127,7 +140,7 @@ def _cmd_flow(args) -> int:
 def _cmd_power(args) -> int:
     doc = _read_document(args.input)
     f = doc.to_mapf()
-    degree = args.deg or doc.degree
+    degree = _degree(args, doc)
     _print_map(flow_mod.power_map(f, args.m, degree), degree, args.format, doc.names)
     return EXIT_OK
 
@@ -184,16 +197,20 @@ def _cmd_bench(args) -> int:
 
 
 def _parse_degree_range(spec: str) -> list[int]:
+    """'A..B[:S]' or 'A,B,...'; a range with no degree, or one below 1, is bad."""
     spec = spec.strip()
-    if ".." in spec:
-        body, _, step = spec.partition(":")
-        a, _, b = body.partition("..")
-        lo, hi = int(a), int(b)
-        stride = int(step) if step else 1
-        if lo < 1 or hi < lo or stride < 1:
-            raise ForminvError(f"bad degree range {spec!r}")
-        return list(range(lo, hi + 1, stride))
-    return [int(x) for x in spec.split(",") if x.strip()]
+    try:
+        if ".." in spec:
+            body, _, step = spec.partition(":")
+            a, _, b = body.partition("..")
+            degrees = list(range(int(a), int(b) + 1, int(step) if step else 1))
+        else:
+            degrees = [int(x) for x in spec.split(",") if x.strip()]
+    except ValueError:  # also a zero stride
+        degrees = []
+    if not degrees or min(degrees) < 1:
+        raise ForminvError(f"bad degree range {spec!r}")
+    return degrees
 
 
 def build_parser() -> argparse.ArgumentParser:

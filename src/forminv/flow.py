@@ -30,7 +30,7 @@ from .inversion import (
     invert_recurrent,
     recurrent_layers,
 )
-from .rat import ONE, Rat
+from .rat import Rat
 from .series import (
     INF,
     MapF,
@@ -40,6 +40,7 @@ from .series import (
     first_mismatch,
     mat_mul,
     mat_vec,
+    series_sum,
 )
 from .tpoly import TPoly
 from .trees import order_polynomial, tree_sums
@@ -153,21 +154,15 @@ def check_lemma31(f: MapF, degree: int) -> Report:
     flat = [entry for row in jn for entry in row]
     composed = compose_map_components(flat, f_t, cap=degree - 1)
     jh = f.h.jacobian()
-    target = [
-        [MSeries.zero(n, INF, 1) for _ in range(n)] for _ in range(n)
-    ]
-    power = [[e.with_params(1) for e in row] for row in jh]
+    jh_t = power = [[e.with_params(1) for e in row] for row in jh]
+    terms = []  # terms[k-1]: the entries of JH^k t^(k-1), row by row
     for k in range(1, degree + 1):
-        for i in range(n):
-            for j in range(n):
-                target[i][j] = target[i][j] + power[i][j].shift_param(0, k - 1)
+        terms.append([e.shift_param(0, k - 1) for row in power for e in row])
         if k < degree:
-            power = mat_mul(power, [[e.with_params(1) for e in row] for row in jh])
+            power = mat_mul(power, jh_t)
+    target = (series_sum(parts).truncate(degree - 1) for parts in zip(*terms))
     failure = None
-    diff = first_mismatch(
-        zip(composed, (b.truncate(degree - 1) for row in target for b in row)),
-        through=degree - 1,
-    )
+    diff = first_mismatch(zip(composed, target), through=degree - 1)
     if diff is not None:
         idx, exp, va, vb = diff
         failure = f"entry ({idx // n + 1},{idx % n + 1}), exponent {exp}: {va} vs {vb}"
@@ -383,14 +378,14 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
         if k > 1:
             power = mat_mul(power, jn, cap=degree)
         jnk_z.append(PolyMap(mat_vec(power, ident.components, cap=degree)))
-    sum1 = PolyMap.zero(n, degree, nparams=1)
-    sum2 = PolyMap.zero(n, degree, nparams=1)
+    zero = PolyMap.zero(n, degree, nparams=1)
+    terms1, terms2 = [zero], [zero]
     for k in range(1, degree):
-        coeff = ratio ** (k - 1) if k > 1 else ONE
-        if (k - 1) % 2:
-            coeff = -coeff
-        sum1 = sum1 + jnk_z[k - 1].shift_param(0, k - 1).scale(coeff)
-        sum2 = sum2 + jnk_z[k].shift_param(0, k - 1).scale(coeff)
+        coeff = (-ratio) ** (k - 1)
+        terms1.append(jnk_z[k - 1].shift_param(0, k - 1).scale(coeff))
+        terms2.append(jnk_z[k].shift_param(0, k - 1).scale(coeff))
+    sum1 = PolyMap(map(series_sum, zip(*terms1)))
+    sum2 = PolyMap(map(series_sum, zip(*terms2)))
     report.add_equality(
         "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z",
         n_t.truncate(degree),
@@ -457,7 +452,7 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
     the sum to F at t = 1; W_T(-1) = (-1)^|T| recovers the tree-expansion
     inverse at t = -1."""
     n = f.n
-    acc = PolyMap.zero(n, degree, nparams=1)
+    maps = [PolyMap.identity(n, trunc=degree, nparams=1)]
     for tree, sums in tree_sums(f.h, degree):
         if all(q.is_zero() for q in sums):
             continue
@@ -470,8 +465,8 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
             else q.with_params(1).mul(factor, cap=degree)
             for q in sums
         ]
-        acc = acc + PolyMap(comps)
-    flow_map = (PolyMap.identity(n, trunc=degree, nparams=1) + acc).truncate(degree)
+        maps.append(comps)
+    flow_map = PolyMap(map(series_sum, zip(*maps))).truncate(degree)
     return FlowSeries(flow_map, degree)
 
 

@@ -45,11 +45,11 @@ from .series import (
     MapF,
     MSeries,
     PolyMap,
-    _collect,
     first_mismatch,
     jacobian_det,
     mat_vec,
     series_det,
+    series_sum,
     unit_inverse,
 )
 from .trees import tree_sums
@@ -99,19 +99,16 @@ class GradedInverse:
         return PolyMap.zero(self.h.n, self.trunc)
 
     def inverse_map(self) -> PolyMap:
-        g = PolyMap.identity(self.h.n, trunc=self.trunc)
-        for layer in self.layers:
-            g = g + layer
-        return g.truncate(self.trunc)
+        ident = PolyMap.identity(self.h.n, trunc=self.trunc)
+        return PolyMap(map(series_sum, zip(ident, *self.layers))).truncate(self.trunc)
 
     @cached_property
     def n_t(self) -> PolyMap:
         """sum_m t^{m-1} N_[m], with one parameter (t)."""
         trunc = min((layer.trunc for layer in self.layers), default=self.trunc)
-        acc = PolyMap.zero(self.h.n, trunc, nparams=1)
-        for m, layer in enumerate(self.layers, start=1):
-            acc = acc + layer.with_params(1).shift_param(0, m - 1)
-        return acc
+        zero = PolyMap.zero(self.h.n, trunc, nparams=1)
+        graded = [u.with_params(1).shift_param(0, m) for m, u in enumerate(self.layers)]
+        return PolyMap(map(series_sum, zip(zero, *graded)))
 
     def f_t(self) -> PolyMap:
         """z - t H."""
@@ -138,12 +135,8 @@ def recurrent_layers(h: PolyMap, count: int, cap=None) -> list[PolyMap]:
     layers = [first]
     jacs = [first.jacobian()]
     for m in range(2, count + 1):
-        acc: Optional[PolyMap] = None
-        for k in range(1, m):
-            l = m - k
-            term = PolyMap(mat_vec(jacs[k - 1], layers[l - 1].components, cap=cap))
-            acc = term if acc is None else acc + term
-        layer = acc.scale(Rat(1, m - 1))
+        terms = (mat_vec(jacs[k - 1], layers[m - k - 1], cap=cap) for k in range(1, m))
+        layer = PolyMap(map(series_sum, zip(*terms))).scale(Rat(1, m - 1))
         layers.append(layer)
         jacs.append(layer.jacobian())
     return layers
@@ -186,8 +179,8 @@ class BForm:
     The tuples are kept as a prefix tree, so a product U^1_{a_1} ... U^k_{a_k}
     is formed once for every tuple that extends it: at most
     n^2 + ... + n^d series products per call (36 for a cubic in 3
-    variables), and no composition.  Each full product goes straight into
-    the output components it feeds.
+    variables), and no composition.  Each full product, times h_{i,a}, is
+    a part of one `series_sum` per output component i it feeds.
 
     Because B is multilinear, the sum is finite for any arguments;
     arguments with a constant term are accepted.  Each output component
@@ -237,8 +230,7 @@ class BForm:
                     f"{u.nparams} parameters"
                 )
         limit = INF if cap is None else cap
-        terms = [{} for _ in range(self.n)]
-        truncs = [limit] * self.n
+        parts = [[MSeries.zero(self.n, limit)] for _ in range(self.n)]
 
         def walk(node, slot, prefix):
             for k, child in node.items():
@@ -248,13 +240,10 @@ class BForm:
                     walk(child, slot + 1, p)
                     continue
                 for i, w in child:
-                    _collect(((e, c * w) for e, c in p.terms.items()), terms[i])
-                    truncs[i] = min(truncs[i], p.trunc)
+                    parts[i].append(p.scale(w))
 
         walk(self._tree, 0, None)
-        return PolyMap(
-            [MSeries(self.n, INF, out).truncate(t) for out, t in zip(terms, truncs)]
-        )
+        return PolyMap(map(series_sum, parts))
 
 
 def b_form_apply(form: BForm, args: Sequence[PolyMap], cap=None) -> PolyMap:
@@ -274,15 +263,14 @@ def invert_homogeneous(f: MapF, degree: int) -> GradedInverse:
     d = form.d
     by_index = [PolyMap.identity(f.n, trunc=INF), f.h]  # N_[0], N_[1]
     for m in range(1, max((degree - 1) // (d - 1), 1)):
-        acc: Optional[PolyMap] = None
+        vals = []
         for multiset in combinations_with_replacement(range(m + 1), d):
             if sum(multiset) != m:
                 continue
             runs = Counter(multiset).values()
             mult = math.factorial(d) // math.prod(map(math.factorial, runs))
-            val = form.apply([by_index[k] for k in multiset]).scale(mult)
-            acc = val if acc is None else acc + val
-        by_index.append(acc)
+            vals.append(form.apply([by_index[k] for k in multiset]).scale(mult))
+        by_index.append(PolyMap(map(series_sum, zip(*vals))))
     return GradedInverse(f.h, tuple(by_index[1:]), degree)
 
 
@@ -312,7 +300,7 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
     """
     n = f.n
     jf = jacobian_det(f.map)
-    acc = [MSeries.zero(n, degree) for _ in range(n)]
+    parts = [[MSeries.zero(n, degree)] for _ in range(n)]
     powers = {(0,) * n: MSeries.const(n, ONE)}
     for m in _graded_exponents(n, degree):
         total = sum(m)
@@ -337,8 +325,8 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
             for axis, reps in enumerate(m):
                 for _ in range(reps):
                     term = term.diff(axis)
-            acc[i] = acc[i] + term.scale(inv_mfact).truncate(degree)
-    return PolyMap(acc).truncate(degree)
+            parts[i].append(term.scale(inv_mfact).truncate(degree))
+    return PolyMap(map(series_sum, parts)).truncate(degree)
 
 
 def _unit_exp(n, i):
@@ -352,15 +340,13 @@ def invert_bcw(f: MapF, degree: int) -> PolyMap:
     """G = z + sum over trees of P_T; since o(P_T) >= |T| + 1, only trees
     with at most degree-1 vertices contribute.  Isomorphic subtrees share
     their labeled sums through a common cache."""
-    n = f.n
-    acc = [MSeries.zero(n, degree) for _ in range(n)]
+    parts = [[z_i] for z_i in PolyMap.identity(f.n, trunc=degree)]
     for tree, sums in tree_sums(f.h, degree):
         w = Rat(1, tree.aut)
         for i, q in enumerate(sums):
             if not q.is_zero():
-                acc[i] = acc[i] + q.scale(w)
-    ident = PolyMap.identity(n, trunc=degree)
-    return (ident + PolyMap(acc)).truncate(degree)
+                parts[i].append(q.scale(w))
+    return PolyMap(map(series_sum, parts)).truncate(degree)
 
 
 # -- coefficient formulas -----------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, TruncationError
 from .rat import ONE, Rat, ZERO
-from .series import INF, MapF, MSeries
+from .series import INF, MapF, MSeries, series_sum
 
 
 def laurent_inv_power(f: MapF, k: Sequence[int], window: int) -> MSeries:
@@ -43,13 +43,14 @@ def laurent_inv_power(f: MapF, k: Sequence[int], window: int) -> MSeries:
         # X = H_i / z_i (total degree >= 1 each term)
         x = h.mul_monomial(tuple(-1 if j == i else 0 for j in range(n)))
         x = x.truncate(inner_window)
-        factor = power = MSeries.const(n, ONE, inner_window)
+        power = MSeries.const(n, ONE, inner_window)
+        parts = [power]
         for m in range(1, inner_window + 1):
             power = power.mul(x, cap=inner_window)
             if power.is_zero():
                 break
-            factor = factor + power.scale(math.comb(k[i] + m, m))
-        acc = acc.mul(factor, cap=inner_window)
+            parts.append(power.scale(math.comb(k[i] + m, m)))
+        acc = acc.mul(series_sum(parts), cap=inner_window)
     return acc.mul_monomial(tuple(-(x + 1) for x in k)).truncate(window)
 
 

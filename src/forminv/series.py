@@ -21,10 +21,13 @@ Exponents may be negative: a Laurent expansion (see ``laurent``) is an
 above apply to it unchanged.  Only ``series_from_terms``, which validates
 outside input, rejects negative exponents.
 
-``_product`` is the only truncated product loop and ``_collect`` the only
+``_product`` is the one truncated product loop and ``_collect`` the one
 accumulate-and-cancel step: every operation that sums coefficients by
-exponent goes through them.  No stored coefficient is ever zero, which
-``is_zero`` and ``order`` rely on.
+exponent goes through them, and ``_collect`` is private to this module.
+``series_sum`` is the one way series are summed, ``+`` included, so no
+other module accumulates terms or restates the truncation rule of a sum.
+No stored coefficient is ever zero, which ``is_zero`` and ``order`` rely
+on.
 
 All values are immutable after construction and all operations are pure,
 so the whole module is safe to use from multiple threads.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import islice
+from itertools import chain, islice
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
@@ -199,12 +202,7 @@ class MSeries:
     def __add__(self, other):
         if not isinstance(other, MSeries):
             other = MSeries.const(self.n, other, nparams=self.nparams)
-        self._check_compat(other)
-        trunc = min(self.trunc, other.trunc)
-        out = _collect(other.terms.items(), dict(self.terms))
-        if trunc < self.trunc or trunc < other.trunc:
-            out = {e: c for e, c in out.items() if self.zdeg(e) <= trunc}
-        return MSeries(self.n, trunc, out, self.nparams)
+        return series_sum((self, other))
 
     __radd__ = __add__
 
@@ -470,6 +468,28 @@ def series_from_terms(n, trunc, items: Iterable, nparams=0) -> MSeries:
     return MSeries(n, trunc, _collect(checked()), nparams)
 
 
+def series_sum(parts: Iterable[MSeries]) -> MSeries:
+    """Sum of a non-empty iterable of series with one layout, in one
+    accumulate pass.  The sum is certified through the least truncation
+    among the parts; terms above it are dropped when some part claimed
+    more, so terms and truncation are those of folding ``+``.  A lone
+    part is returned as it is."""
+    first, *rest = parts
+    if not rest:
+        return first
+    for p in rest:
+        first._check_compat(p)
+    # the largest part's terms are copied, which costs less than collecting them
+    big, *rest = sorted((first, *rest), key=lambda p: len(p.terms), reverse=True)
+    truncs = [big.trunc] + [p.trunc for p in rest]
+    trunc = min(truncs)
+    items = chain.from_iterable(p.terms.items() for p in rest)
+    out = _collect(items, dict(big.terms))
+    if max(truncs) > trunc:
+        out = {e: c for e, c in out.items() if first.zdeg(e) <= trunc}
+    return MSeries(first.n, trunc, out, first.nparams)
+
+
 # -- composition ---------------------------------------------------------------
 
 
@@ -706,30 +726,14 @@ class MapF:
 
 def mat_vec(a, v, cap=None):
     """(matrix of series) @ (sequence of series)."""
-    rows = len(a)
-    out = []
-    for i in range(rows):
-        acc = None
-        for j, comp in enumerate(v):
-            term = a[i][j].mul(comp, cap=cap)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return [series_sum(x.mul(y, cap=cap) for x, y in zip(row, v)) for row in a]
 
 
 def mat_mul(a, b, cap=None):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = a[i][k].mul(b[k][j], cap=cap)
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    return [
+        [series_sum(x.mul(y, cap=cap) for x, y in zip(row, col)) for col in zip(*b)]
+        for row in a
+    ]
 
 
 def _mul_trusted(a: MSeries, b: MSeries, cap) -> MSeries:
@@ -800,10 +804,8 @@ def series_det(matrix, cap=None) -> MSeries:
                 term = val.mul(entry, cap=cap)
                 if sum(1 for c in cols if c > j) % 2:
                     term = -term
-                key = tuple(sorted(cols + (j,)))
-                acc = new.get(key)
-                new[key] = term if acc is None else acc + term
-        states = new
+                new.setdefault(tuple(sorted(cols + (j,))), []).append(term)
+        states = {cols: series_sum(terms) for cols, terms in new.items()}
         if not states:
             break
     full = tuple(range(len(matrix)))

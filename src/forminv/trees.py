@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import DimensionMismatch
 from .rat import ONE, Rat
-from .series import INF, MSeries, PolyMap
+from .series import INF, MSeries, PolyMap, series_sum
 from .tpoly import TPoly
 
 
@@ -242,24 +242,21 @@ class TreePolyCache:
                     prod = partial.mul(q, cap=self.cap)
                     if prod.is_zero():
                         continue
-                    key2 = tuple(sorted(alpha + (k,)))
-                    acc = new.get(key2)
-                    new[key2] = prod if acc is None else acc + prod
-        self._states[key] = new
-        return new
+                    new.setdefault(tuple(sorted(alpha + (k,))), []).append(prod)
+        states = self._states[key] = {a: series_sum(ps) for a, ps in new.items()}
+        return states
 
     def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:
         key = (tree.key, i)
         hit = self._q.get(key)
         if hit is not None:
             return hit
-        total = MSeries.zero(self.n, INF if self.cap is None else self.cap)
+        parts = [MSeries.zero(self.n, INF if self.cap is None else self.cap)]
         for alpha, weight in self._child_states(tree.children).items():
             d = self.deriv(i, alpha)
-            if d.is_zero():
-                continue
-            total = total + weight.mul(d, cap=self.cap)
-        self._q[key] = total
+            if not d.is_zero():
+                parts.append(weight.mul(d, cap=self.cap))
+        total = self._q[key] = series_sum(parts)
         return total
 
     def tree_poly(self, tree: RootedTree, i: int) -> MSeries:

@@ -72,3 +72,35 @@ def test_bench_runs_below_one(capsys, catalan_path):
     code = run_command(["bench", "--deg-range", "3", "--input", catalan_path, "--runs", "0"])
     assert code == 2
     assert "error: --runs must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "--deg", "0"],
+        ["invert", "--deg", "-2", "--method", "fixed"],
+        ["invert", "--deg", "-2", "--method", "ag"],
+        ["verify", "--suite", "pde", "--deg", "0"],
+        ["flow", "--t", "1", "--deg", "-1"],
+        ["power", "--m", "2", "--deg", "0"],
+    ],
+)
+def test_deg_below_one(capsys, catalan_path, argv):
+    deg = argv[argv.index("--deg") + 1]
+    assert run_command(argv + ["--input", catalan_path]) == 2
+    captured = capsys.readouterr()
+    assert f"error: --deg must be >= 1, got {deg}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["0", "2,0", "abc", "3..x"])
+def test_bench_bad_degree_range(capsys, catalan_path, spec):
+    code = run_command(["bench", "--deg-range", spec, "--input", catalan_path, "--runs", "1"])
+    assert code == 2
+    assert f"error: bad degree range '{spec}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["abc", "1/0"])
+def test_flow_invalid_rational(capsys, catalan_path, t):
+    assert run_command(["flow", "--t", t, "--input", catalan_path]) == 2
+    assert f"error: invalid rational literal '{t}'" in capsys.readouterr().err

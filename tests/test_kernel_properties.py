@@ -7,12 +7,24 @@ truncation logic, then keep the degrees the result claims to certify.
 """
 
 import math
+from functools import reduce
+from operator import add
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forminv.errors import DimensionMismatch
 from forminv.rat import Rat
-from forminv.series import INF, MSeries, PolyMap, compose, series_from_terms, unit_inverse
+from forminv.series import (
+    INF,
+    MSeries,
+    PolyMap,
+    compose,
+    series_from_terms,
+    series_sum,
+    unit_inverse,
+)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -63,6 +75,53 @@ def test_mul_matches_naive(pair, cap):
     assert r.trunc == cap
     assert r.terms == naive_product(a.terms, b.terms, lambda e: zdeg(e, a.n) <= cap)
     assert no_zero_coefficient(r.terms)
+
+
+@st.composite
+def summands(draw):
+    """1-4 parts of one layout, each certified through its own truncation
+    (INF or -2..6) and holding no term above it, with or without a
+    parameter and negative exponents; sometimes one part is added again,
+    as the same object or negated so that its terms cancel."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 1))
+    lo = draw(st.sampled_from([0, -2]))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        trunc = draw(st.one_of(st.just(INF), st.integers(-2, 6)))
+        terms = draw(term_dicts(n, p, lo=lo))
+        terms = {e: c for e, c in terms.items() if zdeg(e, n) <= trunc}
+        parts.append(MSeries(n, trunc, terms, p))
+    again = parts[draw(st.integers(0, len(parts) - 1))]
+    parts += draw(st.sampled_from([[], [again], [-again]]))
+    return draw(st.permutations(parts))
+
+
+@SETTINGS
+@given(summands())
+def test_series_sum_matches_fold_and_naive(parts):
+    r = series_sum(parts)
+    folded = reduce(add, parts)
+    assert (r.terms, r.trunc) == (folded.terms, folded.trunc)
+    trunc = min(s.trunc for s in parts)
+    want = {}
+    for s in parts:
+        for e, c in s.terms.items():
+            want[e] = want.get(e, 0) + c
+    assert r.trunc == trunc
+    assert r.terms == {e: c for e, c in want.items() if c and zdeg(e, r.n) <= trunc}
+    assert (r.n, r.nparams) == (parts[0].n, parts[0].nparams)
+    if len(parts) == 1:
+        assert r is parts[0]
+
+
+@pytest.mark.parametrize(
+    "layouts", [[(1, 0), (2, 0)], [(2, 0), (2, 1)], [(2, 1), (2, 1), (1, 1)]]
+)
+def test_series_sum_rejects_mixed_layouts(layouts):
+    parts = [MSeries.variable(n, 0, nparams=p) for n, p in layouts]
+    with pytest.raises(DimensionMismatch):
+        series_sum(parts)
 
 
 @SETTINGS
