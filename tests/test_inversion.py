@@ -2,6 +2,8 @@
 cross-checking oracle."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forminv import (
     BForm,
@@ -10,6 +12,7 @@ from forminv import (
     HomogeneityError,
     MapF,
     MethodDisagreement,
+    MSeries,
     PolyMap,
     b_form_apply,
     cross_check,
@@ -24,6 +27,7 @@ from forminv import (
 from forminv.inversion import METHODS, applicable_methods, recurrent_layers
 from forminv.randmaps import random_divisible_map, random_h, random_map
 from forminv.rat import Rat
+from forminv.series import INF
 
 from conftest import mono
 
@@ -56,6 +60,28 @@ class TestFixedPoint:
             g = invert_fixed_point(f, 6)
             assert f.map.compose(g, cap=6).is_identity_through(6)
             assert g.compose(f.map, cap=6).is_identity_through(6)
+
+    def test_truncated_h_stops_at_its_truncation(self):
+        # no pass can certify beyond H's own truncation 4 < D
+        h = PolyMap([MSeries(1, 4, {(2,): Rat(1), (3,): Rat(1)})])
+        g = invert_fixed_point(MapF(h), 8)
+        assert g.trunc == 4
+        assert g.components[0].terms == {(1,): 1, (2,): 1, (3,): 3, (4,): 10}
+
+    def test_confirming_pass_must_reproduce_g(self, catalan_map, monkeypatch):
+        # corrupt z^cap in every pass fed a G already exact through the cap
+        compose = PolyMap.compose
+
+        def corrupted(self, g, cap=None):
+            out = compose(self, g, cap)
+            if g.trunc < cap:
+                return out
+            return PolyMap([out.components[0] + mono(1, (cap,), 1, trunc=out.trunc)])
+
+        monkeypatch.setattr(PolyMap, "compose", corrupted)
+        with pytest.raises(MethodDisagreement) as err:
+            invert_fixed_point(catalan_map, 6)
+        assert "exponent (6,)" in str(err.value)
 
 
 class TestRecurrent:
@@ -312,3 +338,52 @@ class TestCrossCheck:
         with pytest.raises(MethodDisagreement) as err:
             cross_check(catalan_map, 6)
         assert "exponent (3,)" in str(err.value)
+
+
+# -- properties against the recurrent layers -----------------------------------
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)])
+
+
+def exponents(n, lo, hi):
+    """Exponents in n variables of total degree lo..hi, each drawn as a
+    list of variable indices."""
+    idx = st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)
+    return idx.map(lambda ks: tuple(ks.count(k) for k in range(n)))
+
+
+@st.composite
+def canonical_maps(draw, lo=2, hi=5):
+    """F = z - H with n in {1, 2, 3}, o(H) drawn from lo..hi and monomial
+    degrees from o(H)..hi; one draw in hi - lo + 2 gives H = 0."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(lo, hi + 1))
+    if order > hi:
+        return MapF(PolyMap.zero(n))
+    monomials = st.dictionaries(exponents(n, order, hi), COEFFS, max_size=3)
+    terms = [draw(monomials) for _ in range(n)]
+    terms[draw(st.integers(0, n - 1))][draw(exponents(n, order, order))] = draw(COEFFS)
+    return MapF(PolyMap([MSeries(n, INF, t) for t in terms]))
+
+
+def same_inverse(a, b):
+    return a.trunc == b.trunc and [c.terms for c in a] == [c.terms for c in b]
+
+
+@PROPERTY
+@given(canonical_maps(), st.integers(1, 10))
+@example(MapF(PolyMap.zero(2)), 4)
+@example(MapF(PolyMap([mono(1, (5,))])), 2)
+def test_graded_fixed_point_matches_recurrent(f, degree):
+    expected = invert_recurrent(f, degree).inverse_map()
+    assert same_inverse(invert_fixed_point(f, degree), expected)
+
+
+@PROPERTY
+@given(canonical_maps(hi=2), st.integers(1, 2))
+def test_abhyankar_gurjar_low_degree_matches_recurrent(f, degree):
+    # at D = 2 the indices with |m| = D - 1 = 1 still contribute
+    expected = invert_recurrent(f, degree).inverse_map()
+    assert same_inverse(invert_abhyankar_gurjar(f, degree), expected)
