@@ -7,6 +7,10 @@ product loop and one accumulate step, and must never change: a change to
 the series core that alters any output byte fails here.  The ``homog``
 entries (every layer of ``invert_homogeneous``, with its truncation) were
 recorded while the multilinear form was still evaluated by polarization.
+The identity-suite reports (``REPORT_GOLDEN``: the JSON of lemma 3.1,
+Euler, Prop. 3.10, the transported Cauchy problem and ``forminv verify
+--suite pde``) were recorded while every suite still built N_t one degree
+past the degree it compares.
 """
 
 import hashlib
@@ -17,13 +21,18 @@ from forminv import (
     MapF,
     MSeries,
     PolyMap,
+    check_euler_identities,
+    check_gpde,
+    check_lemma31,
+    check_prop310,
     cross_check,
     deformation_inverse,
     formal_flow,
     invert_homogeneous,
     jacobi_coefficient,
 )
-from forminv.mapdoc import serialize_polymap
+from forminv.cli import run_command
+from forminv.mapdoc import document_from_polymap, serialize_map, serialize_polymap
 from forminv.randmaps import CORPUS_SEED, acceptance_corpus, random_map
 from forminv.rat import Rat, rat_to_str
 from forminv.series import INF
@@ -120,3 +129,81 @@ GOLDEN = {
 
 def test_output_digests_are_unchanged():
     assert {name: _sha(text) for name, text in _outputs()} == GOLDEN
+
+
+# -- identity-suite reports --------------------------------------------------
+
+
+def _report_maps():
+    """Seeded homogeneous maps with (n, d) in {2, 3}^2, and the n = 3 cubic
+    whose lemma-3.1 nilpotency item fails by truncation."""
+    rng = random.Random(CORPUS_SEED)
+    seeded = [
+        (f"n{n}d{d}", random_map(rng, n, homogeneous_degree=d))
+        for n in (2, 3)
+        for d in (2, 3)
+    ]
+    h = [{(0, 2, 1): Rat(-2)}, {(3, 0, 0): Rat(1, 2)},
+         {(1, 1, 1): Rat(-1), (2, 0, 1): Rat(1, 2), (3, 0, 0): Rat(-1)}]
+    defect = MapF(PolyMap([MSeries(3, INF, comp) for comp in h]))
+    return seeded + [("lemma31_defect", defect)]
+
+
+REPORT_DEGREES = (1, 4, 6)
+
+
+def _report_outputs(tmp_path, capsys):
+    """Per suite and map, the suite's JSON report at each degree, one block
+    per degree; for ``verify``, its exit code and output."""
+    for name, f in _report_maps():
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(serialize_map(document_from_polymap(f.map, 6)))
+        suites = {
+            "lemma31": lambda d: check_lemma31(f, d).to_json(),
+            "euler": lambda d: check_euler_identities(f.h, d).to_json(),
+            "prop310": lambda d: check_prop310(f, d, 2, 2).to_json(),
+            "gpde": lambda d: check_gpde(PolyMap.identity(f.n), f.h, d).to_json(),
+        }
+        for suite, run in suites.items():
+            yield f"{suite}.{name}", "\n".join(run(d) for d in REPORT_DEGREES)
+        blocks = []
+        for d in REPORT_DEGREES:
+            code = run_command(["verify", "--suite", "pde", "--deg", str(d),
+                                "--format", "json", "--input", str(doc)])
+            out = capsys.readouterr()
+            blocks.append(f"{code}\n{out.out}{out.err}")
+        yield f"verify_pde.{name}", "\n".join(blocks)
+
+
+REPORT_GOLDEN = {
+    "lemma31.n2d2": "6a210cac7faca80862a807c022250977e7f25db1762758133092ce3d67ab37ab",
+    "euler.n2d2": "4503d4157a90d6861610973224de6db8768290ac9dccf7a932f18c13bfde6a76",
+    "prop310.n2d2": "804574cb3c52f70509149bb88c12b5af5aa357443aa4a6fe169bd85fda6baf18",
+    "gpde.n2d2": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
+    "verify_pde.n2d2": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "lemma31.n2d3": "e495eda1ba1fc324c5f82fbf731477d46de0ee852bdaa083fd90005db0773c48",
+    "euler.n2d3": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
+    "prop310.n2d3": "804574cb3c52f70509149bb88c12b5af5aa357443aa4a6fe169bd85fda6baf18",
+    "gpde.n2d3": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
+    "verify_pde.n2d3": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "lemma31.n3d2": "6a210cac7faca80862a807c022250977e7f25db1762758133092ce3d67ab37ab",
+    "euler.n3d2": "4503d4157a90d6861610973224de6db8768290ac9dccf7a932f18c13bfde6a76",
+    "prop310.n3d2": "804574cb3c52f70509149bb88c12b5af5aa357443aa4a6fe169bd85fda6baf18",
+    "gpde.n3d2": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
+    "verify_pde.n3d2": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "lemma31.n3d3": "97b4fc174581732803f0c7a2dd60115f9bd9cdf2a384b61857d5738db66b7619",
+    "euler.n3d3": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
+    "prop310.n3d3": "804574cb3c52f70509149bb88c12b5af5aa357443aa4a6fe169bd85fda6baf18",
+    "gpde.n3d3": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
+    "verify_pde.n3d3": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "lemma31.lemma31_defect": "97b4fc174581732803f0c7a2dd60115f9bd9cdf2a384b61857d5738db66b7619",
+    "euler.lemma31_defect": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
+    "prop310.lemma31_defect": "804574cb3c52f70509149bb88c12b5af5aa357443aa4a6fe169bd85fda6baf18",
+    "gpde.lemma31_defect": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
+    "verify_pde.lemma31_defect": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+}
+
+
+def test_report_digests_are_unchanged(tmp_path, capsys):
+    digests = {name: _sha(text) for name, text in _report_outputs(tmp_path, capsys)}
+    assert digests == REPORT_GOLDEN
