@@ -333,11 +333,11 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
         if total:
             i = next(j for j, k in enumerate(m) if k)
             prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            base = powers.get(prev)
+            base = powers[prev]
             powers[m] = (
-                base.mul(f.h.components[i], cap=cap)
-                if base is not None and not base.is_zero()
-                else MSeries.zero(n, cap)
+                MSeries.zero(n, cap)
+                if base.is_zero()
+                else base.mul(f.h.components[i], cap=cap)
             )
         hpow = powers[m]
         if hpow.is_zero():
@@ -397,17 +397,14 @@ def jacobi_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:
 
 
 def _quotient_by_variable(h: MSeries, i: int) -> MSeries:
-    out = {}
-    for e, c in h.terms.items():
+    for e in h.terms:
         if e[i] < 1:
             raise DivisibilityError(
                 f"H_{i+1} has a term {e} not divisible by z_{i+1}; "
                 "the product-form coefficient formula does not apply "
                 "(use jacobi_coefficient)"
             )
-        out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c
-    trunc = h.trunc if h.trunc == INF else h.trunc - 1
-    return MSeries(h.n, trunc, out, h.nparams)
+    return h.mul_monomial(tuple(-1 if j == i else 0 for j in range(h.n)))
 
 
 def lagrange_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:

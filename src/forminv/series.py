@@ -126,7 +126,7 @@ class MSeries:
         if not 0 <= i < n:
             raise DimensionMismatch(f"variable index {i} out of range for n={n}")
         exp = tuple(1 if j == i else 0 for j in range(n + nparams))
-        return cls(n, trunc, {exp: ONE}, nparams)
+        return cls(n, trunc, {exp: ONE} if trunc >= 1 else {}, nparams)
 
     @classmethod
     def monomial(cls, n, exp, value, trunc=INF, nparams=0):

@@ -26,7 +26,11 @@ from forminv import (
     power_map,
     symmetry_detector,
 )
+from forminv import flow
+from forminv.cli import run_command
+from forminv.mapdoc import document_from_polymap, serialize_map
 from forminv.randmaps import random_h, random_map
+from forminv.rat import Rat
 
 from conftest import mono
 
@@ -319,3 +323,65 @@ class TestSymmetryDetector:
 
     def test_one_var_always_symmetric(self, catalan_map):
         assert symmetry_detector(catalan_map.h)[0]
+
+
+class TestTopDegreeFault:
+    """A wrong coefficient of z-degree exactly D in N_t must fail every
+    suite that compares through D: the suites may not build N_t short of
+    the degree they check, nor read past it."""
+
+    DEGREE = 4
+    # H = (z1 z2 + z2^2, -z1^2); the fault adds 1 to the coefficient of
+    # z1^4 t in the first component of N_t, held by the layer N_[2]
+    H = PolyMap([mono(2, (1, 1)) + mono(2, (0, 2)), mono(2, (2, 0), -1)])
+
+    @pytest.fixture
+    def faulty(self, monkeypatch):
+        real = flow.deformation_inverse
+
+        def corrupted(f, degree):
+            dinv = real(f, degree)
+            first, second, *rest = dinv.layers
+            comp = second.components[0]
+            terms = dict(comp.terms)
+            exp = (self.DEGREE, 0)
+            terms[exp] = terms.get(exp, Rat(0)) + 1
+            second = PolyMap([MSeries(2, comp.trunc, terms), second.components[1]])
+            return dataclasses.replace(dinv, layers=(first, second, *rest))
+
+        monkeypatch.setattr(flow, "deformation_inverse", corrupted)
+        return MapF(self.H)
+
+    @staticmethod
+    def failing(report):
+        return [item.name for item in report.items if not item.ok]
+
+    def test_every_suite_fails(self, faulty, tmp_path, capsys):
+        d = self.DEGREE
+        assert self.failing(check_lemma31(faulty, d)) == [
+            "N_t(F_t) = H",
+            "H(G_t) = N_t",
+            "JN_t(F_t) = sum_k JH^k t^(k-1)",
+        ]
+        assert self.failing(check_euler_identities(faulty.h, d)) == [
+            "N_t = (1/d) JN_t (z - (d-1) t N_t)",
+            "JN_t z = d(I + ((d-1)t/d) JN_t) N_t",
+            "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z",
+            "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
+        ]
+        assert self.failing(check_prop310(faulty, d, 2, 2)) == [
+            "U_{s,t}(V_{s,t}) = z",
+            "V_{s,t}(U_{s,t}) = z",
+            "U_{s,t} = F_{t+s} o G_t",
+            "V_{s,t} = F_t o G_{s+t}",
+        ]
+        assert self.failing(check_gpde(PolyMap.identity(2), faulty.h, d)) == [
+            "dU_t/dt = JU_t . N_t"
+        ]
+        # dN_t/dt gains z1^4 at t^0; JN_t . N_t changes only above degree 4
+        res = pde_residual(flow.deformation_inverse(faulty, d))
+        assert [c.truncate(d).terms for c in res.components] == [{(4, 0, 0): 1}, {}]
+        doc = tmp_path / "h.json"
+        doc.write_text(serialize_map(document_from_polymap(faulty.map, d)))
+        assert run_command(["verify", "--suite", "pde", "--input", str(doc)]) == 1
+        assert "[FAIL] dN_t/dt - JN_t.N_t = 0" in capsys.readouterr().out

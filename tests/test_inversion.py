@@ -387,3 +387,23 @@ def test_abhyankar_gurjar_low_degree_matches_recurrent(f, degree):
     # at D = 2 the indices with |m| = D - 1 = 1 still contribute
     expected = invert_recurrent(f, degree).inverse_map()
     assert same_inverse(invert_abhyankar_gurjar(f, degree), expected)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        MapF(PolyMap([mono(1, (2,))])),  # F = z - z^2
+        MapF(PolyMap([mono(2, (1, 1)) + mono(2, (0, 2)), mono(2, (2, 0), -1)])),
+    ],
+    ids=["catalan", "n2"],
+)
+def test_degree_zero_inverse_has_no_terms(f):
+    """Through degree 0 every inverse is the zero map: z_i has degree 1, so
+    no method may store it at trunc 0."""
+    assert all(not z.terms and z.trunc == 0 for z in PolyMap.identity(f.n, trunc=0))
+    for name, method in METHODS.items():
+        try:
+            g = method(f, 0)
+        except DivisibilityError:  # the product form needs z_i | H_i
+            continue
+        assert [(c.terms, c.trunc) for c in g.components] == [({}, 0)] * f.n, name
