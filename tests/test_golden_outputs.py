@@ -10,7 +10,11 @@ recorded while the multilinear form was still evaluated by polarization.
 The identity-suite reports (``REPORT_GOLDEN``: the JSON of lemma 3.1,
 Euler, Prop. 3.10, the transported Cauchy problem and ``forminv verify
 --suite pde``) were recorded while every suite still built N_t one degree
-past the degree it compares.
+past the degree it compares.  The high-precision entries
+(``HIGH_PRECISION_GOLDEN``: inverses at D = 30 with coefficients of 100+
+bits, a unit inverse whose denominators mix 2, 3, 5 and 7, and a Laurent
+expansion) were recorded while products still multiplied ``Rat`` values
+term by term.
 """
 
 import hashlib
@@ -18,6 +22,7 @@ import itertools
 import random
 
 from forminv import (
+    METHODS,
     MapF,
     MSeries,
     PolyMap,
@@ -30,6 +35,8 @@ from forminv import (
     formal_flow,
     invert_homogeneous,
     jacobi_coefficient,
+    laurent_inv_power,
+    unit_inverse,
 )
 from forminv.cli import run_command
 from forminv.mapdoc import document_from_polymap, serialize_map, serialize_polymap
@@ -207,3 +214,52 @@ REPORT_GOLDEN = {
 def test_report_digests_are_unchanged(tmp_path, capsys):
     digests = {name: _sha(text) for name, text in _report_outputs(tmp_path, capsys)}
     assert digests == REPORT_GOLDEN
+
+
+# -- high-precision outputs ---------------------------------------------------
+
+# n = 1 maps whose inverses at D = 30 carry coefficients of 100+ bits
+DEEP_H = {
+    "d234a": {(2,): Rat(2, 3), (3,): Rat(1, 2), (4,): Rat(1, 2)},
+    "d235": {(2,): Rat(-2, 3), (3,): Rat(1, 2), (5,): Rat(2, 3)},
+    "d234b": {(2,): Rat(-2, 3), (3,): Rat(1, 2), (4,): Rat(-1, 3)},
+}
+
+
+def _series_text(s):
+    return f"{s.trunc} " + " ".join(
+        f"{e}:{rat_to_str(c)}" for e, c in s.sorted_terms()
+    )
+
+
+def _high_precision_outputs():
+    for name, h in DEEP_H.items():
+        f = MapF(PolyMap([MSeries(1, INF, h)]))
+        for method in ("fixed", "recurrent", "ag"):
+            yield f"{method}.{name}", serialize_polymap(METHODS[method](f, 30), 30)
+    s = MSeries(2, INF, {(0, 0): Rat(1), (1, 0): Rat(1, 2), (0, 1): Rat(-1, 3),
+                         (1, 1): Rat(2, 5), (0, 2): Rat(-3, 7), (3, 0): Rat(1, 5)})
+    yield "unit_inverse", _series_text(unit_inverse(s, 12))
+    f = MapF(PolyMap([MSeries(2, INF, {(0, 2): Rat(1, 2), (1, 1): Rat(-1, 3)}),
+                      MSeries(2, INF, {(2, 0): Rat(2, 3), (2, 1): Rat(1, 5)})]))
+    yield "laurent_inv_power", _series_text(laurent_inv_power(f, (1, 2), 6))
+
+
+HIGH_PRECISION_GOLDEN = {
+    "fixed.d234a": "e3d55e1a0d39060edbe28dcce65d8454efd74e4fac82772c3907adbf16cf5bc6",
+    "recurrent.d234a": "e3d55e1a0d39060edbe28dcce65d8454efd74e4fac82772c3907adbf16cf5bc6",
+    "ag.d234a": "e3d55e1a0d39060edbe28dcce65d8454efd74e4fac82772c3907adbf16cf5bc6",
+    "fixed.d235": "d85f578bbdfd3dbc5fdc53fb117e18237837215e205a5cda84c636364053fb84",
+    "recurrent.d235": "d85f578bbdfd3dbc5fdc53fb117e18237837215e205a5cda84c636364053fb84",
+    "ag.d235": "d85f578bbdfd3dbc5fdc53fb117e18237837215e205a5cda84c636364053fb84",
+    "fixed.d234b": "c534b75fb64dcfb7b51745b92d84305ec19b3b48a0569e034a10e69433efde94",
+    "recurrent.d234b": "c534b75fb64dcfb7b51745b92d84305ec19b3b48a0569e034a10e69433efde94",
+    "ag.d234b": "c534b75fb64dcfb7b51745b92d84305ec19b3b48a0569e034a10e69433efde94",
+    "unit_inverse": "195475c88b9eba3efe90ea21f877aa01392f97d56c77ce4a12ebf24fa306829a",
+    "laurent_inv_power": "25189fb154873d53320b7f4d5ed3548559836d412888bc641ca7045b88363274",
+}
+
+
+def test_high_precision_digests_are_unchanged():
+    digests = {name: _sha(text) for name, text in _high_precision_outputs()}
+    assert digests == HIGH_PRECISION_GOLDEN
