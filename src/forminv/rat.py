@@ -1,11 +1,14 @@
 """Exact rational scalars.
 
 All coefficients in this package are arbitrary-precision rationals; no
-floating point is used anywhere.  ``gmpy2.mpq`` is used when available
-(roughly an order of magnitude faster), with ``fractions.Fraction`` as a
-drop-in fallback.  Both normalize to lowest terms with a positive
+floating point is used anywhere.  ``gmpy2.mpq`` is used when available,
+with ``fractions.Fraction`` as a drop-in fallback; only the fallback has
+been measured and tested.  Both normalize to lowest terms with a positive
 denominator and print as ``"p/q"`` (or ``"p"`` for integers), which is the
-wire format used by the map-document serializer.
+wire format used by the map-document serializer.  Products and
+compositions of series accumulate Python ints (numerators over a common
+denominator) whichever backend is in use, and build one rational per
+output term from its ``.numerator`` and ``.denominator``.
 """
 
 from __future__ import annotations

@@ -29,16 +29,24 @@ other module accumulates terms or restates the truncation rule of a sum.
 No stored coefficient is ever zero, which ``is_zero`` and ``order`` rely
 on.
 
+Products and compositions run on a *packed view* of each operand
+(``_pack``), built on first use and kept: integer numerators over one
+common denominator, each exponent packed into one integer.  ``terms``
+stays the canonical form that all else reads; the view relies on no
+``terms`` dict being changed after construction, and no code does so.
+
 All values are immutable after construction and all operations are pure,
-so the whole module is safe to use from multiple threads.
+so the whole module is safe to use from multiple threads: two threads
+that race to build the same view build two equal ones, and either is kept.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import chain, islice
-from operator import add, itemgetter
+from collections import namedtuple
+from itertools import chain
+from operator import itemgetter, lshift
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -71,21 +79,82 @@ def _collect(pairs, out=None) -> dict:
     return out
 
 
-def _product(a_terms: dict, b_terms: dict, n: int, cap) -> dict:
+_WIDTH = 16  # default bits per packed exponent field
+_View = namedtuple("_View", "width zero rows degs den span")
+
+
+def _pack(s: "MSeries", width=None) -> _View:
+    """Packed view of the terms of `s`: rows (z-degree, key, num) sorted by
+    z-degree, coefficient num / den with den the lcm of the denominators.
+    Bits [width*i, width*(i+1)) of a key hold exponent i plus the bias
+    2^(width-1), so a sum of exponents has the sum of the keys minus `zero`.
+    span is the largest |exponent|; the width is _WIDTH unless it needs more."""
+    terms, n, size = s.terms, s.n, s.n + s.nparams
+    span = max(map(abs, chain.from_iterable(terms)), default=0)
+    if width is None:
+        width = max(_WIDTH, span.bit_length() + 1)
+    shifts = range(0, width * size, width)
+    zero = ((1 << width * size) - 1) // ((1 << width) - 1) << (width - 1)
+    ratios = [(c.numerator, c.denominator) for c in terms.values()]
+    den = math.lcm(*[q for _, q in ratios])
+    degs = map(sum, terms) if not s.nparams else [sum(e[:n]) for e in terms]
+    keys = [sum(map(lshift, e, shifts), zero) for e in terms]
+    nums = [p * (den // q) for p, q in ratios]
+    rows = sorted(zip(degs, keys, nums), key=itemgetter(0))
+    return _View(width, zero, rows, [row[0] for row in rows], den, span)
+
+
+def _views(series, span):
+    """(width, views of `series`) with a bias above `span`, the largest
+    |exponent| of any sum of keys to be formed, so that no field carries:
+    the kept views if they share such a width, else wider ones, not kept."""
+    views = [s._packed() for s in series]
+    width = min((v.width for v in views), default=_WIDTH)
+    if span >= 1 << (width - 1) or any(v.width != width for v in views):
+        width = span.bit_length() + 1
+        views = [_pack(s, width) for s in series]
+    return width, views
+
+
+def _unpack(acc: dict, den, size, width) -> dict:
+    """Terms ``{exponent: Rat(num, den)}`` of the nonzero sums in `acc`."""
+    bias, mask = 1 << (width - 1), (1 << width) - 1
+    if size == 1:
+        return {(k - bias,): Rat(v, den) for k, v in acc.items() if v}
+    shifts = range(0, width * size, width)
+    return {
+        tuple([(k >> i & mask) - bias for i in shifts]): Rat(v, den)
+        for k, v in acc.items() if v
+    }
+
+
+def _product(a: "MSeries", b: "MSeries", cap) -> dict:
     """Truncated sparse product: the terms of degree <= cap, where the
-    degree of an exponent is the sum of its first n entries.  The shorter
-    operand drives the outer loop; the inner one stops at the first term of
-    too high a degree."""
-    a = sorted(((sum(e[:n]), e, c) for e, c in a_terms.items()), key=itemgetter(0))
-    b = sorted(((sum(e[:n]), e, c) for e, c in b_terms.items()), key=itemgetter(0))
-    if len(a) > len(b):
-        a, b = b, a
-    degs = [d for d, _, _ in b]
-    return _collect(
-        (tuple(map(add, ea, eb)), ca * cb)
-        for da, ea, ca in a
-        for _, eb, cb in islice(b, bisect_right(degs, cap - da))
-    )
+    degree of an exponent is the sum of its first n entries.  It runs on
+    the packed views: integer multiply-adds into a dict keyed by packed
+    exponent, and one ``Rat`` per nonzero sum.  The shorter operand drives
+    the outer loop; the inner one stops at the first term of too high a
+    degree.
+
+    A ``Rat`` product and sum per term pair was used before.  Median ms
+    per product, that loop vs packed views built in the call / kept, on
+    random operands (2-vCPU Xeon, `fractions` backend): n=1, 31 x 31 terms
+    of 100-bit coefficients, cap 30: 3.8 vs 0.31 / 0.22; n=3, 100 x 100
+    terms, cap 7: 6.2 vs 0.91 / 0.67; n=3 and two parameters, 40 x 40
+    terms, cap 6: 0.99 vs 0.93 / 0.71; n=2, 4 x 3 terms: 0.040 vs 0.056 /
+    0.025, so small products gain only from views kept for reuse."""
+    width, (va, vb) = _views((a, b), a._packed().span + b._packed().span)
+    if len(va.rows) > len(vb.rows):
+        va, vb = vb, va
+    rows, degs = vb.rows, vb.degs
+    acc = {}
+    get = acc.get
+    for da, ka, na in va.rows:
+        ka -= va.zero
+        for _, kb, nb in rows[: bisect_right(degs, cap - da)]:
+            k = ka + kb
+            acc[k] = get(k, 0) + na * nb
+    return _unpack(acc, va.den * vb.den, a.n + a.nparams, width)
 
 
 def _grlex_key(n):
@@ -100,7 +169,7 @@ class MSeries:
     exponents are negative.  Use the factory helpers or
     :func:`series_from_terms`; the raw constructor trusts its input."""
 
-    __slots__ = ("n", "nparams", "trunc", "terms", "_order")
+    __slots__ = ("n", "nparams", "trunc", "terms", "_order", "_view")
 
     def __init__(self, n, trunc, terms, nparams=0):
         self.n = n
@@ -108,6 +177,7 @@ class MSeries:
         self.trunc = trunc
         self.terms = terms
         self._order = None
+        self._view = None
 
     # -- construction ------------------------------------------------------
 
@@ -149,6 +219,12 @@ class MSeries:
             else:
                 self._order = min((sum(e) for e in self.terms), default=INF)
         return self._order
+
+    def _packed(self):
+        """The packed view of ``terms`` (see ``_pack``), built on first use."""
+        if self._view is None:
+            self._view = _pack(self)
+        return self._view
 
     @property
     def known_order(self):
@@ -273,7 +349,7 @@ class MSeries:
             return MSeries.zero(self.n, trunc, self.nparams)
         if self.order + other.order > trunc:
             return MSeries.zero(self.n, trunc, self.nparams)
-        out = _product(self.terms, other.terms, self.n, trunc)
+        out = _product(self, other, trunc)
         return MSeries(self.n, trunc, out, self.nparams)
 
     def truncate(self, degree) -> "MSeries":
@@ -396,7 +472,8 @@ class MSeries:
     # -- presentation ---------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(self.n)(item[0]))
+        key = _grlex_key(self.n)
+        return sorted(self.terms.items(), key=lambda item: key(item[0]))
 
     def format(self, names=None, param_names=None) -> str:
         if not self.terms:
@@ -552,17 +629,28 @@ def compose_map_components(fs: Sequence[MSeries], g: "PolyMap", cap=None):
     if cap is not None:
         trunc = min(trunc, cap)
     n = f0.n
-    zexps = {e[:n] if f0.nparams else e for f in fs for e in f.terms}
+    zexps = list({e[:n] for f in fs for e in f.terms})
     table = _power_table(zexps, g, trunc)
-    params = f0.nparams
+    # the parameter exponent of a term of f enters as an offset to the keys
+    pspan = max((abs(x) for f in fs for e in f.terms for x in e[n:]), default=0)
+    entries = [table[a] for a in zexps]
+    span = max((s._packed().span for s in entries), default=0) + pspan
+    width, views = _views(entries, span)
+    views = dict(zip(zexps, views))
     results = []
     for f in fs:
-        out = _collect(
-            (eg[:n] + tuple(map(add, eg[n:], e[n:])) if params else eg, c * cg)
-            for e, c in f.terms.items()
-            for eg, cg in table[e[:n]].terms.items()
-        )
-        results.append(MSeries(n, trunc, out, params))
+        den = math.lcm(*(c.denominator * views[e[:n]].den for e, c in f.terms.items()))
+        acc = {}
+        get = acc.get
+        for e, c in f.terms.items():
+            view = views[e[:n]]
+            scale = c.numerator * (den // (c.denominator * view.den))
+            offset = sum(x << width * i for i, x in enumerate(e[n:], n))
+            for _, key, num in view.rows:
+                k = key + offset
+                acc[k] = get(k, 0) + scale * num
+        out = _unpack(acc, den, n + f0.nparams, width)
+        results.append(MSeries(n, trunc, out, f0.nparams))
     return results
 
 
@@ -741,7 +829,7 @@ def _mul_trusted(a: MSeries, b: MSeries, cap) -> MSeries:
     truncation *asserted* to be cap.  Only for algorithms (Newton-style
     iterations) whose own convergence argument certifies the result beyond
     what the generic order-aware rule can see."""
-    return MSeries(a.n, cap, _product(a.terms, b.terms, a.n, cap), a.nparams)
+    return MSeries(a.n, cap, _product(a, b, cap), a.nparams)
 
 
 def unit_inverse(s: MSeries, degree) -> MSeries:

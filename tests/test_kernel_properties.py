@@ -1,9 +1,12 @@
 """Property tests of the sparse kernels against naive double loops.
 
-Operands are small random sparse series (optionally carrying one
-parameter position) and Laurent expressions with negative exponents.  The
+Operands are small random sparse series (optionally carrying parameter
+positions) and Laurent expressions with negative exponents.  The
 reference implementations below multiply every term pair without any
 truncation logic, then keep the degrees the result claims to certify.
+Products and compositions run on packed integer views of their operands,
+so their operands also draw coprime and 100+-bit denominators, and
+exponents of 2^19 and 2^40 that do not fit the default field width.
 """
 
 import math
@@ -29,6 +32,11 @@ from forminv.series import (
 SETTINGS = settings(max_examples=30, deadline=None)
 
 COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)])
+# the packed kernel's common denominators: coprime ones, and 100+-bit values
+KERNEL_COEFFS = st.one_of(
+    COEFFS,
+    st.sampled_from([Rat(1, 3), Rat(-2, 7), Rat(5, 6), Rat(2**101 + 1, 3**64)]),
+)
 
 
 def exponents(n, nparams, lo=0, hi=3):
@@ -37,16 +45,16 @@ def exponents(n, nparams, lo=0, hi=3):
     return st.builds(lambda a, b: a + b, z, p)
 
 
-def term_dicts(n, nparams=0, lo=0, hi=3, max_size=6):
-    return st.dictionaries(exponents(n, nparams, lo, hi), COEFFS, max_size=max_size)
+def term_dicts(n, nparams=0, lo=0, hi=3, max_size=6, coeffs=COEFFS):
+    return st.dictionaries(exponents(n, nparams, lo, hi), coeffs, max_size=max_size)
 
 
 @st.composite
 def series_pairs(draw):
     n = draw(st.integers(1, 3))
-    p = draw(st.integers(0, 1))
-    a = MSeries(n, INF, draw(term_dicts(n, p)), p)
-    b = MSeries(n, INF, draw(term_dicts(n, p)), p)
+    p = draw(st.integers(0, 2))
+    a = MSeries(n, INF, draw(term_dicts(n, p, coeffs=KERNEL_COEFFS)), p)
+    b = MSeries(n, INF, draw(term_dicts(n, p, coeffs=KERNEL_COEFFS)), p)
     return a, b
 
 
@@ -195,11 +203,11 @@ def test_laurent_add_drops_cancelled_terms(data, scale):
 @st.composite
 def compositions(draw):
     n = draw(st.integers(1, 2))
-    p = draw(st.integers(0, 1))
-    f = MSeries(n, INF, draw(term_dicts(n, p, hi=2, max_size=4)), p)
+    p = draw(st.integers(0, 2))
+    f = MSeries(n, INF, draw(term_dicts(n, p, hi=2, max_size=4, coeffs=KERNEL_COEFFS)), p)
     comps = []
     for _ in range(n):
-        terms = draw(term_dicts(n, p, hi=2, max_size=3))
+        terms = draw(term_dicts(n, p, hi=2, max_size=3, coeffs=KERNEL_COEFFS))
         comps.append(MSeries(n, INF, {e: c for e, c in terms.items() if zdeg(e, n)}, p))
     return f, PolyMap(comps), draw(st.integers(1, 6))
 
@@ -227,6 +235,61 @@ def test_compose_matches_naive(data):
     want = naive_compose(f, g)
     assert r.terms == {e: c for e, c in want.items() if zdeg(e, f.n) <= cap}
     assert no_zero_coefficient(r.terms)
+
+
+# exponents beyond the default packed field width, whose sums need wider ones
+HUGE = [2**19, -(2**19), 2**19 - 1, 2**40, -(2**40)]
+
+
+@st.composite
+def huge_pairs(draw):
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(0, 2))
+    entry = st.one_of(st.integers(-2, 3), st.sampled_from(HUGE))
+    exps = st.tuples(*[entry] * (n + p))
+    a, b = (
+        MSeries(n, INF, draw(st.dictionaries(exps, KERNEL_COEFFS, max_size=4)), p)
+        for _ in range(2)
+    )
+    return a, b, draw(st.sampled_from([None, 0, 2**19, 2**40]))
+
+
+@SETTINGS
+@given(huge_pairs())
+def test_mul_matches_naive_on_huge_exponents(data):
+    a, b, cap = data
+    r = a.mul(b, cap=cap)
+    keep = (lambda e: True) if cap is None else (lambda e: zdeg(e, a.n) <= cap)
+    assert r.terms == naive_product(a.terms, b.terms, keep)
+    assert no_zero_coefficient(r.terms)
+
+
+@pytest.mark.parametrize("big", [2**19, 2**40])
+def test_mul_and_compose_match_naive_beyond_the_field_width(big):
+    """Sums of two exponents of `big`, and of a parameter exponent of f with
+    one of a power of g, overflow the field width of either operand."""
+    a = MSeries(2, INF, {(big, -big): Rat(1, 3), (1, 0): Rat(-2, 7), (-big, 0): 1})
+    b = MSeries(2, INF, {(big, -big): Rat(5, 6), (0, -big): Rat(2**101 + 1, 3**64)})
+    assert a.mul(b).terms == naive_product(a.terms, b.terms, lambda e: True)
+    assert a.mul(a).terms == naive_product(a.terms, a.terms, lambda e: True)
+    g = PolyMap([
+        MSeries(2, INF, {(1, 0, big): Rat(1, 3), (big + 1, -big, 0): Rat(-2, 7)}, 1),
+        MSeries(2, INF, {(0, 1, -big): Rat(5, 6), (1, 1, 1): 1}, 1),
+    ])
+    f = MSeries(2, INF, {(2, 0, big): Rat(1, 2), (1, 1, -big): Rat(-1, 3), (0, 1, 0): 1}, 1)
+    assert compose(f, g).terms == naive_compose(f, g)
+
+
+@SETTINGS
+@given(series_pairs(), compositions())
+def test_kernel_leaves_its_operands_unchanged(pair, data):
+    a, b = pair
+    f, g, cap = data
+    before = [dict(s.terms) for s in (a, b, f, *g.components)]
+    product, composed = a.mul(b), compose(f, g, cap=cap)
+    assert [s.terms for s in (a, b, f, *g.components)] == before
+    assert a.mul(b) == product
+    assert compose(f, g, cap=cap) == composed
 
 
 @st.composite
