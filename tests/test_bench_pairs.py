@@ -1,0 +1,38 @@
+"""The pair-benchmark tool's seed parsing and per-metric summary."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_seeds_apply_to_one_workload_or_to_all():
+    seeds = bench_pairs.parse_seeds(["deep=3-5", "7"])
+    assert seeds == {"deep": [3, 4, 5, 7], "wide": [7], "identities": [7]}
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_seeds(["tall=1"])
+
+
+def test_summary_counts_wins_in_the_better_direction():
+    metrics = [
+        {"name": "job_ref.p50", "better": "lower", "bound": 0.2},
+        {"name": "jobs_per_kref", "better": "higher", "bound": 0.25},
+    ]
+    parent = [10.0, 11.0, 12.0, 13.0]
+    change = [5.0, 6.0, 12.5, 7.0]
+    pairs = [
+        {"parent": {"metrics": {"job_ref.p50": p, "jobs_per_kref": 1 / p}},
+         "change": {"metrics": {"job_ref.p50": c, "jobs_per_kref": 1 / c}}}
+        for p, c in zip(parent, change)
+    ]
+    summary = bench_pairs.workload_summary(pairs, metrics)
+    p50 = summary["job_ref.p50"]
+    assert p50["change_better_in"] == "3/4"
+    assert p50["parent"]["median"] == 11.5 and p50["change"]["median"] == 6.5
+    assert p50["median_gain_exceeds_parent_iqr"]
+    assert summary["jobs_per_kref"]["change_better_in"] == "3/4"

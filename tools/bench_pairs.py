@@ -10,10 +10,10 @@ how many pairs the change did better.  An environment block records the
 Python version, the rational backend, the CPU count and both git revisions.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag packed_kernel \\
-        --seconds 30 --seeds deep=301-310 --seeds wide=311-314 identities=311-314
+        --seconds 30 --seeds deep=301-310 wide=311-316 identities=311-316
 
 A ``--seeds`` item is ``[WORKLOAD=]FIRST[-LAST]``; an item without a
-workload applies to every workload in ``--workloads``.
+workload applies to all three.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("deep", "wide", "identities")
 
 
-def parse_seeds(items, workloads):
-    seeds = {w: [] for w in workloads}
+def parse_seeds(items):
+    seeds = {w: [] for w in WORKLOADS}
     for item in items:
         target, _, span = item.rpartition("=")
         first, _, last = span.partition("-")
         values = range(int(first), int(last or first) + 1)
-        for w in [target] if target else workloads:
+        for w in [target] if target else WORKLOADS:
             if w not in seeds:
                 raise SystemExit(f"--seeds {item}: unknown workload {w!r}")
             seeds[w].extend(values)
@@ -100,11 +100,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     parser.add_argument("--seeds", nargs="+", action="extend", required=True)
     parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    seeds = parse_seeds(args.seeds, args.workloads)
+    seeds = parse_seeds(args.seeds)
     result = {"tag": args.tag, "seconds": args.seconds, "workloads": {}}
     env = {}
     for workload, workload_seeds in seeds.items():
