@@ -30,15 +30,20 @@ print("rooted trees by size:", {s: len(ts) for s, ts in by_size.items()})
 print()
 print("the size-4 classes, with automorphism order and strict order polynomial:")
 for t in by_size[4]:
-    print(f"  {t.key:12s} |Aut| = {t.aut}   omega(t) = {order_polynomial(t)}")
+    print(f"  {t.key:12s} |Aut| = {t.aut}   omega(t) = {order_polynomial(t).format()}")
 print()
 
 # Two sanity identities satisfied by the order polynomials:
 #   omega(1)  = 0 for any tree with >= 2 vertices (no strict map into {1})
 #   omega(-1) = (-1)^{|T|}
+# omega is a series with no variables and one parameter t; eval_param
+# substitutes a value for t and leaves a constant.
 t = by_size[5][3]
 omega = order_polynomial(t)
-print(f"spot check on {t.key}: omega(1) = {omega(1)}, omega(-1) = {omega(-1)}")
+print(
+    f"spot check on {t.key}: omega(1) = {omega.eval_param(0, 1)}, "
+    f"omega(-1) = {omega.eval_param(0, -1)}"
+)
 print()
 
 # ---------------------------------------------------------------------------

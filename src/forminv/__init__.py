@@ -34,7 +34,6 @@ from .series import (
     unit_inverse,
 )
 from .laurent import laurent_inv_power, residue
-from .tpoly import TPoly
 from .trees import (
     RootedTree,
     TreePolyCache,

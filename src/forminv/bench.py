@@ -4,10 +4,8 @@ Per (input, method, degree) cell: wall time as the median of a fixed
 number of runs, size of the resulting series, and a hash of its canonical
 serialization.  All methods run on the same input must hash-agree or the
 whole benchmark aborts with a diagnostic; timings are never reported for
-results that failed agreement.  Single worker by default; with more
-workers, cells are farmed out to processes and re-assembled in
-deterministic order (results are exact, so the output is identical either
-way).
+results that failed agreement.  Cells run one after another in one
+process, so no cell is timed while another competes for the CPU.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import hashlib
 import io
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,8 +59,7 @@ def agreement_hash(g, degree) -> str:
     ).hexdigest()[:16]
 
 
-def _run_cell(args):
-    input_id, f, method, degree, runs = args
+def _run_cell(input_id, f, method, degree, runs):
     times = []
     g = None
     for _ in range(runs):
@@ -86,12 +82,11 @@ def run_bench(
     methods: Sequence[str],
     degrees: Sequence[int],
     runs: int = 3,
-    workers: int = 1,
 ) -> tuple[list[BenchRecord], list[SkipNote]]:
     """Execute the benchmark grid.  Inapplicable method/input pairs (e.g.
     the homogeneous-only recurrence on a mixed-degree map) are skipped with
     a note rather than failing the run."""
-    cells = []
+    records = []
     skips = []
     for input_id, f in inputs:
         usable = set(applicable_methods(f, methods))
@@ -102,12 +97,7 @@ def run_bench(
                 )
                 continue
             for degree in degrees:
-                cells.append((input_id, f, method, degree, runs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_cell, cells))
-    else:
-        records = [_run_cell(cell) for cell in cells]
+                records.append(_run_cell(input_id, f, method, degree, runs))
     _check_agreement(records)
     return records, skips
 

@@ -13,13 +13,12 @@ Subcommands:
 Maps are read as JSON documents (see mapdoc) from --input (default: stdin).
 Exit codes: 0 success, 1 verification failure, 2 input error.  All output
 is deterministic: exact arithmetic, canonical term order, and fixed
-aggregation order regardless of worker count.
+aggregation order.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import bench as bench_mod
@@ -152,13 +151,15 @@ def _cmd_trees(args) -> int:
     for size in sorted(by_size):
         for t in by_size[size]:
             total += 1
-            omega = order_polynomial(t)
+            omega = order_polynomial(t).format()
             print(f"size={size} aut={t.aut} key={t.key} omega={omega}")
     print(f"total: {total} trees with <= {args.max_size} vertices")
     return EXIT_OK
 
 
 def _cmd_probe(args) -> int:
+    if args.layers < 1:
+        raise ForminvError(f"--layers must be >= 1, got {args.layers}")
     doc = _read_document(args.input)
     f = doc.to_mapf()
     report = flow_mod.polynomiality_probe(f.h, args.layers)
@@ -167,11 +168,6 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    max_workers = os.cpu_count() or 1
-    if not 1 <= args.workers <= max_workers:
-        raise ForminvError(
-            f"--workers must be between 1 and {max_workers}, got {args.workers}"
-        )
     if args.runs < 1:
         raise ForminvError(f"--runs must be >= 1, got {args.runs}")
     inputs = []
@@ -184,9 +180,7 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ForminvError(f"unknown method {m!r}")
-    records, skips = bench_mod.run_bench(
-        inputs, methods, degrees, runs=args.runs, workers=args.workers
-    )
+    records, skips = bench_mod.run_bench(inputs, methods, degrees, runs=args.runs)
     print(bench_mod.to_table(records, skips))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -286,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", default=None, required=False)
     p.add_argument("--csv", default=None, help="write records to this CSV path")
     p.add_argument("--runs", type=int, default=3, help="timing runs per cell")
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="process count; results are identical for any value",
-    )
     p.set_defaults(func=_cmd_bench)
     return parser
 

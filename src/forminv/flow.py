@@ -42,7 +42,6 @@ from .series import (
     mat_vec,
     series_sum,
 )
-from .tpoly import TPoly
 from .trees import order_polynomial, tree_sums
 
 
@@ -401,30 +400,6 @@ class FlowSeries:
     def at(self, t_value) -> PolyMap:
         return self.map.eval_param(0, t_value)
 
-    def tpoly_coefficients(self) -> list[dict]:
-        """Per component: {z-exponent: coefficient as a polynomial in t}."""
-        out = []
-        for comp in self.map.components:
-            groups: dict = {}
-            for e, c in comp.terms.items():
-                ze, tdeg = e[: self.n], e[self.n]
-                coeffs = groups.setdefault(ze, {})
-                coeffs[tdeg] = c
-            out.append(
-                {
-                    ze: TPoly([coeffs.get(j, 0) for j in range(max(coeffs) + 1)])
-                    for ze, coeffs in sorted(groups.items())
-                }
-            )
-        return out
-
-
-def _tpoly_factor(n: int, poly: TPoly) -> MSeries:
-    terms = {
-        (0,) * n + (j,): c for j, c in enumerate(poly.coeffs) if c
-    }
-    return MSeries(n, INF, terms, 1)
-
 
 def formal_flow(f: MapF, degree: int) -> FlowSeries:
     """F(z; t) = z + sum over trees T of (-1)^|T| W_T(t) P_T(z), where W_T
@@ -438,7 +413,7 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
             continue
         sign = -1 if tree.size % 2 else 1
         weight = order_polynomial(tree).scale(Rat(sign, tree.aut))
-        factor = _tpoly_factor(n, weight)
+        factor = MSeries(n, INF, {(0,) * n + e: c for e, c in weight.terms.items()}, 1)
         comps = [
             MSeries.zero(n, degree, 1)
             if q.is_zero()
@@ -451,17 +426,22 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
 
 
 def power_map(f: MapF, m: int, degree: int) -> PolyMap:
-    """F^[m]: iterated composition for m >= 0, iterated inverse for m < 0."""
+    """F^[m]: iterated composition for m >= 0, iterated inverse for m < 0,
+    by repeated squaring: at most 2 log2 |m| compositions, one for m = 2."""
     if m == 0:
         return PolyMap.identity(f.n, trunc=degree)
     if m > 0:
         base = f.map
     else:
         base = invert_recurrent(f, degree).inverse_map()
-    acc = base
-    for _ in range(abs(m) - 1):
-        acc = base.compose(acc, cap=degree)
-    return acc.truncate(degree)
+    m, acc = abs(m), None
+    while True:
+        if m & 1:
+            acc = base if acc is None else base.compose(acc, cap=degree)
+        m >>= 1
+        if not m:
+            return acc.truncate(degree)
+        base = base.compose(base, cap=degree)
 
 
 # -- experiments -----------------------------------------------------------------

@@ -15,6 +15,9 @@ such as t and s).  Parameters live in extra exponent positions that do not
 count toward the truncation degree; coefficients stay plain rationals, so
 identities that are polynomial in the parameters are checked exactly.
 Derivatives with respect to a parameter do not lose precision in z.
+``n`` may be 0: such a series is a polynomial in the parameters alone
+(``trees.order_polynomial`` returns one in t), with every term of
+z-degree 0.
 
 Exponents may be negative: a Laurent expansion (see ``laurent``) is an
 ``MSeries`` whose terms reach below degree 0, and the truncation rules
@@ -22,8 +25,10 @@ above apply to it unchanged.  Only ``series_from_terms``, which validates
 outside input, rejects negative exponents.
 
 ``_product`` is the one truncated product loop and ``_collect`` the one
-accumulate-and-cancel step: every operation that sums coefficients by
-exponent goes through them, and ``_collect`` is private to this module.
+accumulate-and-cancel step on ``terms``; both are private to this module.
+``compose_map_components`` is the one other place that sums coefficients
+by exponent: it accumulates integer numerators by packed exponent on its
+own, as ``_product`` does, and decodes them with the same ``_unpack``.
 ``series_sum`` is the one way series are summed, ``+`` included, so no
 other module accumulates terms or restates the truncation rule of a sum.
 No stored coefficient is ever zero, which ``is_zero`` and ``order`` rely

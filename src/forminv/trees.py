@@ -16,7 +16,6 @@ from typing import Iterable
 from .errors import DimensionMismatch
 from .rat import ONE, Rat
 from .series import INF, MSeries, PolyMap, series_sum
-from .tpoly import TPoly
 
 
 class RootedTree:
@@ -167,12 +166,21 @@ def strict_order_count(tree: RootedTree, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def order_polynomial(tree: RootedTree) -> TPoly:
-    """The unique degree-|T| polynomial agreeing with strict_order_count at
-    m = 0..|T|, by exact interpolation.  Satisfies value 0 at 1 for trees
-    with >= 2 vertices and (-1)^{|T|} at -1."""
-    points = [(m, strict_order_count(tree, m)) for m in range(tree.size + 1)]
-    return TPoly.interpolate(points)
+def order_polynomial(tree: RootedTree) -> MSeries:
+    """The unique degree-|T| polynomial in t agreeing with
+    strict_order_count at m = 0..|T|, as a series with no variables and
+    one parameter.  Newton's forward form: the sum over k of the k-th
+    difference of the counts at 0 times the binomial C(t, k).  Takes the
+    value 0 at t = 1 for trees with >= 2 vertices and (-1)^{|T|} at -1."""
+    diffs = [strict_order_count(tree, m) for m in range(tree.size + 1)]
+    basis = MSeries.const(0, ONE, nparams=1)  # C(t, 0)
+    parts = []
+    for k in range(tree.size + 1):
+        if k:  # C(t, k) = C(t, k-1) (t - (k-1)) / k
+            basis = (basis.shift_param(0) + basis.scale(1 - k)).scale(Rat(1, k))
+        parts.append(basis.scale(diffs[0]))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return series_sum(parts)
 
 
 # -- labeled tree polynomials -------------------------------------------------

@@ -1,11 +1,9 @@
 """Input boundaries of the CLI: exit codes, error reporting and files."""
 
 import builtins
-import os
 
 import pytest
 
-from forminv import bench
 from forminv.cli import run_command
 from forminv.series import MapF
 
@@ -49,23 +47,18 @@ def test_input_file_is_closed(monkeypatch, capsys, catalan_path):
     assert opened and all(fh.closed for fh in opened)
 
 
-@pytest.mark.parametrize("workers", [0, (os.cpu_count() or 1) + 1])
-def test_bench_workers_out_of_range(monkeypatch, capsys, catalan_path, workers):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was created")
-
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
-    code = run_command(
-        ["bench", "--deg-range", "3", "--input", catalan_path, "--workers", str(workers)]
-    )
-    assert code == 2
-    assert "--workers must be between 1 and" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("size", [0, -3])
 def test_trees_max_size_below_one(capsys, size):
     assert run_command(["trees", "--max-size", str(size)]) == 2
     assert f"error: --max-size must be >= 1, got {size}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layers", [0, -2])
+def test_probe_layers_below_one(capsys, catalan_path, layers):
+    assert run_command(["probe", "--layers", str(layers), "--input", catalan_path]) == 2
+    captured = capsys.readouterr()
+    assert f"error: --layers must be >= 1, got {layers}" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_runs_below_one(capsys, catalan_path):

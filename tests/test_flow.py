@@ -2,6 +2,7 @@
 flow, integer powers, the layer-vanishing probe, and symmetry detection."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -230,9 +231,9 @@ class TestFormalFlow:
                 lhs = fl.at(a).compose(fl.at(b), cap=6)
                 assert lhs.eq_through(fl.at(a + b), 6)
 
-    def test_tpoly_view(self, catalan_map):
-        coeffs = formal_flow(catalan_map, 3).tpoly_coefficients()
-        assert coeffs[0][(2,)].coeffs == (0, -1)
+    def test_coefficients_are_polynomials_in_t(self, catalan_map):
+        comp = formal_flow(catalan_map, 3).map.components[0]
+        assert {e: c for e, c in comp.terms.items() if e[0] == 2} == {(2, 1): -1}
 
     def test_group_law_symbolically(self, rng):
         # F(F(z; s); t) = F(z; t+s) as a polynomial identity in t AND s,
@@ -278,6 +279,25 @@ class TestPowerMap:
         p = power_map(catalan_map, 3, 5)
         q = power_map(catalan_map, -3, 5)
         assert p.compose(q, cap=5).is_identity_through(5)
+
+    def test_matches_iterated_composition(self, rng):
+        f = random_map(rng, 2, max_deg=3)
+        for m, base in ((7, f.map), (-5, power_map(f, -1, 5))):
+            acc = base
+            for _ in range(abs(m) - 1):
+                acc = base.compose(acc, cap=5)
+            p = power_map(f, m, 5)
+            assert [c.terms for c in p.components] == [c.terms for c in acc.components]
+            assert p.trunc == acc.truncate(5).trunc
+
+    def test_huge_exponent_is_fast(self, catalan_map):
+        m = 10**9
+        start = time.perf_counter()
+        p = power_map(catalan_map, m, 8)
+        assert time.perf_counter() - start < 5
+        terms = p.components[0].terms
+        assert terms[(2,)] == -m
+        assert terms[(3,)] == m * (m - 1)
 
 
 class TestProbe:
