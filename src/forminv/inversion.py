@@ -47,9 +47,9 @@ from .series import (
     MapF,
     MSeries,
     PolyMap,
+    dot,
     first_mismatch,
     jacobian_det,
-    mat_vec,
     series_det,
     series_sum,
     unit_inverse,
@@ -152,17 +152,20 @@ class GradedInverse:
 
 
 def recurrent_layers(h: PolyMap, count: int, cap=None) -> list[PolyMap]:
-    """N_[1] = H; N_[m] = 1/(m-1) sum_{k+l=m, k,l>=1} JN_[k] . N_[l].
-
-    With cap=None and polynomial H the layers are exact polynomials."""
+    """N_[1] = H; N_[m] = 1/(m-1) sum_{k+l=m, k,l>=1} JN_[k] . N_[l], one
+    ``dot`` per component.  With cap=None and polynomial H the layers are
+    exact polynomials."""
     if count < 1:
         return []
     layers = [h if cap is None else h.truncate(cap)]
     jacs = []
     for m in range(2, count + 1):
         jacs.append(layers[-1].jacobian())
-        terms = (mat_vec(jacs[k - 1], layers[m - k - 1], cap=cap) for k in range(1, m))
-        layers.append(PolyMap(map(series_sum, zip(*terms))).scale(Rat(1, m - 1)))
+        pairs = list(zip(jacs, reversed(layers)))  # (JN_[k], N_[m-k]), k = 1..m-1
+        comps = [
+            dot([p for j, u in pairs for p in zip(j[i], u)], cap) for i in range(h.n)
+        ]
+        layers.append(PolyMap(comps).scale(Rat(1, m - 1)))
     return layers
 
 

@@ -53,9 +53,19 @@ class MapDocument:
             raise MapFormatError(f"document is not a canonical map: {exc}") from exc
 
 
+def _integer(raw: dict, key: str) -> int:
+    """raw[key] if it is a JSON integer: not a bool, a float or a string."""
+    value = raw[key]
+    if type(value) is not int:
+        raise MapFormatError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def parse_map(text: str) -> MapDocument:
     """Parse and validate a map document; raises MapFormatError with the
-    offending location on bad syntax or invariant violations."""
+    offending location on bad syntax or invariant violations.  Nothing is
+    coerced: n, D and exponent entries must be JSON integers, coefficients
+    rational strings or JSON integers."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -65,13 +75,11 @@ def parse_map(text: str) -> MapDocument:
     if not isinstance(raw, dict):
         raise MapFormatError("document must be a JSON object")
     try:
-        n = int(raw["n"])
-        degree = int(raw["D"])
+        n = _integer(raw, "n")
+        degree = _integer(raw, "D")
         comps_raw = raw["components"]
     except KeyError as exc:
         raise MapFormatError(f"missing required field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise MapFormatError(f"bad scalar field: {exc}") from exc
     if n < 1:
         raise MapFormatError(f"n must be >= 1, got {n}")
     if degree < 1:
@@ -80,19 +88,48 @@ def parse_map(text: str) -> MapDocument:
         raise MapFormatError(
             f"components must be a list of exactly n={n} term lists"
         )
-    names = raw.get("vars") or default_names(n)
-    if len(names) != n or len(set(names)) != n:
-        raise MapFormatError("vars must be n distinct names")
+    names = raw.get("vars")
+    if names is None:
+        names = default_names(n)
+    if (
+        not isinstance(names, list)
+        or not all(isinstance(x, str) for x in names)
+        or len(names) != n
+        or len(set(names)) != n
+    ):
+        raise MapFormatError(f"vars must be a list of n={n} distinct strings")
+    metadata = raw.get("metadata")
+    if metadata is None:
+        metadata = {}
+    if not isinstance(metadata, dict):
+        raise MapFormatError("metadata must be a JSON object")
     components = []
     for ci, terms_raw in enumerate(comps_raw):
+        if not isinstance(terms_raw, list):
+            raise MapFormatError(f"component {ci + 1} must be a list of terms")
         seen = {}
         for ti, term in enumerate(terms_raw):
             where = f"component {ci + 1}, term {ti + 1}"
+            if not isinstance(term, dict):
+                raise MapFormatError(f"{where}: a term must be an object")
             try:
-                exp = tuple(int(k) for k in term["exp"])
-                coeff = rat_from_str(str(term["c"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                exp, c = term["exp"], term["c"]
+            except KeyError as exc:
+                raise MapFormatError(f"{where}: missing {exc.args[0]!r}") from exc
+            if not isinstance(exp, list) or any(type(k) is not int for k in exp):
+                raise MapFormatError(
+                    f"{where}: exp must be a list of integers, got {json.dumps(exp)}"
+                )
+            if type(c) is not int and not isinstance(c, str):
+                raise MapFormatError(
+                    f"{where}: c must be a rational string or an integer, "
+                    f"got {json.dumps(c)}"
+                )
+            try:
+                coeff = rat_from_str(str(c))
+            except ValueError as exc:
                 raise MapFormatError(f"{where}: {exc}") from exc
+            exp = tuple(exp)
             if len(exp) != n:
                 raise MapFormatError(
                     f"{where}: exponent has {len(exp)} entries, expected {n}"
@@ -112,7 +149,7 @@ def parse_map(text: str) -> MapDocument:
         degree=degree,
         components=components,
         names=list(names),
-        metadata=dict(raw.get("metadata") or {}),
+        metadata=dict(metadata),
     )
 
 

@@ -24,15 +24,14 @@ Exponents may be negative: a Laurent expansion (see ``laurent``) is an
 above apply to it unchanged.  Only ``series_from_terms``, which validates
 outside input, rejects negative exponents.
 
-``_product`` is the one truncated product loop and ``_collect`` the one
-accumulate-and-cancel step on ``terms``; both are private to this module.
-``compose_map_components`` is the one other place that sums coefficients
-by exponent: it accumulates integer numerators by packed exponent on its
-own, as ``_product`` does, and decodes them with the same ``_unpack``.
-``series_sum`` is the one way series are summed, ``+`` included, so no
-other module accumulates terms or restates the truncation rule of a sum.
-No stored coefficient is ever zero, which ``is_zero`` and ``order`` rely
-on.
+``_mac`` is the one loop that accumulates packed integer numerators and
+``_collect`` the one accumulate-and-cancel step on ``terms``.  ``dot``, a
+sum of products (``mul`` is the dot of one pair), and
+``compose_map_components`` run ``_mac``.  No product asserts its
+truncation, ``unit_inverse`` included.  ``series_sum`` is the one way
+series are summed, ``+`` included, so no other module accumulates terms
+or restates the truncation rule of a sum.  No stored coefficient is ever
+zero, which ``is_zero`` and ``order`` rely on.
 
 Products and compositions run on a *packed view* of each operand
 (``_pack``), built on first use and kept: integer numerators over one
@@ -133,33 +132,58 @@ def _unpack(acc: dict, den, size, width) -> dict:
     }
 
 
-def _product(a: "MSeries", b: "MSeries", cap) -> dict:
-    """Truncated sparse product: the terms of degree <= cap, where the
-    degree of an exponent is the sum of its first n entries.  It runs on
-    the packed views: integer multiply-adds into a dict keyed by packed
-    exponent, and one ``Rat`` per nonzero sum.  The shorter operand drives
-    the outer loop; the inner one stops at the first term of too high a
-    degree.
-
-    A ``Rat`` product and sum per term pair was used before.  Median ms
-    per product, that loop vs packed views built in the call / kept, on
-    random operands (2-vCPU Xeon, `fractions` backend): n=1, 31 x 31 terms
-    of 100-bit coefficients, cap 30: 3.8 vs 0.31 / 0.22; n=3, 100 x 100
-    terms, cap 7: 6.2 vs 0.91 / 0.67; n=3 and two parameters, 40 x 40
-    terms, cap 6: 0.99 vs 0.93 / 0.71; n=2, 4 x 3 terms: 0.040 vs 0.056 /
-    0.025, so small products gain only from views kept for reuse."""
-    width, (va, vb) = _views((a, b), a._packed().span + b._packed().span)
-    if len(va.rows) > len(vb.rows):
-        va, vb = vb, va
-    rows, degs = vb.rows, vb.degs
-    acc = {}
+def _mac(acc: dict, outer, shift, scale, inner: _View, cap):
+    """The one loop that accumulates packed numerators: for each row
+    (da, ka, na) of `outer` and each row (db, kb, nb) of the view `inner`
+    with da + db <= cap, add scale * na * nb to acc[ka + kb + shift].  The
+    inner loop stops at the first row of too high a degree."""
+    rows, degs = inner.rows, inner.degs
     get = acc.get
-    for da, ka, na in va.rows:
-        ka -= va.zero
+    for da, ka, na in outer:
+        ka += shift
+        na *= scale
         for _, kb, nb in rows[: bisect_right(degs, cap - da)]:
             k = ka + kb
             acc[k] = get(k, 0) + na * nb
-    return _unpack(acc, va.den * vb.den, a.n + a.nparams, width)
+
+
+def dot(pairs: Iterable, cap=None) -> "MSeries":
+    """Sum of a * b over a non-empty iterable of (a, b) pairs of one layout,
+    in one accumulate pass.  Each product is certified through
+    min(Da + o(b), Db + o(a), Da + Db + 1), and the sum through the least
+    of those and `cap`; terms above it are dropped, so terms and truncation
+    are those of ``series_sum`` of the capped ``mul``s.
+
+    Each pair runs ``_mac`` once, the shorter operand outside, numerators
+    scaled to the lcm of the pairs' denominator products; one ``Rat`` is
+    built per nonzero sum.  Against the ``Rat`` product per term pair used
+    before, median ms per product (views built in the call / kept; 2-vCPU
+    Xeon, `fractions`): 31 x 31 terms, n=1, 100-bit: 3.8 vs 0.31 / 0.22;
+    100 x 100, n=3: 6.2 vs 0.91 / 0.67; 4 x 3, n=2: 0.040 vs 0.056 / 0.025."""
+    pairs = list(pairs)
+    first = pairs[0][0]
+    trunc = INF if cap is None else cap
+    for a, b in pairs:
+        first._check_compat(a)
+        a._check_compat(b)
+        ta, tb = a.trunc, b.trunc
+        trunc = min(trunc, ta + b.known_order, tb + a.known_order, ta + tb + 1)
+    live = [
+        (a, b) if len(a.terms) <= len(b.terms) else (b, a)
+        for a, b in pairs
+        if a.terms and b.terms and a.order + b.order <= trunc
+    ]
+    n, nparams = first.n, first.nparams
+    if not live:
+        return MSeries.zero(n, trunc, nparams)
+    span = max(a._packed().span + b._packed().span for a, b in live)
+    width, views = _views([s for pair in live for s in pair], span)
+    views = list(zip(views[::2], views[1::2]))
+    den = math.lcm(*[va.den * vb.den for va, vb in views])
+    acc = {}
+    for va, vb in views:
+        _mac(acc, va.rows, -va.zero, den // (va.den * vb.den), vb, trunc)
+    return MSeries(n, trunc, _unpack(acc, den, n + nparams, width), nparams)
 
 
 def _grlex_key(n):
@@ -207,6 +231,10 @@ class MSeries:
     def monomial(cls, n, exp, value, trunc=INF, nparams=0):
         value = Rat(value)
         exp = tuple(exp)
+        if len(exp) != n + nparams:
+            raise DimensionMismatch(
+                f"monomial exponent length {len(exp)}, expected {n + nparams}"
+            )
         return cls(n, trunc, {exp: value} if value else {}, nparams)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -341,21 +369,9 @@ class MSeries:
 
     def mul(self, other: "MSeries", cap=None) -> "MSeries":
         """Product, exact through the largest certifiable degree
-        min(Da + o(b), Db + o(a), Da + Db + 1), optionally capped."""
-        self._check_compat(other)
-        trunc = min(
-            self.trunc + other.known_order,
-            other.trunc + self.known_order,
-            self.trunc + other.trunc + 1,
-        )
-        if cap is not None:
-            trunc = min(trunc, cap)
-        if not self.terms or not other.terms:
-            return MSeries.zero(self.n, trunc, self.nparams)
-        if self.order + other.order > trunc:
-            return MSeries.zero(self.n, trunc, self.nparams)
-        out = _product(self, other, trunc)
-        return MSeries(self.n, trunc, out, self.nparams)
+        min(Da + o(b), Db + o(a), Da + Db + 1), optionally capped: the
+        ``dot`` of the one pair."""
+        return dot(((self, other),), cap)
 
     def truncate(self, degree) -> "MSeries":
         if degree >= self.trunc:
@@ -646,14 +662,11 @@ def compose_map_components(fs: Sequence[MSeries], g: "PolyMap", cap=None):
     for f in fs:
         den = math.lcm(*(c.denominator * views[e[:n]].den for e, c in f.terms.items()))
         acc = {}
-        get = acc.get
         for e, c in f.terms.items():
             view = views[e[:n]]
             scale = c.numerator * (den // (c.denominator * view.den))
             offset = sum(x << width * i for i, x in enumerate(e[n:], n))
-            for _, key, num in view.rows:
-                k = key + offset
-                acc[k] = get(k, 0) + scale * num
+            _mac(acc, ((0, 0, 1),), offset, scale, view, trunc)
         out = _unpack(acc, den, n + f0.nparams, width)
         results.append(MSeries(n, trunc, out, f0.nparams))
     return results
@@ -818,31 +831,22 @@ class MapF:
 
 
 def mat_vec(a, v, cap=None):
-    """(matrix of series) @ (sequence of series)."""
-    return [series_sum(x.mul(y, cap=cap) for x, y in zip(row, v)) for row in a]
+    """(matrix of series) @ (sequence of series), one ``dot`` per entry."""
+    return [dot(zip(row, v), cap) for row in a]
 
 
 def mat_mul(a, b, cap=None):
-    return [
-        [series_sum(x.mul(y, cap=cap) for x, y in zip(row, col)) for col in zip(*b)]
-        for row in a
-    ]
-
-
-def _mul_trusted(a: MSeries, b: MSeries, cap) -> MSeries:
-    """Product of the stored terms through z-degree cap, with the result's
-    truncation *asserted* to be cap.  Only for algorithms (Newton-style
-    iterations) whose own convergence argument certifies the result beyond
-    what the generic order-aware rule can see."""
-    return MSeries(a.n, cap, _product(a, b, cap), a.nparams)
+    return [[dot(zip(row, col), cap) for col in zip(*b)] for row in a]
 
 
 def unit_inverse(s: MSeries, degree) -> MSeries:
-    """Reciprocal of a series with nonzero constant term, exact through
-    `degree` (Newton iteration, quadratic convergence: each step doubles
-    the number of correct layers, which is what certifies the result).
-    The part of z-degree <= 0 must be a nonzero constant: a parameter
-    there, as in 1 + t, has no reciprocal polynomial in the parameters."""
+    """Reciprocal of a series with nonzero constant term c0, exact through
+    `degree`.  The part of z-degree <= 0 must be a nonzero constant: a
+    parameter there, as in 1 + t, has no reciprocal polynomial in the
+    parameters.  A certified fixed point, as in ``invert_fixed_point``:
+    u = 1 - s/c0 has z-order >= 1 and 1/s = w/c0 with w = 1 + u w, so each
+    pass w <- 1 + u w from w = 1 (through degree 0) gains a degree by the
+    truncation rule of ``mul`` alone."""
     const = (0,) * (s.n + s.nparams)
     c0 = s.terms.get(const)
     if not c0:
@@ -855,14 +859,11 @@ def unit_inverse(s: MSeries, degree) -> MSeries:
         raise TruncationError(
             f"need input through degree {degree}, certified {s.trunc}"
         )
-    two = MSeries.const(s.n, 2, INF, s.nparams)
-    inv = MSeries.const(s.n, ONE / c0, INF, s.nparams)
-    known = 0
-    while known < degree:
-        known = min(2 * known + 1, degree)
-        correction = two - _mul_trusted(s, inv, known)
-        inv = _mul_trusted(inv, correction, known)
-    return MSeries(s.n, degree, inv.terms, s.nparams)
+    u = s.scale(-ONE / c0) + 1
+    w = MSeries.const(s.n, ONE, 0, s.nparams)
+    while w.trunc < degree:
+        w = u.mul(w, cap=degree) + 1
+    return w.scale(ONE / c0).truncate(degree)
 
 
 def series_det(matrix, cap=None) -> MSeries:

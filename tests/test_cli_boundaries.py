@@ -97,3 +97,23 @@ def test_bench_bad_degree_range(capsys, catalan_path, spec):
 def test_flow_invalid_rational(capsys, catalan_path, t):
     assert run_command(["flow", "--t", t, "--input", catalan_path]) == 2
     assert f"error: invalid rational literal '{t}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"n":2,"vars":[["x"],["y"]],"D":3,"components":[[],[]]}', "vars must be"),
+        ('{"n":1,"D":3,"components":[[]],"metadata":[1,2]}', "metadata must be"),
+        ('{"n":1,"D":3,"components":[5]}', "component 1 must be a list"),
+        ('{"n":1,"D":1e400,"components":[[]]}', "D must be an integer"),
+        ('{"n":1,"D":3,"components":[[7]]}', "component 1, term 1: a term must be an object"),
+    ],
+)
+def test_malformed_document_is_an_input_error(capsys, tmp_path, doc, message):
+    p = tmp_path / "bad.json"
+    p.write_text(doc)
+    assert run_command(["invert", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -4,9 +4,10 @@ Operands are small random sparse series (optionally carrying parameter
 positions) and Laurent expressions with negative exponents.  The
 reference implementations below multiply every term pair without any
 truncation logic, then keep the degrees the result claims to certify.
-Products and compositions run on packed integer views of their operands,
-so their operands also draw coprime and 100+-bit denominators, and
-exponents of 2^19 and 2^40 that do not fit the default field width.
+Products, sums of products (``dot``) and compositions run on packed
+integer views of their operands, so their operands also draw coprime and
+100+-bit denominators, and exponents of 2^19 and 2^40 that do not fit
+the default field width.
 """
 
 import math
@@ -24,6 +25,7 @@ from forminv.series import (
     MSeries,
     PolyMap,
     compose,
+    dot,
     series_from_terms,
     series_sum,
     unit_inverse,
@@ -280,6 +282,55 @@ def test_mul_and_compose_match_naive_beyond_the_field_width(big):
     assert compose(f, g).terms == naive_compose(f, g)
 
 
+@st.composite
+def dot_pairs(draw):
+    """1-4 pairs of operands of one layout with up to two parameters, each
+    exact or truncated (terms above the truncation removed), some zero;
+    coprime and 100+-bit denominators, sometimes exponents beyond the
+    default field width; and a cap of None or 0-8."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 2))
+    entry = st.integers(0, 3)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.sampled_from(HUGE))
+    exps = st.tuples(*[entry] * (n + p))
+
+    def operand():
+        trunc = draw(st.one_of(st.just(INF), st.integers(0, 6)))
+        terms = draw(st.dictionaries(exps, KERNEL_COEFFS, max_size=5))
+        return MSeries(n, trunc, {e: c for e, c in terms.items() if zdeg(e, n) <= trunc}, p)
+
+    pairs = [(operand(), operand()) for _ in range(draw(st.integers(1, 4)))]
+    return pairs, draw(st.one_of(st.none(), st.integers(0, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dot_pairs())
+def test_dot_matches_sum_of_capped_products(data):
+    pairs, cap = data
+    before = [(dict(a.terms), dict(b.terms)) for a, b in pairs]
+    r = dot(pairs, cap=cap)
+    want = series_sum([a.mul(b, cap=cap) for a, b in pairs])
+    assert (r.terms, r.trunc) == (want.terms, want.trunc)
+    assert (r.n, r.nparams) == (pairs[0][0].n, pairs[0][0].nparams)
+    naive = {}
+    for a, b in pairs:
+        for e, c in naive_product(a.terms, b.terms, lambda e: True).items():
+            naive[e] = naive.get(e, 0) + c
+    assert r.terms == {e: c for e, c in naive.items() if c and zdeg(e, r.n) <= r.trunc}
+    assert [(a.terms, b.terms) for a, b in pairs] == before
+
+
+@pytest.mark.parametrize("layouts", [[(1, 0), (2, 0)], [(2, 0), (2, 1)]])
+def test_dot_rejects_mixed_layouts(layouts):
+    (n, p), (m, q) = layouts
+    x, y = MSeries.variable(n, 0, nparams=p), MSeries.variable(m, 0, nparams=q)
+    with pytest.raises(DimensionMismatch):
+        dot([(x, y)])
+    with pytest.raises(DimensionMismatch):
+        dot([(x, x), (y, y)])
+
+
 @SETTINGS
 @given(series_pairs(), compositions())
 def test_kernel_leaves_its_operands_unchanged(pair, data):
@@ -287,9 +338,11 @@ def test_kernel_leaves_its_operands_unchanged(pair, data):
     f, g, cap = data
     before = [dict(s.terms) for s in (a, b, f, *g.components)]
     product, composed = a.mul(b), compose(f, g, cap=cap)
+    dotted = dot([(a, b), (b, a), (a, a)], cap=cap)
     assert [s.terms for s in (a, b, f, *g.components)] == before
     assert a.mul(b) == product
     assert compose(f, g, cap=cap) == composed
+    assert dot([(a, b), (b, a), (a, a)], cap=cap) == dotted
 
 
 @st.composite

@@ -67,6 +67,28 @@ class TestParse:
         with pytest.raises(MapFormatError):
             parse_map('{"n":1,"D":2,"components":[[{"exp":[3],"c":"1"}]]}')
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"n":1,"D":4,"components":[[{"exp":[2.7],"c":"1"}]]}', "exp"),
+            ('{"n":1,"D":4,"components":[[{"exp":[true],"c":"1"}]]}', "exp"),
+            ('{"n":1,"D":4,"components":[[{"exp":"2","c":"1"}]]}', "exp"),
+            ('{"n":true,"D":4,"components":[[{"exp":[2],"c":"1"}]]}', "n"),
+            ('{"n":"1","D":4,"components":[[{"exp":[2],"c":"1"}]]}', "n"),
+            ('{"n":1,"D":3.5,"components":[[{"exp":[2],"c":"1"}]]}', "D"),
+            ('{"n":1,"D":4,"vars":[7],"components":[[{"exp":[2],"c":"1"}]]}', "vars"),
+            ('{"n":1,"D":4,"components":[[{"exp":[2],"c":true}]]}', "c"),
+            ('{"n":1,"D":4,"components":[[{"exp":[2],"c":0.5}]]}', "c"),
+        ],
+    )
+    def test_no_silent_coercion(self, doc, field):
+        with pytest.raises(MapFormatError, match=rf"\b{field} must be"):
+            parse_map(doc)
+
+    def test_integer_coefficient_accepted(self):
+        doc = parse_map('{"n":1,"D":4,"components":[[{"exp":[2],"c":-3}]]}')
+        assert doc.to_polymap().components[0].terms == {(2,): -3}
+
     def test_duplicate_exponents_summed(self):
         doc = parse_map(
             '{"n":1,"D":4,"components":[[{"exp":[2],"c":"1"},{"exp":[2],"c":"-1"}]]}'

@@ -45,6 +45,16 @@ class TestConstruction:
             series_from_terms(2, 3, [((1,), 1)])
 
 
+    @pytest.mark.parametrize("exp, nparams", [((1,), 0), ((1, 0, 0), 0), ((1, 0), 1)])
+    def test_monomial_checks_exponent_length(self, exp, nparams):
+        with pytest.raises(DimensionMismatch, match="monomial exponent length"):
+            MSeries.monomial(2, exp, 1, nparams=nparams)
+
+    def test_monomials_of_one_layout_cancel(self):
+        s = MSeries.monomial(2, (1, 0), 1) + MSeries.monomial(2, (1, 0), -1)
+        assert s.is_zero()
+
+
 class TestAddMul:
     def test_add_cancels(self):
         z2 = mono(1, (2,))

@@ -1,0 +1,79 @@
+"""Source hygiene of the library modules: no import that its module never
+uses, and no private top-level function or class that nothing calls.
+
+Each module of ``src/forminv`` except ``__init__.py`` is parsed with
+``ast``.  A name counts as referenced where it appears as a name or as an
+attribute (``series._pack``); a private helper that only refers to itself
+counts as unreferenced.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "forminv"
+MODULES = {
+    path.name: ast.parse(path.read_text(), filename=str(path))
+    for path in sorted(SRC.glob("*.py"))
+    if path.name != "__init__.py"
+}
+
+
+def referenced(node):
+    """The names and attribute names that `node` refers to."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def imported_names(stmt):
+    if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+        return []
+    if isinstance(stmt, ast.Import):
+        return [(a.asname or a.name).split(".")[0] for a in stmt.names]
+    if isinstance(stmt, ast.ImportFrom):
+        return [a.asname or a.name for a in stmt.names]
+    return []
+
+
+def test_modules_found():
+    assert {"series.py", "inversion.py", "mapdoc.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_unused_import(name):
+    tree = MODULES[name]
+    body = [s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
+    used = set().union(*map(referenced, body))
+    unused = [
+        alias
+        for stmt in tree.body
+        for alias in imported_names(stmt)
+        if alias not in used
+    ]
+    assert not unused, f"{name} imports {unused} and never uses them"
+
+
+def test_every_private_helper_is_referenced():
+    # (module, top-level statement) -> the names it refers to
+    refs = {
+        (name, i): referenced(stmt)
+        for name, tree in MODULES.items()
+        for i, stmt in enumerate(tree.body)
+    }
+    unused = []
+    for name, tree in MODULES.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            helper = stmt.name
+            if not helper.startswith("_") or helper.startswith("__"):
+                continue
+            if not any(helper in r for key, r in refs.items() if key != (name, i)):
+                unused.append(f"{name}:{helper}")
+    assert not unused, f"private helpers that nothing references: {unused}"
