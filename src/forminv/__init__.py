@@ -25,7 +25,6 @@ from .series import (
     MSeries,
     PolyMap,
     compose,
-    first_difference,
     jacobian,
     jacobian_det,
     series_det,

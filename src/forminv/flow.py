@@ -30,13 +30,14 @@ from .inversion import (
     invert_recurrent,
     recurrent_layers,
 )
-from .rat import Rat
+from .rat import ONE, Rat
 from .series import (
     INF,
     MapF,
     MSeries,
     PolyMap,
     compose_map_components,
+    dot,
     first_mismatch,
     mat_mul,
     mat_vec,
@@ -407,21 +408,18 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
     the sum to F at t = 1; W_T(-1) = (-1)^|T| recovers the tree-expansion
     inverse at t = -1."""
     n = f.n
-    maps = [PolyMap.identity(n, trunc=degree, nparams=1)]
+    one = MSeries.const(n, ONE, nparams=1)
+    pairs = [[(z_i, one)] for z_i in PolyMap.identity(n, trunc=degree, nparams=1)]
     for tree, sums in tree_sums(f.h, degree):
         if all(q.is_zero() for q in sums):
             continue
         sign = -1 if tree.size % 2 else 1
         weight = order_polynomial(tree).scale(Rat(sign, tree.aut))
         factor = MSeries(n, INF, {(0,) * n + e: c for e, c in weight.terms.items()}, 1)
-        comps = [
-            MSeries.zero(n, degree, 1)
-            if q.is_zero()
-            else q.with_params(1).mul(factor, cap=degree)
-            for q in sums
-        ]
-        maps.append(comps)
-    flow_map = PolyMap(map(series_sum, zip(*maps))).truncate(degree)
+        for i, q in enumerate(sums):
+            if not q.is_zero():
+                pairs[i].append((q.with_params(1), factor))
+    flow_map = PolyMap([dot(ps, degree) for ps in pairs])
     return FlowSeries(flow_map, degree)
 
 

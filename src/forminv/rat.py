@@ -13,6 +13,8 @@ output term from its ``.numerator`` and ``.denominator``.
 
 from __future__ import annotations
 
+import re
+
 try:
     from gmpy2 import mpq as Rat
 
@@ -27,9 +29,14 @@ ONE = Rat(1)
 
 
 def rat_from_str(text: str) -> "Rat":
-    """Parse an exact rational from ``"p"`` or ``"p/q"``."""
+    """Parse an exact rational from ``"p"`` or ``"p/q"`` (signed, ASCII
+    digits), checked before any number is built, so ``"1e100000000"``
+    fails at once instead of building 10^(10^8)."""
+    stripped = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", stripped):
+        raise ValueError(f"invalid rational literal {text!r}")
     try:
-        return Rat(text.strip())
+        return Rat(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
 

@@ -27,11 +27,13 @@ outside input, rejects negative exponents.
 ``_mac`` is the one loop that accumulates packed integer numerators and
 ``_collect`` the one accumulate-and-cancel step on ``terms``.  ``dot``, a
 sum of products (``mul`` is the dot of one pair), and
-``compose_map_components`` run ``_mac``.  No product asserts its
+``compose_map_components`` run ``_mac``.  Each sum of products is one
+``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``, ``recurrent_layers``,
+``TreePolyCache`` and ``formal_flow``.  No product asserts its
 truncation, ``unit_inverse`` included.  ``series_sum`` is the one way
-series are summed, ``+`` included, so no other module accumulates terms
-or restates the truncation rule of a sum.  No stored coefficient is ever
-zero, which ``is_zero`` and ``order`` rely on.
+other series are summed, ``+`` included, so no other module accumulates
+terms or restates the truncation rule of a sum.  No stored coefficient is
+ever zero, which ``is_zero`` and ``order`` rely on.
 
 Products and compositions run on a *packed view* of each operand
 (``_pack``), built on first use and kept: integer numerators over one
@@ -62,8 +64,6 @@ from .errors import (
 from .rat import ONE, Rat, ZERO, rat_to_str
 
 INF = math.inf
-
-Exponent = tuple  # tuple[int, ...] of length n + nparams
 
 
 def _collect(pairs, out=None) -> dict:
@@ -343,27 +343,21 @@ class MSeries:
             self.n, self.trunc, {e: v * c for e, v in self.terms.items()}, self.nparams
         )
 
-    def mul_monomial(self, exp, coeff=ONE) -> "MSeries":
-        """Multiply by coeff * z^exp; exponents may be negative.  The
-        certified degree shifts by the monomial's z-degree."""
+    def mul_monomial(self, exp) -> "MSeries":
+        """Multiply by z^exp; exponents may be negative.  The certified
+        degree shifts by the monomial's z-degree."""
         exp = tuple(exp)
         if len(exp) != self.n + self.nparams:
             raise DimensionMismatch(
                 f"monomial exponent length {len(exp)}, expected "
                 f"{self.n + self.nparams}"
             )
-        coeff = Rat(coeff)
-        if not coeff:
-            return MSeries.zero(self.n, INF, self.nparams)
         deg = sum(exp[: self.n])
         trunc = self.trunc if self.trunc == INF else self.trunc + deg
         return MSeries(
             self.n,
             trunc,
-            {
-                tuple(x + y for x, y in zip(e, exp)): c * coeff
-                for e, c in self.terms.items()
-            },
+            {tuple(x + y for x, y in zip(e, exp)): c for e, c in self.terms.items()},
             self.nparams,
         )
 
@@ -868,12 +862,13 @@ def unit_inverse(s: MSeries, degree) -> MSeries:
 
 def series_det(matrix, cap=None) -> MSeries:
     """Determinant of a square matrix of series, division-free: dynamic
-    programming over column subsets, O(n 2^n) series multiplications.
+    programming over column subsets, O(n 2^n) series multiplications, each
+    subset's value one ``dot`` over (smaller subset's value, +-entry) pairs.
 
     The result claims no truncation beyond that of each product it sums.
     A zero entry is skipped only when it is known to vanish through the
     cap (all of it when there is none); any other zero entry enters its
-    products, whose certified truncation it lowers.  Exact entries give an
+    ``dot``, whose certified truncation it lowers.  Exact entries give an
     exact determinant (capped at `cap`).
 
     Fraction-free Gaussian elimination was used here before and dropped.
@@ -888,18 +883,16 @@ def series_det(matrix, cap=None) -> MSeries:
     limit = INF if cap is None else cap
     states = {(): MSeries.const(first.n, ONE, INF, first.nparams)}
     for row in matrix:
-        new = {}
+        negated = [-entry for entry in row]
+        pairs = {}
         for cols, val in states.items():
             for j, entry in enumerate(row):
-                if j in cols:
+                if j in cols or (entry.is_zero() and entry.trunc >= limit):
                     continue
-                if entry.is_zero() and entry.trunc >= limit:
-                    continue
-                term = val.mul(entry, cap=cap)
                 if sum(1 for c in cols if c > j) % 2:
-                    term = -term
-                new.setdefault(tuple(sorted(cols + (j,))), []).append(term)
-        states = {cols: series_sum(terms) for cols, terms in new.items()}
+                    entry = negated[j]
+                pairs.setdefault(tuple(sorted(cols + (j,))), []).append((val, entry))
+        states = {cols: dot(ps, cap) for cols, ps in pairs.items()}
         if not states:
             break
     full = tuple(range(len(matrix)))
@@ -915,31 +908,17 @@ def jacobian_det(m: PolyMap, cap=None) -> MSeries:
     return series_det(m.jacobian(), cap=cap)
 
 
-def first_difference(a: MSeries, b: MSeries, through=None):
-    """First (graded-lex) exponent where two series differ, or None.
-    Used for mismatch diagnostics."""
-    if through is None:
-        degree = min(a.trunc, b.trunc)
-    else:
-        a._require_precision(through)
-        b._require_precision(through)
-        degree = through
-    da = a._dict_through(degree)
-    db = b._dict_through(degree)
-    exps = sorted(set(da) | set(db), key=_grlex_key(a.n))
-    for e in exps:
-        ca = da.get(e, ZERO)
-        cb = db.get(e, ZERO)
-        if ca != cb:
-            return e, ca, cb
-    return None
-
-
 def first_mismatch(pairs, through=None):
-    """First (index, exponent, a_value, b_value) where the paired series
-    of `pairs` differ, or None; the index counts the pairs."""
+    """First (index, exponent, a_value, b_value), exponents in graded-lex
+    order, where the paired series differ through `through` (else through
+    their lesser truncation), or None; the index counts the pairs."""
     for i, (a, b) in enumerate(pairs):
-        diff = first_difference(a, b, through=through)
-        if diff is not None:
-            return (i,) + diff
+        degree = min(a.trunc, b.trunc) if through is None else through
+        a._require_precision(degree)
+        b._require_precision(degree)
+        da = a._dict_through(degree)
+        db = b._dict_through(degree)
+        for e in sorted(set(da) | set(db), key=_grlex_key(a.n)):
+            if da.get(e, ZERO) != db.get(e, ZERO):
+                return i, e, da.get(e, ZERO), db.get(e, ZERO)
     return None

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import DimensionMismatch
 from .rat import ONE, Rat
-from .series import INF, MSeries, PolyMap, series_sum
+from .series import INF, MSeries, PolyMap, dot, series_sum
 
 
 class RootedTree:
@@ -199,24 +199,27 @@ class TreePolyCache:
     root labels to the sum of q(c_1, l_1) ... q(c_k, l_k) over the labels
     with that multiset.  They are keyed by the prefix's child encodings and
     folded from the states of (c_1, ..., c_{k-1}) and c_k, grouping label
-    multisets so each distinct mixed partial of H_j is multiplied in once;
-    zero factors prune the enumeration.  Children are sorted canonically,
-    so every tree that starts with the same children reuses their states,
-    and q(S, j) only multiplies each state by the mixed partial of H_j.
+    multisets so each distinct mixed partial of H_j is multiplied in once.
+    Children are sorted canonically, so every tree that starts with the
+    same children reuses their states, and q(S, j) only multiplies each
+    state by the mixed partial of H_j.
 
-    This replaced a fold of the children rebuilt for each root label and
-    each tree, with the same products in the same order, so the sums and
-    their truncations are unchanged.  `invert_bcw`, 2-vCPU Xeon,
-    `fractions` backend, median of three runs: the 96 seed-1 maps of the
-    benchmark's `wide` workload at D=7 2.64 s before, 0.64 s after; the
-    dense cubic of acceptance test A10 (n=3) D=8 455 ms before, 45 ms
-    after, D=10 6698 ms before, 196 ms after.
+    Each state and each q(S, j) is one ``dot`` over its pairs of nonzero
+    factors; a zero state is dropped unless (for truncated H) certified only
+    below the cap, as then it bounds q(S, j).  Sums and truncations equal
+    those of ``series_sum`` over the capped ``mul``s of the same pairs.
+
+    The states replaced a fold of the children rebuilt per root label and
+    tree, with the same sums: `invert_bcw` on the 96 seed-1 `wide` maps at
+    D=7 2.64 s before, 0.64 s after; on A10's dense cubic (n=3) at D=10
+    6698 ms before, 196 ms after (2-vCPU Xeon, `fractions`, median of 3).
     """
 
     def __init__(self, h: PolyMap, cap=None):
         self.h = h
         self.n = h.n
         self.cap = cap
+        self.limit = INF if cap is None else cap
         self._q: dict = {}
         self._deriv: dict = {}
         self._states: dict = {(): {(): MSeries.const(self.n, ONE)}}
@@ -240,18 +243,17 @@ class TreePolyCache:
         if hit is not None:
             return hit
         prev = self._child_states(children[:-1])
-        new: dict = {}
+        pairs: dict = {}
         if prev:
             child_vec = [self.labeled_root_sum(children[-1], k) for k in range(self.n)]
             for alpha, partial in prev.items():
                 for k, q in enumerate(child_vec):
-                    if q.is_zero():
-                        continue
-                    prod = partial.mul(q, cap=self.cap)
-                    if prod.is_zero():
-                        continue
-                    new.setdefault(tuple(sorted(alpha + (k,))), []).append(prod)
-        states = self._states[key] = {a: series_sum(ps) for a, ps in new.items()}
+                    if not (partial.is_zero() or q.is_zero()):
+                        multiset = tuple(sorted(alpha + (k,)))
+                        pairs.setdefault(multiset, []).append((partial, q))
+        states = {a: dot(ps, self.cap) for a, ps in pairs.items()}
+        states = {a: s for a, s in states.items() if s.terms or s.trunc < self.limit}
+        self._states[key] = states
         return states
 
     def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:
@@ -259,16 +261,12 @@ class TreePolyCache:
         hit = self._q.get(key)
         if hit is not None:
             return hit
-        parts = [MSeries.zero(self.n, INF if self.cap is None else self.cap)]
-        for alpha, weight in self._child_states(tree.children).items():
-            d = self.deriv(i, alpha)
-            if not d.is_zero():
-                parts.append(weight.mul(d, cap=self.cap))
-        total = self._q[key] = series_sum(parts)
+        states = self._child_states(tree.children)
+        pairs = [(w, self.deriv(i, a)) for a, w in states.items()]
+        pairs = [(w, d) for w, d in pairs if not d.is_zero()]
+        zero = MSeries.zero(self.n, self.limit)
+        total = self._q[key] = dot(pairs, self.cap) if pairs else zero
         return total
-
-    def tree_poly(self, tree: RootedTree, i: int) -> MSeries:
-        return self.labeled_root_sum(tree, i).scale(Rat(1, tree.aut))
 
 
 def tree_poly(tree: RootedTree, h: PolyMap, i: int, cap=None) -> MSeries:
@@ -277,7 +275,7 @@ def tree_poly(tree: RootedTree, h: PolyMap, i: int, cap=None) -> MSeries:
     divided by the automorphism order."""
     if not 0 <= i < h.n:
         raise DimensionMismatch(f"root label {i} out of range for n={h.n}")
-    return TreePolyCache(h, cap=cap).tree_poly(tree, i)
+    return TreePolyCache(h, cap=cap).labeled_root_sum(tree, i).scale(Rat(1, tree.aut))
 
 
 def tree_sums(h: PolyMap, degree: int):

@@ -93,7 +93,7 @@ def test_bench_bad_degree_range(capsys, catalan_path, spec):
     assert f"error: bad degree range '{spec}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t", ["abc", "1/0"])
+@pytest.mark.parametrize("t", ["abc", "1/0", "0.5"])
 def test_flow_invalid_rational(capsys, catalan_path, t):
     assert run_command(["flow", "--t", t, "--input", catalan_path]) == 2
     assert f"error: invalid rational literal '{t}'" in capsys.readouterr().err

@@ -8,6 +8,12 @@ Products, sums of products (``dot``) and compositions run on packed
 integer views of their operands, so their operands also draw coprime and
 100+-bit denominators, and exponents of 2^19 and 2^40 that do not fit
 the default field width.
+
+The determinant, the labeled tree sums and the parts of ``ag`` each sum
+their products in one ``dot`` (or read a part off the terms of one
+product).  Their references below are the folds they replaced: each
+product taken by ``mul`` and the products summed by ``series_sum``, or
+the chain of unary ops, compared in both terms and truncation.
 """
 
 import math
@@ -19,17 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forminv.errors import DimensionMismatch
-from forminv.rat import Rat
+from forminv.inversion import _ag_part
+from forminv.rat import ONE, Rat
 from forminv.series import (
     INF,
     MSeries,
     PolyMap,
     compose,
     dot,
+    series_det,
     series_from_terms,
     series_sum,
     unit_inverse,
 )
+from forminv.trees import tree_sums
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -329,6 +338,161 @@ def test_dot_rejects_mixed_layouts(layouts):
         dot([(x, y)])
     with pytest.raises(DimensionMismatch):
         dot([(x, x), (y, y)])
+
+
+def fold_det(matrix, cap=None):
+    """Reference determinant: the cofactor expansion over column subsets
+    with one capped ``mul`` per (state, entry) and ``series_sum`` per
+    subset, skipping an entry only when it vanishes through the cap."""
+    first = matrix[0][0]
+    limit = INF if cap is None else cap
+    states = {(): MSeries.const(first.n, ONE, INF, first.nparams)}
+    for row in matrix:
+        new = {}
+        for cols, val in states.items():
+            for j, entry in enumerate(row):
+                if j in cols or (entry.is_zero() and entry.trunc >= limit):
+                    continue
+                term = val.mul(entry, cap=cap)
+                if sum(1 for c in cols if c > j) % 2:
+                    term = -term
+                new.setdefault(tuple(sorted(cols + (j,))), []).append(term)
+        states = {cols: series_sum(terms) for cols, terms in new.items()}
+        if not states:
+            break
+    full = tuple(range(len(matrix)))
+    return states.get(full, MSeries.zero(first.n, limit, first.nparams))
+
+
+@st.composite
+def det_matrices(draw):
+    """1x1 to 4x4 matrices of one layout (up to one parameter), each entry
+    exact or truncated at 0-5 (terms above it removed), some zero, some
+    with a constant term; and a cap of None or 0-6."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(0, 1))
+    size = draw(st.integers(1, 4))
+
+    def entry():
+        trunc = draw(st.one_of(st.just(INF), st.integers(0, 5)))
+        terms = draw(term_dicts(n, p, hi=2, max_size=3, coeffs=KERNEL_COEFFS))
+        return MSeries(n, trunc, {e: c for e, c in terms.items() if zdeg(e, n) <= trunc}, p)
+
+    rows = [[entry() for _ in range(size)] for _ in range(size)]
+    return rows, draw(st.one_of(st.none(), st.integers(0, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(det_matrices())
+def test_series_det_matches_cofactor_fold(data):
+    matrix, cap = data
+    r = series_det(matrix, cap=cap)
+    want = fold_det(matrix, cap=cap)
+    assert (r.terms, r.trunc) == (want.terms, want.trunc)
+    assert (r.n, r.nparams) == (want.n, want.nparams)
+    assert no_zero_coefficient(r.terms)
+
+
+def fold_tree_sums(h, degree):
+    """Reference for ``tree_sums``: the labeled tree sums folded child by
+    child with one capped ``mul`` per product and ``series_sum`` per label
+    multiset, zero factors and zero products skipped."""
+    n, cap = h.n, degree
+    memo_q, memo_states = {}, {(): {(): MSeries.const(n, ONE)}}
+
+    def deriv(i, alpha):
+        s = h.components[i]
+        for axis in alpha:
+            s = s.diff(axis)
+        return s
+
+    def states(children):
+        key = tuple(c.key for c in children)
+        if key not in memo_states:
+            new = {}
+            for alpha, partial in states(children[:-1]).items():
+                for k in range(n):
+                    q = root_sum(children[-1], k)
+                    if q.is_zero():
+                        continue
+                    prod = partial.mul(q, cap=cap)
+                    if not prod.is_zero():
+                        new.setdefault(tuple(sorted(alpha + (k,))), []).append(prod)
+            memo_states[key] = {a: series_sum(ps) for a, ps in new.items()}
+        return memo_states[key]
+
+    def root_sum(tree, i):
+        if (tree.key, i) not in memo_q:
+            parts = [MSeries.zero(n, cap)]
+            for alpha, weight in states(tree.children).items():
+                d = deriv(i, alpha)
+                if not d.is_zero():
+                    parts.append(weight.mul(d, cap=cap))
+            memo_q[tree.key, i] = series_sum(parts)
+        return memo_q[tree.key, i]
+
+    return root_sum
+
+
+@st.composite
+def tree_maps(draw):
+    """H of order >= 2 in 1-3 variables, 0-3 terms of degree 2-3 per
+    component (some components zero), each component exact or truncated
+    at 1-5 (terms above it removed); and a degree of 2-6, so the sums
+    cover every tree with up to 5 vertices."""
+    n = draw(st.integers(1, 3))
+    exps = exponents(n, 0, hi=3).filter(lambda e: 2 <= sum(e) <= 3)
+    comps = []
+    for _ in range(n):
+        trunc = draw(st.one_of(st.just(INF), st.integers(1, 5)))
+        terms = draw(st.dictionaries(exps, KERNEL_COEFFS, max_size=3))
+        comps.append(MSeries(n, trunc, {e: c for e, c in terms.items() if sum(e) <= trunc}))
+    return PolyMap(comps), draw(st.integers(2, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_maps())
+def test_tree_sums_match_fold_of_capped_products(data):
+    h, degree = data
+    root_sum = fold_tree_sums(h, degree)
+    for tree, sums in tree_sums(h, degree):
+        for i, got in enumerate(sums):
+            want = root_sum(tree, i)
+            assert (got.terms, got.trunc) == (want.terms, want.trunc), (tree.key, i)
+            assert no_zero_coefficient(got.terms)
+
+
+def chain_ag_part(q, m, i, degree):
+    """Reference for ``_ag_part``: z_i q by ``mul_monomial``, then |m|
+    calls of ``diff``, ``scale`` by 1/m! and ``truncate``."""
+    term = q.mul_monomial(tuple(1 if j == i else 0 for j in range(q.n)))
+    for axis, reps in enumerate(m):
+        for _ in range(reps):
+            term = term.diff(axis)
+    return term.scale(Rat(1, math.prod(map(math.factorial, m)))).truncate(degree)
+
+
+@st.composite
+def ag_parts(draw):
+    """q in 1-3 variables, exact or truncated at 0-7 (terms above it
+    removed); a multi-index m with |m| <= 4, a component i and a degree
+    of 0-8."""
+    n = draw(st.integers(1, 3))
+    trunc = draw(st.one_of(st.just(INF), st.integers(0, 7)))
+    terms = draw(term_dicts(n, hi=4, max_size=8, coeffs=KERNEL_COEFFS))
+    q = MSeries(n, trunc, {e: c for e, c in terms.items() if sum(e) <= trunc})
+    m = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda m: sum(m) <= 4))
+    return q, m, draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ag_parts())
+def test_ag_part_matches_chain_of_unary_ops(data):
+    q, m, i, degree = data
+    r = _ag_part(q, m, i, degree)
+    want = chain_ag_part(q, m, i, degree)
+    assert (r.terms, r.trunc) == (want.terms, want.trunc)
+    assert no_zero_coefficient(r.terms)
 
 
 @SETTINGS

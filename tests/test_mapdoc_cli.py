@@ -85,6 +85,12 @@ class TestParse:
         with pytest.raises(MapFormatError, match=rf"\b{field} must be"):
             parse_map(doc)
 
+    @pytest.mark.parametrize("c", ["1e3", "1_000", "0.5", "1e400"])
+    def test_coefficient_is_p_or_p_over_q(self, c):
+        doc = '{"n":1,"D":4,"components":[[{"exp":[2],"c":"%s"}]]}' % c
+        with pytest.raises(MapFormatError, match=f"invalid rational literal '{c}'"):
+            parse_map(doc)
+
     def test_integer_coefficient_accepted(self):
         doc = parse_map('{"n":1,"D":4,"components":[[{"exp":[2],"c":-3}]]}')
         assert doc.to_polymap().components[0].terms == {(2,): -3}
