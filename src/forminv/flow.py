@@ -411,16 +411,16 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
     one = MSeries.const(n, ONE, nparams=1)
     pairs = [[(z_i, one)] for z_i in PolyMap.identity(n, trunc=degree, nparams=1)]
     for tree, sums in tree_sums(f.h, degree):
-        if all(q.is_zero() for q in sums):
+        if all(q.known_zero(degree) for q in sums):
             continue
         sign = -1 if tree.size % 2 else 1
         weight = order_polynomial(tree).scale(Rat(sign, tree.aut))
         factor = MSeries(n, INF, {(0,) * n + e: c for e, c in weight.terms.items()}, 1)
         for i, q in enumerate(sums):
-            if not q.is_zero():
+            if not q.known_zero(degree):
                 pairs[i].append((q.with_params(1), factor))
     flow_map = PolyMap([dot(ps, degree) for ps in pairs])
-    return FlowSeries(flow_map, degree)
+    return FlowSeries(flow_map, flow_map.trunc)
 
 
 def power_map(f: MapF, m: int, degree: int) -> PolyMap:

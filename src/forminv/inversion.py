@@ -50,6 +50,7 @@ from .series import (
     dot,
     first_mismatch,
     jacobian_det,
+    label_fold,
     series_det,
     series_sum,
     unit_inverse,
@@ -179,46 +180,39 @@ def invert_recurrent(f: MapF, degree: int) -> GradedInverse:
 # -- homogeneous recurrence via the symmetric multilinear form ------------------
 
 
-def _arrangements(alpha):
-    """The distinct orderings of the variable multiset of z^alpha, as
-    tuples of variable indices; there are |alpha|! / alpha! of them."""
-    if not any(alpha):
-        yield ()
-        return
-    for k, a in enumerate(alpha):
-        if a:
-            rest = alpha[:k] + (a - 1,) + alpha[k + 1 :]
-            for tail in _arrangements(rest):
-                yield (k,) + tail
-
-
 class BForm:
-    """The symmetric d-linear form of a homogeneous degree-d map H,
-    normalized so that B(z, ..., z) = H(z).
+    """The symmetric d-linear form of a homogeneous degree-d map H: its
+    d-th derivative tensor over d!, so that B(z, ..., z) = H(z).
 
-    Evaluation is a sum over slot assignments.  Writing
-    H_i = sum_a h_{i,a} z_{a_1} ... z_{a_d} over ordered index tuples a,
-    with h_{i,a} = c_alpha alpha! / d! for the monomial c_alpha z^alpha
-    that a orders,
+    For a sorted tuple alpha of d variable indices let S(alpha) be the sum
+    of U^1_{a_1} ... U^d_{a_d} over the orderings a of alpha.  A monomial
+    c_alpha z^alpha of H_i has the mixed partial c_alpha alpha! along
+    alpha, so
 
-        B(U^1, ..., U^d)_i = sum_a h_{i,a} U^1_{a_1} ... U^d_{a_d}.
+        B(U^1, ..., U^d)_i = sum_alpha (c_alpha alpha! / d!) S(alpha).
 
-    The tuples are kept as a prefix tree, so a product U^1_{a_1} ... U^k_{a_k}
-    is formed once for every tuple that extends it: at most
-    n^2 + ... + n^d series products per call (36 for a cubic in 3
-    variables), and no composition.  Each full product, times h_{i,a}, is
-    a part of one `series_sum` per output component i it feeds.
+    ``series.label_fold``, the fold of the tree sums, builds S from
+    {(): 1} one argument at a time, one ``dot`` per label multiset (past
+    the first argument, 27 series products in 16 dots for a cubic in 3
+    variables).  Each output component is one ``dot`` over (S(alpha),
+    weight) pairs, or zero through the cap if it has none; no composition.
 
     Because B is multilinear, the sum is finite for any arguments;
     arguments with a constant term are accepted.  Each output component
-    claims the least certified truncation among its products (`cap` when
-    the arguments are exact, INF with no cap).
+    claims the truncation ``dot`` certifies for its sums of products
+    (`cap` when the arguments are exact, INF with no cap).
 
     This replaced polarization, which ran the 2^d - 1 compositions
-    H(sum_{j in S} U^j) and cancelled them by inclusion-exclusion.
+    H(sum_{j in S} U^j) and cancelled them by inclusion-exclusion:
     `invert_homogeneous` on the dense cubic of acceptance test A10 (n=3),
-    median of three interleaved runs, 2-vCPU Xeon, `fractions` backend:
-    D=8 849 ms before, 37 ms after; D=10 3186 ms before, 153 ms after.
+    D=8 849 ms before, 37 ms after; D=10 3186 ms before, 153 ms after
+    (median of 3 interleaved runs, 2-vCPU Xeon, `fractions` backend).  The
+    fold then replaced a prefix tree of the orderings of each alpha, walked
+    with one ``mul`` per node (36 for the cubic) and a ``scale`` and
+    ``series_sum`` per leaf: ``invert_homogeneous(...).inverse_map()`` on
+    the 48 seed-1 `wide` maps at D=7 322-391 ms before, 273-280 ms after;
+    on the dense cubic of demos/04 at D=8 32-39 ms before, 11 ms after, at
+    D=10 127-130 ms before, 31 ms after (median of 7 in process time).
     """
 
     def __init__(self, h: PolyMap):
@@ -232,17 +226,14 @@ class BForm:
         self.h = h
         self.d = d
         self.n = h.n
-        # prefix tree over a_1, ..., a_d; a leaf lists (i, h_{i,a})
-        self._tree: dict = {}
+        # per component i: {sorted variable indices of alpha: c_alpha alpha! / d!}
         dfact = math.factorial(d)
-        for i, comp in enumerate(h.components):
+        self._weights = [{} for _ in h.components]
+        for weights, comp in zip(self._weights, h.components):
             for alpha, c in comp.terms.items():
-                weight = c * Rat(math.prod(map(math.factorial, alpha)), dfact)
-                for a in _arrangements(alpha):
-                    node = self._tree
-                    for k in a[:-1]:
-                        node = node.setdefault(k, {})
-                    node.setdefault(a[-1], []).append((i, weight))
+                labels = tuple(k for k, a in enumerate(alpha) for _ in range(a))
+                w = c * Rat(math.prod(map(math.factorial, alpha)), dfact)
+                weights[labels] = MSeries.const(h.n, w)
 
     def apply(self, args: Sequence[PolyMap], cap=None) -> PolyMap:
         if len(args) != self.d:
@@ -256,21 +247,15 @@ class BForm:
                     f"form on n={self.n} applied to a map with n={u.n}, "
                     f"{u.nparams} parameters"
                 )
-        limit = INF if cap is None else cap
-        parts = [[MSeries.zero(self.n, limit)] for _ in range(self.n)]
-
-        def walk(node, slot, prefix):
-            for k, child in node.items():
-                comp = args[slot].components[k]
-                p = comp if prefix is None else prefix.mul(comp, cap=cap)
-                if slot + 1 < self.d:
-                    walk(child, slot + 1, p)
-                    continue
-                for i, w in child:
-                    parts[i].append(p.scale(w))
-
-        walk(self._tree, 0, None)
-        return PolyMap(map(series_sum, parts))
+        states = {(): MSeries.const(self.n, ONE)}
+        for u in args:
+            states = label_fold(states, u.components, cap)
+        zero = MSeries.zero(self.n, INF if cap is None else cap)
+        comps = []
+        for weights in self._weights:
+            pairs = [(states[a], w) for a, w in weights.items() if a in states]
+            comps.append(dot(pairs, cap) if pairs else zero)
+        return PolyMap(comps)
 
 
 def b_form_apply(form: BForm, args: Sequence[PolyMap], cap=None) -> PolyMap:
@@ -391,7 +376,7 @@ def invert_bcw(f: MapF, degree: int) -> PolyMap:
     for tree, sums in tree_sums(f.h, degree):
         w = Rat(1, tree.aut)
         for i, q in enumerate(sums):
-            if not q.is_zero():
+            if not q.known_zero(degree):
                 parts[i].append(q.scale(w))
     return PolyMap(map(series_sum, parts)).truncate(degree)
 

@@ -29,11 +29,13 @@ outside input, rejects negative exponents.
 sum of products (``mul`` is the dot of one pair), and
 ``compose_map_components`` run ``_mac``.  Each sum of products is one
 ``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``, ``recurrent_layers``,
-``TreePolyCache`` and ``formal_flow``.  No product asserts its
-truncation, ``unit_inverse`` included.  ``series_sum`` is the one way
-other series are summed, ``+`` included, so no other module accumulates
-terms or restates the truncation rule of a sum.  No stored coefficient is
-ever zero, which ``is_zero`` and ``order`` rely on.
+``label_fold`` (for ``TreePolyCache`` and ``BForm``) and ``formal_flow``.
+A zero factor is left out of a capped sum only when it is ``known_zero``
+through the cap.  No product asserts its truncation, ``unit_inverse``
+included.  ``series_sum`` is the one way other series are summed, ``+``
+included, so no other module accumulates terms or restates the
+truncation rule of a sum.  No stored coefficient is ever zero, which
+``is_zero`` and ``order`` rely on.
 
 Products and compositions run on a *packed view* of each operand
 (``_pack``), built on first use and kept: integer numerators over one
@@ -267,6 +269,12 @@ class MSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def known_zero(self, degree) -> bool:
+        """No terms, certified through `degree`: the test for leaving a
+        factor out of a sum of products capped at `degree`.  A zero
+        certified less far bounds the sum's truncation, so it stays in."""
+        return not self.terms and self.trunc >= degree
 
     def is_zero_through(self, degree) -> bool:
         self._require_precision(degree)
@@ -833,6 +841,23 @@ def mat_mul(a, b, cap=None):
     return [[dot(zip(row, col), cap) for col in zip(*b)] for row in a]
 
 
+def label_fold(states: dict, vec, cap=None) -> dict:
+    """Extend label-multiset states by one vector of series: `states` maps
+    sorted label tuples alpha to series, the result maps each sorted
+    alpha + (k,) to the sum of states[alpha] * vec[k] that reach it, one
+    ``dot`` per multiset.  A factor or a resulting state is left out only
+    when ``known_zero`` through the cap.  The one fold of the tree sums
+    (``TreePolyCache``) and the multilinear form (``BForm``)."""
+    limit = INF if cap is None else cap
+    live = [(k, u) for k, u in enumerate(vec) if not u.known_zero(limit)]
+    pairs: dict = {}
+    for alpha, state in states.items():
+        for k, u in live:
+            pairs.setdefault(tuple(sorted(alpha + (k,))), []).append((state, u))
+    folded = {a: dot(ps, cap) for a, ps in pairs.items()}
+    return {a: s for a, s in folded.items() if not s.known_zero(limit)}
+
+
 def unit_inverse(s: MSeries, degree) -> MSeries:
     """Reciprocal of a series with nonzero constant term c0, exact through
     `degree`.  The part of z-degree <= 0 must be a nonzero constant: a
@@ -887,7 +912,7 @@ def series_det(matrix, cap=None) -> MSeries:
         pairs = {}
         for cols, val in states.items():
             for j, entry in enumerate(row):
-                if j in cols or (entry.is_zero() and entry.trunc >= limit):
+                if j in cols or entry.known_zero(limit):
                     continue
                 if sum(1 for c in cols if c > j) % 2:
                     entry = negated[j]

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import DimensionMismatch
 from .rat import ONE, Rat
-from .series import INF, MSeries, PolyMap, dot, series_sum
+from .series import INF, MSeries, PolyMap, dot, label_fold, series_sum
 
 
 class RootedTree:
@@ -197,17 +197,14 @@ class TreePolyCache:
     The children's part does not depend on the root label.  For a child
     prefix (c_1, ..., c_k) the states map each sorted tuple alpha of child
     root labels to the sum of q(c_1, l_1) ... q(c_k, l_k) over the labels
-    with that multiset.  They are keyed by the prefix's child encodings and
-    folded from the states of (c_1, ..., c_{k-1}) and c_k, grouping label
-    multisets so each distinct mixed partial of H_j is multiplied in once.
-    Children are sorted canonically, so every tree that starts with the
-    same children reuses their states, and q(S, j) only multiplies each
-    state by the mixed partial of H_j.
-
-    Each state and each q(S, j) is one ``dot`` over its pairs of nonzero
-    factors; a zero state is dropped unless (for truncated H) certified only
-    below the cap, as then it bounds q(S, j).  Sums and truncations equal
-    those of ``series_sum`` over the capped ``mul``s of the same pairs.
+    with that multiset.  Keyed by the prefix's child encodings, they are
+    folded from the states of (c_1, ..., c_{k-1}) and the root sums of c_k
+    by ``series.label_fold``, the fold ``BForm`` uses too.  Children are
+    sorted canonically, so every tree that starts with the same children
+    reuses their states, and q(S, j) is one ``dot`` of the states with the
+    mixed partials of H_j.  A factor or a state is left out only when zero
+    through the cap, so sums and truncations equal those of ``series_sum``
+    over the capped ``mul``s of the same pairs.
 
     The states replaced a fold of the children rebuilt per root label and
     tree, with the same sums: `invert_bcw` on the 96 seed-1 `wide` maps at
@@ -237,23 +234,15 @@ class TreePolyCache:
 
     def _child_states(self, children: tuple) -> dict:
         """The states of a child prefix (see the class docstring), folded
-        from those of children[:-1] and the last child."""
+        from those of children[:-1] and the last child's root sums."""
         key = tuple(c.key for c in children)
         hit = self._states.get(key)
         if hit is not None:
             return hit
         prev = self._child_states(children[:-1])
-        pairs: dict = {}
-        if prev:
-            child_vec = [self.labeled_root_sum(children[-1], k) for k in range(self.n)]
-            for alpha, partial in prev.items():
-                for k, q in enumerate(child_vec):
-                    if not (partial.is_zero() or q.is_zero()):
-                        multiset = tuple(sorted(alpha + (k,)))
-                        pairs.setdefault(multiset, []).append((partial, q))
-        states = {a: dot(ps, self.cap) for a, ps in pairs.items()}
-        states = {a: s for a, s in states.items() if s.terms or s.trunc < self.limit}
-        self._states[key] = states
+        child = children[-1]
+        vec = [self.labeled_root_sum(child, k) for k in range(self.n)] if prev else []
+        states = self._states[key] = label_fold(prev, vec, self.cap)
         return states
 
     def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:
@@ -263,7 +252,7 @@ class TreePolyCache:
             return hit
         states = self._child_states(tree.children)
         pairs = [(w, self.deriv(i, a)) for a, w in states.items()]
-        pairs = [(w, d) for w, d in pairs if not d.is_zero()]
+        pairs = [(w, d) for w, d in pairs if not d.known_zero(self.limit)]
         zero = MSeries.zero(self.n, self.limit)
         total = self._q[key] = dot(pairs, self.cap) if pairs else zero
         return total

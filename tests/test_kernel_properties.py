@@ -396,8 +396,12 @@ def test_series_det_matches_cofactor_fold(data):
 def fold_tree_sums(h, degree):
     """Reference for ``tree_sums``: the labeled tree sums folded child by
     child with one capped ``mul`` per product and ``series_sum`` per label
-    multiset, zero factors and zero products skipped."""
+    multiset.  A factor or a product is skipped only when it is zero
+    through the cap: a zero certified less far bounds the sum it feeds."""
     n, cap = h.n, degree
+
+    def vanishes(s):
+        return not s.terms and s.trunc >= cap
     memo_q, memo_states = {}, {(): {(): MSeries.const(n, ONE)}}
 
     def deriv(i, alpha):
@@ -413,12 +417,13 @@ def fold_tree_sums(h, degree):
             for alpha, partial in states(children[:-1]).items():
                 for k in range(n):
                     q = root_sum(children[-1], k)
-                    if q.is_zero():
+                    if vanishes(q):
                         continue
                     prod = partial.mul(q, cap=cap)
-                    if not prod.is_zero():
+                    if not vanishes(prod):
                         new.setdefault(tuple(sorted(alpha + (k,))), []).append(prod)
-            memo_states[key] = {a: series_sum(ps) for a, ps in new.items()}
+            sums = {a: series_sum(ps) for a, ps in new.items()}
+            memo_states[key] = {a: s for a, s in sums.items() if not vanishes(s)}
         return memo_states[key]
 
     def root_sum(tree, i):
@@ -426,7 +431,7 @@ def fold_tree_sums(h, degree):
             parts = [MSeries.zero(n, cap)]
             for alpha, weight in states(tree.children).items():
                 d = deriv(i, alpha)
-                if not d.is_zero():
+                if not vanishes(d):
                     parts.append(weight.mul(d, cap=cap))
             memo_q[tree.key, i] = series_sum(parts)
         return memo_q[tree.key, i]

@@ -11,9 +11,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from forminv.errors import SubstitutionError, TruncationError
+from forminv.flow import formal_flow
+from forminv.inversion import invert_bcw, invert_fixed_point
 from forminv.laurent import laurent_inv_power
 from forminv.rat import Rat
 from forminv.series import INF, MapF, MSeries, PolyMap, compose, unit_inverse
+from forminv.trees import tree_sums
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -154,3 +157,38 @@ def test_unit_inverse_truncated_operand(s, degree, want):
     assert got.trunc == want
     # s * got = 1 through the claimed degree, with s exact
     assert s.mul(got).terms == {const: 1}
+
+
+@SETTINGS
+@given(exact_maps(), st.lists(st.integers(1, 5), min_size=2, max_size=2), st.integers(2, 6))
+def test_tree_sums_truncated_h(f, cuts, degree):
+    """Each component of H truncated at its own degree."""
+    cut = PolyMap([c.truncate(d) for c, d in zip(f.h.components, cuts)])
+    for (tree, got), (_, exact) in zip(tree_sums(cut, degree), tree_sums(f.h, degree)):
+        for g, e in zip(got, exact):
+            assert g.trunc <= degree
+            assert g.terms == through(e.terms, g.trunc, f.n), tree.key
+
+
+@SETTINGS
+@given(exact_maps(), st.integers(1, 4), st.integers(2, 6))
+def test_tree_expansions_truncated_h(f, cut, degree):
+    """``invert_bcw`` and ``formal_flow`` on H truncated at one degree
+    claim no more than the fixed-point oracle does."""
+    g = MapF(f.h.truncate(cut))
+    fixed = invert_fixed_point(g, degree).trunc
+    bcw, exact = invert_bcw(g, degree), invert_bcw(f, degree)
+    flow, exact_flow = formal_flow(g, degree), formal_flow(f, degree)
+    assert bcw.trunc <= fixed
+    assert flow.trunc == flow.map.trunc <= fixed
+    for got, want in [*zip(bcw, exact), *zip(flow.map, exact_flow.map)]:
+        assert got.terms == through(want.terms, got.trunc, f.n)
+
+
+def test_zero_h_known_through_two():
+    """H = 0 known only through degree 2: G = z is certified through 2, by
+    the tree expansions as by the fixed-point oracle."""
+    f = MapF(PolyMap([MSeries(1, 2, {})]))
+    assert invert_fixed_point(f, 4).trunc == 2
+    assert invert_bcw(f, 4).trunc == 2
+    assert formal_flow(f, 4).trunc == formal_flow(f, 4).map.trunc == 2
