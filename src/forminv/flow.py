@@ -30,20 +30,19 @@ from .inversion import (
     invert_recurrent,
     recurrent_layers,
 )
-from .rat import ONE, Rat
+from .rat import Rat
 from .series import (
     INF,
     MapF,
     MSeries,
     PolyMap,
     compose_map_components,
-    dot,
     first_mismatch,
     mat_mul,
     mat_vec,
     series_sum,
 )
-from .trees import order_polynomial, tree_sums
+from .trees import order_polynomial, tree_expansion
 
 
 # -- reports -----------------------------------------------------------------
@@ -408,18 +407,13 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
     the sum to F at t = 1; W_T(-1) = (-1)^|T| recovers the tree-expansion
     inverse at t = -1."""
     n = f.n
-    one = MSeries.const(n, ONE, nparams=1)
-    pairs = [[(z_i, one)] for z_i in PolyMap.identity(n, trunc=degree, nparams=1)]
-    for tree, sums in tree_sums(f.h, degree):
-        if all(q.known_zero(degree) for q in sums):
-            continue
+
+    def weight(tree):
         sign = -1 if tree.size % 2 else 1
-        weight = order_polynomial(tree).scale(Rat(sign, tree.aut))
-        factor = MSeries(n, INF, {(0,) * n + e: c for e, c in weight.terms.items()}, 1)
-        for i, q in enumerate(sums):
-            if not q.known_zero(degree):
-                pairs[i].append((q.with_params(1), factor))
-    flow_map = PolyMap([dot(ps, degree) for ps in pairs])
+        w_t = order_polynomial(tree).scale(Rat(sign, tree.aut))
+        return MSeries(n, INF, {(0,) * n + e: c for e, c in w_t.terms.items()}, 1)
+
+    flow_map = tree_expansion(f.h, degree, weight, nparams=1)
     return FlowSeries(flow_map, flow_map.trunc)
 
 

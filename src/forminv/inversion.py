@@ -55,7 +55,7 @@ from .series import (
     series_sum,
     unit_inverse,
 )
-from .trees import tree_sums
+from .trees import TreePolyCache, tree_expansion
 
 
 # -- fixed-point oracle --------------------------------------------------------
@@ -73,12 +73,6 @@ def invert_fixed_point(f: MapF, degree: int) -> PolyMap:
     a pass at `degree`, or at H's own truncation when that is lower.  That
     pass must reproduce G term for term, so the oracle still checks its
     own fixed point.
-
-    This replaced running every pass at the full cap `degree`; the number
-    of passes is the same.  Median of five interleaved runs, 2-vCPU Xeon,
-    `fractions` backend: 40 maps z - H, n=1, H of 2-3 monomials of degrees
-    2..5, at D=30, 6.31 s before, 2.68 s after; 40 maps with n=3 cubic H
-    of 6-12 monomials, at D=7, 0.43 s before, 0.36 s after.
     """
     ident = PolyMap.identity(f.n, trunc=INF)
     order = min(c.known_order for c in f.h.components)
@@ -184,35 +178,24 @@ class BForm:
     """The symmetric d-linear form of a homogeneous degree-d map H: its
     d-th derivative tensor over d!, so that B(z, ..., z) = H(z).
 
-    For a sorted tuple alpha of d variable indices let S(alpha) be the sum
-    of U^1_{a_1} ... U^d_{a_d} over the orderings a of alpha.  A monomial
-    c_alpha z^alpha of H_i has the mixed partial c_alpha alpha! along
-    alpha, so
+    B is the labeled root sum of a root whose d children carry the
+    arguments, divided by d!:
 
-        B(U^1, ..., U^d)_i = sum_alpha (c_alpha alpha! / d!) S(alpha).
+        B(U^1, ..., U^d)_i = sum_alpha S(alpha) d^alpha H_i,
 
-    ``series.label_fold``, the fold of the tree sums, builds S from
-    {(): 1} one argument at a time, one ``dot`` per label multiset (past
-    the first argument, 27 series products in 16 dots for a cubic in 3
-    variables).  Each output component is one ``dot`` over (S(alpha),
-    weight) pairs, or zero through the cap if it has none; no composition.
+    where alpha runs over sorted tuples of d variable indices and S(alpha)
+    is 1/d! times the sum of U^1_{a_1} ... U^d_{a_d} over the orderings a
+    of alpha.  ``series.label_fold`` builds S from {(): 1/d!} one argument
+    at a time, the last one only into the multisets whose partial is not
+    known to vanish, and ``TreePolyCache.contract`` pairs S with the
+    partials of H in one ``dot`` per component: the fold and contraction
+    of the tree sums, with no composition.
 
     Because B is multilinear, the sum is finite for any arguments;
     arguments with a constant term are accepted.  Each output component
-    claims the truncation ``dot`` certifies for its sums of products
-    (`cap` when the arguments are exact, INF with no cap).
-
-    This replaced polarization, which ran the 2^d - 1 compositions
-    H(sum_{j in S} U^j) and cancelled them by inclusion-exclusion:
-    `invert_homogeneous` on the dense cubic of acceptance test A10 (n=3),
-    D=8 849 ms before, 37 ms after; D=10 3186 ms before, 153 ms after
-    (median of 3 interleaved runs, 2-vCPU Xeon, `fractions` backend).  The
-    fold then replaced a prefix tree of the orderings of each alpha, walked
-    with one ``mul`` per node (36 for the cubic) and a ``scale`` and
-    ``series_sum`` per leaf: ``invert_homogeneous(...).inverse_map()`` on
-    the 48 seed-1 `wide` maps at D=7 322-391 ms before, 273-280 ms after;
-    on the dense cubic of demos/04 at D=8 32-39 ms before, 11 ms after, at
-    D=10 127-130 ms before, 31 ms after (median of 7 in process time).
+    claims the truncation ``dot`` certifies for its sums of products: for
+    exact H and arguments, `cap` (INF with no cap); for a truncated H, no
+    more than its partials certify.
     """
 
     def __init__(self, h: PolyMap):
@@ -226,14 +209,7 @@ class BForm:
         self.h = h
         self.d = d
         self.n = h.n
-        # per component i: {sorted variable indices of alpha: c_alpha alpha! / d!}
-        dfact = math.factorial(d)
-        self._weights = [{} for _ in h.components]
-        for weights, comp in zip(self._weights, h.components):
-            for alpha, c in comp.terms.items():
-                labels = tuple(k for k, a in enumerate(alpha) for _ in range(a))
-                w = c * Rat(math.prod(map(math.factorial, alpha)), dfact)
-                weights[labels] = MSeries.const(h.n, w)
+        self.partials = TreePolyCache(h)
 
     def apply(self, args: Sequence[PolyMap], cap=None) -> PolyMap:
         if len(args) != self.d:
@@ -247,15 +223,17 @@ class BForm:
                     f"form on n={self.n} applied to a map with n={u.n}, "
                     f"{u.nparams} parameters"
                 )
-        states = {(): MSeries.const(self.n, ONE)}
-        for u in args:
+        limit = INF if cap is None else cap
+        live = {
+            a
+            for a in combinations_with_replacement(range(self.n), self.d)
+            if any(not self.partials.deriv(i, a).known_zero(limit) for i in range(self.n))
+        }
+        states = {(): MSeries.const(self.n, Rat(1, math.factorial(self.d)))}
+        for u in args[:-1]:
             states = label_fold(states, u.components, cap)
-        zero = MSeries.zero(self.n, INF if cap is None else cap)
-        comps = []
-        for weights in self._weights:
-            pairs = [(states[a], w) for a, w in weights.items() if a in states]
-            comps.append(dot(pairs, cap) if pairs else zero)
-        return PolyMap(comps)
+        states = label_fold(states, args[-1].components, cap, keys=live)
+        return PolyMap([self.partials.contract(states, i, cap) for i in range(self.n)])
 
 
 def b_form_apply(form: BForm, args: Sequence[PolyMap], cap=None) -> PolyMap:
@@ -312,10 +290,8 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
     contribute nothing and the sum stops at |m| = degree - 1.
 
     Each part (D^m / m!) (z_i q), q = j(F) H^m, is read off q's terms in
-    one pass, not through |m| + 3 intermediate series by ``mul_monomial``,
-    ``diff``, ``scale`` and ``truncate``: on the benchmark's 96 seed-1 maps
-    (median of 5, 2-vCPU Xeon, `fractions`) `wide` (D=7) 0.83-0.89 s before,
-    0.47 s after, `deep` (D=30) 0.49 s before, 0.17 s after.
+    one pass (``_ag_part``), with no chain of derivatives.  A power or a q
+    is left out only when ``known_zero`` through its cap.
     """
     n = f.n
     jf = jacobian_det(f.map)
@@ -327,17 +303,12 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
         if total:
             i = next(j for j, k in enumerate(m) if k)
             prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            base = powers[prev]
-            powers[m] = (
-                MSeries.zero(n, cap)
-                if base.is_zero()
-                else base.mul(f.h.components[i], cap=cap)
-            )
+            powers[m] = powers[prev].mul(f.h.components[i], cap=cap)
         hpow = powers[m]
-        if hpow.is_zero():
+        if hpow.known_zero(cap):
             continue
         q = jf.mul(hpow, cap=cap)
-        if q.is_zero():
+        if q.known_zero(cap):
             continue
         for i in range(n):
             parts[i].append(_ag_part(q, m, i, degree))
@@ -369,16 +340,10 @@ def _unit_exp(n, i):
 
 
 def invert_bcw(f: MapF, degree: int) -> PolyMap:
-    """G = z + sum over trees of P_T; since o(P_T) >= |T| + 1, only trees
-    with at most degree-1 vertices contribute.  Isomorphic subtrees share
-    their labeled sums through a common cache."""
-    parts = [[z_i] for z_i in PolyMap.identity(f.n, trunc=degree)]
-    for tree, sums in tree_sums(f.h, degree):
-        w = Rat(1, tree.aut)
-        for i, q in enumerate(sums):
-            if not q.known_zero(degree):
-                parts[i].append(q.scale(w))
-    return PolyMap(map(series_sum, parts)).truncate(degree)
+    """G = z + sum over trees of P_T = q_T / aut(T); since o(P_T) >= |T| + 1,
+    only trees with at most degree-1 vertices contribute.  Isomorphic
+    subtrees share their labeled sums through a common cache."""
+    return tree_expansion(f.h, degree, lambda tree: MSeries.const(f.n, Rat(1, tree.aut)))
 
 
 # -- coefficient formulas -----------------------------------------------------------

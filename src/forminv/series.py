@@ -21,21 +21,28 @@ z-degree 0.
 
 Exponents may be negative: a Laurent expansion (see ``laurent``) is an
 ``MSeries`` whose terms reach below degree 0, and the truncation rules
-above apply to it unchanged.  Only ``series_from_terms``, which validates
-outside input, rejects negative exponents.
+above apply to it unchanged.  ``series_from_terms``, which validates
+outside input, rejects negative exponents, and composition rejects them
+in the outer series, whose powers of the inner map it builds by
+multiplication.
 
 ``_mac`` is the one loop that accumulates packed integer numerators and
 ``_collect`` the one accumulate-and-cancel step on ``terms``.  ``dot``, a
 sum of products (``mul`` is the dot of one pair), and
 ``compose_map_components`` run ``_mac``.  Each sum of products is one
-``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``, ``recurrent_layers``,
-``label_fold`` (for ``TreePolyCache`` and ``BForm``) and ``formal_flow``.
-A zero factor is left out of a capped sum only when it is ``known_zero``
-through the cap.  No product asserts its truncation, ``unit_inverse``
-included.  ``series_sum`` is the one way other series are summed, ``+``
-included, so no other module accumulates terms or restates the
-truncation rule of a sum.  No stored coefficient is ever zero, which
-``is_zero`` and ``order`` rely on.
+``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``, ``recurrent_layers``
+and the three stages of every tree sum.  A tree sum is a fold, then a
+contraction, then an expansion: ``label_fold`` builds label-multiset
+states, ``trees.TreePolyCache.contract`` pairs them with the mixed
+partials of H, and ``trees.tree_expansion`` sums z + weight(T) q_T over
+the trees.  The multilinear form ``BForm`` is a fold and a contraction,
+``invert_bcw`` the expansion with constant weights 1/aut(T), and
+``formal_flow`` the one with weights in t.  A zero factor is left out of
+a capped sum only when it is ``known_zero`` through the cap.  No product
+asserts its truncation, ``unit_inverse`` included.  ``series_sum`` is
+the one way other series are summed, ``+`` included, so no other module
+accumulates terms or restates the truncation rule of a sum.  No stored
+coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
 
 Products and compositions run on a *packed view* of each operand
 (``_pack``), built on first use and kept: integer numerators over one
@@ -158,10 +165,7 @@ def dot(pairs: Iterable, cap=None) -> "MSeries":
 
     Each pair runs ``_mac`` once, the shorter operand outside, numerators
     scaled to the lcm of the pairs' denominator products; one ``Rat`` is
-    built per nonzero sum.  Against the ``Rat`` product per term pair used
-    before, median ms per product (views built in the call / kept; 2-vCPU
-    Xeon, `fractions`): 31 x 31 terms, n=1, 100-bit: 3.8 vs 0.31 / 0.22;
-    100 x 100, n=3: 6.2 vs 0.91 / 0.67; 4 x 3, n=2: 0.040 vs 0.056 / 0.025."""
+    built per nonzero sum."""
     pairs = list(pairs)
     first = pairs[0][0]
     trunc = INF if cap is None else cap
@@ -631,7 +635,8 @@ def compose(f: MSeries, g, cap=None) -> MSeries:
 
     Every component of g must have z-order >= 1 (no constant term), since a
     constant term would make each truncated coefficient an infinite sum.
-    Parameters of f and g pass through untouched.
+    f must have no negative z-exponent.  Parameters of f and g pass
+    through untouched.
     """
     g = g if isinstance(g, PolyMap) else PolyMap(tuple(g))
     return compose_map_components([f], g, cap)[0]
@@ -653,6 +658,8 @@ def compose_map_components(fs: Sequence[MSeries], g: "PolyMap", cap=None):
         trunc = min(trunc, cap)
     n = f0.n
     zexps = list({e[:n] for f in fs for e in f.terms})
+    if any(x < 0 for e in zexps for x in e):
+        raise SubstitutionError("cannot substitute into a negative power of z")
     table = _power_table(zexps, g, trunc)
     # the parameter exponent of a term of f enters as an offset to the keys
     pspan = max((abs(x) for f in fs for e in f.terms for x in e[n:]), default=0)
@@ -841,19 +848,22 @@ def mat_mul(a, b, cap=None):
     return [[dot(zip(row, col), cap) for col in zip(*b)] for row in a]
 
 
-def label_fold(states: dict, vec, cap=None) -> dict:
+def label_fold(states: dict, vec, cap=None, keys=None) -> dict:
     """Extend label-multiset states by one vector of series: `states` maps
     sorted label tuples alpha to series, the result maps each sorted
     alpha + (k,) to the sum of states[alpha] * vec[k] that reach it, one
-    ``dot`` per multiset.  A factor or a resulting state is left out only
-    when ``known_zero`` through the cap.  The one fold of the tree sums
-    (``TreePolyCache``) and the multilinear form (``BForm``)."""
+    ``dot`` per multiset; with `keys`, only the multisets in `keys`.  A
+    factor or a resulting state is left out only when ``known_zero``
+    through the cap.  The one fold of the tree sums (``TreePolyCache``)
+    and the multilinear form (``BForm``)."""
     limit = INF if cap is None else cap
     live = [(k, u) for k, u in enumerate(vec) if not u.known_zero(limit)]
     pairs: dict = {}
     for alpha, state in states.items():
         for k, u in live:
-            pairs.setdefault(tuple(sorted(alpha + (k,))), []).append((state, u))
+            key = tuple(sorted(alpha + (k,)))
+            if keys is None or key in keys:
+                pairs.setdefault(key, []).append((state, u))
     folded = {a: dot(ps, cap) for a, ps in pairs.items()}
     return {a: s for a, s in folded.items() if not s.known_zero(limit)}
 

@@ -194,29 +194,25 @@ class TreePolyCache:
     labelings of S with that root label of the product over vertices v of
     H_{l(v)} differentiated once per child of v, in the child's label.
 
-    The children's part does not depend on the root label.  For a child
-    prefix (c_1, ..., c_k) the states map each sorted tuple alpha of child
-    root labels to the sum of q(c_1, l_1) ... q(c_k, l_k) over the labels
-    with that multiset.  Keyed by the prefix's child encodings, they are
-    folded from the states of (c_1, ..., c_{k-1}) and the root sums of c_k
-    by ``series.label_fold``, the fold ``BForm`` uses too.  Children are
-    sorted canonically, so every tree that starts with the same children
-    reuses their states, and q(S, j) is one ``dot`` of the states with the
-    mixed partials of H_j.  A factor or a state is left out only when zero
-    through the cap, so sums and truncations equal those of ``series_sum``
-    over the capped ``mul``s of the same pairs.
-
-    The states replaced a fold of the children rebuilt per root label and
-    tree, with the same sums: `invert_bcw` on the 96 seed-1 `wide` maps at
-    D=7 2.64 s before, 0.64 s after; on A10's dense cubic (n=3) at D=10
-    6698 ms before, 196 ms after (2-vCPU Xeon, `fractions`, median of 3).
+    The sum is a fold, then a contraction.  The children's part does not
+    depend on the root label.  For a child prefix (c_1, ..., c_k) the
+    states map each sorted tuple alpha of child root labels to the sum of
+    q(c_1, l_1) ... q(c_k, l_k) over the labels with that multiset.  Keyed
+    by the prefix's child encodings, they are folded from the states of
+    (c_1, ..., c_{k-1}) and the root sums of c_k by ``series.label_fold``.
+    Children are sorted canonically, so every tree that starts with the
+    same children reuses their states.  ``contract`` then pairs the states
+    with the mixed partials of H_j, which are memoized, in one ``dot``.
+    ``BForm`` evaluates the multilinear form with the same fold and
+    contraction.  A factor or a state is left out only when zero through
+    the cap, so sums and truncations equal those of ``series_sum`` over the
+    capped ``mul``s of the same pairs.
     """
 
     def __init__(self, h: PolyMap, cap=None):
         self.h = h
         self.n = h.n
         self.cap = cap
-        self.limit = INF if cap is None else cap
         self._q: dict = {}
         self._deriv: dict = {}
         self._states: dict = {(): {(): MSeries.const(self.n, ONE)}}
@@ -231,6 +227,15 @@ class TreePolyCache:
             hit = self.deriv(i, alpha[:-1]).diff(alpha[-1])
             self._deriv[key] = hit
         return hit
+
+    def contract(self, states: dict, i: int, cap=None) -> MSeries:
+        """sum_alpha states[alpha] * d^alpha H_i as one ``dot``.  A partial
+        is left out only when ``known_zero`` through the cap; with no pair
+        left the sum is zero, certified through the cap."""
+        limit = INF if cap is None else cap
+        pairs = [(s, self.deriv(i, a)) for a, s in states.items()]
+        pairs = [(s, d) for s, d in pairs if not d.known_zero(limit)]
+        return dot(pairs, cap) if pairs else MSeries.zero(self.n, limit)
 
     def _child_states(self, children: tuple) -> dict:
         """The states of a child prefix (see the class docstring), folded
@@ -248,14 +253,10 @@ class TreePolyCache:
     def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:
         key = (tree.key, i)
         hit = self._q.get(key)
-        if hit is not None:
-            return hit
-        states = self._child_states(tree.children)
-        pairs = [(w, self.deriv(i, a)) for a, w in states.items()]
-        pairs = [(w, d) for w, d in pairs if not d.known_zero(self.limit)]
-        zero = MSeries.zero(self.n, self.limit)
-        total = self._q[key] = dot(pairs, self.cap) if pairs else zero
-        return total
+        if hit is None:
+            states = self._child_states(tree.children)
+            hit = self._q[key] = self.contract(states, i, self.cap)
+        return hit
 
 
 def tree_poly(tree: RootedTree, h: PolyMap, i: int, cap=None) -> MSeries:
@@ -280,3 +281,22 @@ def tree_sums(h: PolyMap, degree: int):
     for size in range(1, degree):
         for tree in by_size[size]:
             yield tree, [cache.labeled_root_sum(tree, i) for i in range(h.n)]
+
+
+def tree_expansion(h: PolyMap, degree: int, weight, nparams: int = 0) -> PolyMap:
+    """z + sum over trees T of weight(T) * q_T through `degree`, where q_T
+    is the vector of labeled root sums of ``tree_sums`` and weight(T) a
+    series of n variables and `nparams` parameters.  Each component is one
+    ``dot``.  A root sum is left out only when ``known_zero`` through
+    `degree`, and weight(T) is called only for trees with one left in.
+    ``invert_bcw`` is the expansion with the constant weights 1/aut(T),
+    the formal flow the one with weights in a parameter t."""
+    one = MSeries.const(h.n, ONE, nparams=nparams)
+    pairs = [[(z_i, one)] for z_i in PolyMap.identity(h.n, trunc=degree, nparams=nparams)]
+    for tree, sums in tree_sums(h, degree):
+        live = [(i, q) for i, q in enumerate(sums) if not q.known_zero(degree)]
+        if live:
+            w = weight(tree)
+            for i, q in live:
+                pairs[i].append((q.with_params(nparams), w))
+    return PolyMap([dot(ps, degree) for ps in pairs])

@@ -3,13 +3,13 @@
 The oracle is the inclusion-exclusion identity
 d! B(U^1, ..., U^d) = sum over nonempty S of (-1)^{d-|S|} H(sum_{j in S} U^j),
 written here from ``compose``, ``+`` and ``scale`` only.  ``BForm``
-evaluates B from H's monomials instead, so the two share no code beyond
+evaluates B from H's mixed partials instead, so the two share no code beyond
 the series kernel.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forminv.inversion import BForm
@@ -91,3 +91,28 @@ def test_truncated_arguments_claim_nothing_unknown(case, degrees, cap):
             assert g.trunc <= cap
         assert g.terms == through(e.terms, g.trunc, h.n)
         assert g.trunc >= old.trunc
+
+
+@st.composite
+def truncated_forms(draw):
+    """A homogeneous H of degree d (n in 1..3, d in 2..4), each component
+    exact or truncated at some T >= d."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 4))
+    comps = []
+    for i in range(n):
+        comp = draw(polys(n, d, d, min_size=1 if i == 0 else 0))
+        trunc = draw(st.one_of(st.just(INF), st.integers(d, d + 3)))
+        comps.append(MSeries(n, trunc, comp.terms))
+    return PolyMap(comps)
+
+
+@SETTINGS
+@given(truncated_forms())
+@example(PolyMap([MSeries(1, 3, {(2,): Rat(1)})]))  # z^2 known through 3
+def test_diagonal_is_h_with_its_truncation(h):
+    # B(z, ..., z) = H: the d-th partials of H certify H's own truncation
+    got = BForm(h).apply([PolyMap.identity(h.n)] * h.homogeneous_degree())
+    for g, comp in zip(got.components, h.components):
+        assert g.terms == comp.terms
+        assert g.trunc == comp.trunc

@@ -134,6 +134,16 @@ class TestCompose:
         with pytest.raises(SubstitutionError):
             compose(f, g)
 
+    def test_negative_power_rejected(self):
+        # a Laurent outer series: there is no power g^-1 to build
+        f = series(1, {(-1,): 1, (2,): 1}, trunc=3)
+        g = PolyMap([series(1, {(1,): 1, (2,): 1}, trunc=5)])
+        with pytest.raises(SubstitutionError):
+            compose(f, g, cap=3)
+        f2 = PolyMap([series(2, {(1, -2): 1}), series(2, {(2, 0): 1})])
+        with pytest.raises(SubstitutionError):
+            f2.compose(PolyMap.identity(2))
+
     def test_associativity(self, rng):
         for _ in range(8):
             n = rng.choice((1, 2))
