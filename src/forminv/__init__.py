@@ -66,6 +66,7 @@ from .flow import (
     check_gpde,
     check_lemma31,
     check_newp,
+    check_pde,
     check_prop310,
     deformation_inverse,
     formal_flow,

@@ -11,6 +11,9 @@ Subcommands:
   bench  --deg-range A..B --methods LIST [--csv PATH]
 
 Maps are read as JSON documents (see mapdoc) from --input (default: stdin).
+invert, verify, flow and power take --format {text,json}; the symbolic flow
+(--t t) and the probe report print as text only, so flow --t t --format
+json is an input error and probe has no --format.
 Exit codes: 0 success, 1 verification failure, 2 input error.  All output
 is deterministic: exact arithmetic, canonical term order, and fixed
 aggregation order.
@@ -95,21 +98,16 @@ def _cmd_verify(args) -> int:
     elif args.suite == "euler":
         report = flow_mod.check_euler_identities(f.h, degree)
     else:  # pde
-        residual = flow_mod.pde_residual(flow_mod.deformation_inverse(f, degree))
-        report = flow_mod.Report(
-            f"deformation transport residual through degree {degree}"
-        )
-        report.add_equality(
-            "dN_t/dt - JN_t.N_t = 0",
-            residual,
-            PolyMap.zero(f.n, degree, nparams=1),
-            degree,
-        )
+        report = flow_mod.check_pde(f, degree)
     print(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_flow(args) -> int:
+    if args.t == "t" and args.format == "json":
+        raise ForminvError(
+            "--t t prints the symbolic flow only as text; use --format text"
+        )
     doc = _read_document(args.input)
     f = doc.to_mapf()
     degree = _degree(args, doc)
@@ -120,18 +118,9 @@ def _cmd_flow(args) -> int:
             raise ForminvError(str(exc)) from None
     fl = flow_mod.formal_flow(f, degree)
     if args.t == "t":
-        if args.format == "json":
-            print(
-                serialize_map(
-                    document_from_polymap(
-                        fl.map, degree, names=doc.names + ["t"]
-                    )
-                )
-            )
-        else:
-            print(fl.map.format(names=doc.names, param_names=["t"]))
-        return EXIT_OK
-    _print_map(fl.at(value).truncate(degree), degree, args.format, doc.names)
+        print(fl.map.format(names=doc.names, param_names=["t"]))
+    else:
+        _print_map(fl.at(value).truncate(degree), degree, args.format, doc.names)
     return EXIT_OK
 
 
@@ -214,13 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_deg=True):
+    def add_common(p):
         p.add_argument("--input", default="-", help="map document path, - for stdin")
-        if with_deg:
-            p.add_argument(
-                "--deg", type=int, default=None,
-                help="working degree (default: the document's D)",
-            )
+        p.add_argument(
+            "--deg", type=int, default=None,
+            help="working degree (default: the document's D)",
+        )
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="output format",
@@ -268,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="layer-vanishing experiment")
     p.add_argument("--layers", type=int, required=True)
-    add_common(p, with_deg=False)
+    p.add_argument("--input", default="-", help="map document path, - for stdin")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("bench", help="method comparison benchmark")

@@ -132,14 +132,35 @@ def pde_residual(dinv: GradedInverse) -> PolyMap:
 # -- identity checks -----------------------------------------------------------
 
 
+def check_pde(f: MapF, degree: int) -> Report:
+    """The transport equation dN_t/dt = JN_t . N_t, as the residual of
+    `pde_residual` compared with zero through `degree`."""
+    report = Report(f"deformation transport residual through degree {degree}")
+    report.add_equality(
+        "dN_t/dt - JN_t.N_t = 0",
+        pde_residual(deformation_inverse(f, degree)),
+        PolyMap.zero(f.n, degree, nparams=1),
+        degree,
+    )
+    return report
+
+
 def check_lemma31(f: MapF, degree: int) -> Report:
     """Composition identities of the deformed inverse and the matching
     nilpotency behaviour of JH and JN_t.
 
     N_t through `degree` suffices: F_t and G_t have order 1, so composing
     with them certifies through `degree`, and JN_t, certified through
-    `degree` - 1, composes to the degree its identity compares.  The
-    nilpotency item reads JN_t's index through truncation, from powers
+    `degree` - 1, composes to the degree its identity compares.
+
+    Lemma 3.1's JN_t(F_t) = JH (I - tJH)^(-1) = sum_k JH^k t^(k-1) is
+    checked in its product form JN_t(F_t) . JF_t = JH, with JF_t = I - tJH:
+    one matrix product.  JF_t is invertible with constant part I, so the
+    product form fails on exactly the maps the sum form fails on, in the
+    same row; a wrong entry also reaches the other entries of its row, one
+    z-degree or more higher.
+
+    The nilpotency item reads JN_t's index through truncation, from powers
     cut at `degree` - 1, so a non-nilpotent JH can seem to have an index
     there (the known defect on ROADMAP.md's list)."""
     n = f.n
@@ -155,18 +176,14 @@ def check_lemma31(f: MapF, degree: int) -> Report:
     report.add_equality("H(G_t) = N_t", h_of_gt, dinv.n_t, degree)
 
     jn = dinv.n_t.jacobian()
-    flat = [entry for row in jn for entry in row]
-    composed = compose_map_components(flat, f_t, cap=degree - 1)
+    flat = compose_map_components([e for row in jn for e in row], f_t, cap=degree - 1)
+    composed = [flat[i * n : (i + 1) * n] for i in range(n)]
+    product = mat_mul(composed, f_t.jacobian(), cap=degree - 1)
     jh = f.h.jacobian()
-    jh_t = power = [[e.with_params(1) for e in row] for row in jh]
-    terms = []  # terms[k-1]: the entries of JH^k t^(k-1), row by row
-    for k in range(1, degree + 1):
-        terms.append([e.shift_param(0, k - 1) for row in power for e in row])
-        if k < degree:
-            power = mat_mul(power, jh_t, cap=degree - 1)
-    target = (series_sum(parts).truncate(degree - 1) for parts in zip(*terms))
+    lhs = [e for row in product for e in row]
+    rhs = [e.with_params(1) for row in jh for e in row]
     failure = None
-    diff = first_mismatch(zip(composed, target), through=degree - 1)
+    diff = first_mismatch(zip(lhs, rhs), through=degree - 1)
     if diff is not None:
         idx, exp, va, vb = diff
         failure = f"entry ({idx // n + 1},{idx % n + 1}), exponent {exp}: {va} vs {vb}"
@@ -194,12 +211,14 @@ def check_lemma31(f: MapF, degree: int) -> Report:
 def _nilpotency_index(mat, n, degree=INF) -> Optional[int]:
     """Index of a matrix whose powers vanish through z-degree `degree`
     (all of it for an exact polynomial matrix), or None.  Over the integral
-    domain Q[z] a nilpotent matrix has index at most n."""
+    domain Q[z] a nilpotent matrix has index at most n, so only the powers
+    up to the n-th are built."""
     power = mat
     for k in range(1, n + 1):
         if all(entry.is_zero_through(degree) for row in power for entry in row):
             return k
-        power = mat_mul(power, mat, cap=degree)
+        if k < n:
+            power = mat_mul(power, mat, cap=degree)
     return None
 
 
@@ -332,7 +351,8 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     """The homogeneous-H identities tying N_t to JN_t through Euler's
     formula, including the two expansions of N_t and dN_t/dt in powers
     of JN_t applied to z.  The vectors JN_t^k z come by matrix-vector
-    steps, JN_t^k z = JN_t (JN_t^(k-1) z), each capped at `degree`."""
+    steps, JN_t^k z = JN_t (JN_t^(k-1) z), each capped at `degree`, and
+    the dN_t/dt expansion is JN_t times the N_t expansion."""
     d = h.homogeneous_degree()
     if d is None or d < 2:
         raise HomogeneityError("needs homogeneous H of degree >= 2")
@@ -352,30 +372,22 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     rhs2 = n_t.scale(d) + jn_nt.shift_param(0).scale(d - 1)
     report.add_equality("JN_t z = d(I + ((d-1)t/d) JN_t) N_t", lhs2, rhs2, degree)
 
-    # expansions in powers of JN_t . z; the k-th term has z-order >= k+1
-    ratio = Rat(d - 1, d)
-    jnk_z = [lhs2]  # JN_t^k z for k = 1..degree
-    for _ in range(1, degree):
-        jnk_z.append(PolyMap(mat_vec(jn, jnk_z[-1].components, cap=degree)))
-    zero = PolyMap.zero(n, degree, nparams=1)
-    terms1, terms2 = [zero], [zero]
+    # the expansion of N_t in powers of JN_t . z; the k-th term has z-order
+    # >= k+1, and JN_t times it is the expansion of dN_t/dt
+    terms, power = [PolyMap.zero(n, degree, nparams=1)], lhs2  # power: JN_t^k z
     for k in range(1, degree):
-        coeff = (-ratio) ** (k - 1)
-        terms1.append(jnk_z[k - 1].shift_param(0, k - 1).scale(coeff))
-        terms2.append(jnk_z[k].shift_param(0, k - 1).scale(coeff))
-    sum1 = PolyMap(map(series_sum, zip(*terms1)))
-    sum2 = PolyMap(map(series_sum, zip(*terms2)))
+        if k > 1:
+            power = PolyMap(mat_vec(jn, power.components, cap=degree))
+        terms.append(power.shift_param(0, k - 1).scale(Rat(1 - d, d) ** (k - 1)))
+    expansion = PolyMap(map(series_sum, zip(*terms))).scale(Rat(1, d))
     report.add_equality(
-        "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z",
-        n_t,
-        sum1.scale(Rat(1, d)),
-        degree,
+        "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z", n_t, expansion, degree
     )
     dn_dt = PolyMap(tuple(c.pdiff(0) for c in n_t.components))
     report.add_equality(
         "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
         dn_dt,
-        sum2.scale(Rat(1, d)),
+        PolyMap(mat_vec(jn, expansion.components, cap=degree)),
         degree,
     )
     return report

@@ -396,27 +396,22 @@ class MSeries:
         certified degree drops by one."""
         if not 0 <= i < self.n:
             raise DimensionMismatch(f"variable index {i} out of range for n={self.n}")
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                e2 = e[:i] + (k - 1,) + e[i + 1 :]
-                out[e2] = c * k
-        trunc = self.trunc if self.trunc == INF else self.trunc - 1
-        return MSeries(self.n, trunc, out, self.nparams)
+        return self._diff_at(i, self.trunc if self.trunc == INF else self.trunc - 1)
 
     def pdiff(self, j: int) -> "MSeries":
         """Derivative in the j-th parameter; z-precision is unchanged."""
         if not 0 <= j < self.nparams:
             raise DimensionMismatch(f"parameter index {j} out of range")
-        pos = self.n + j
+        return self._diff_at(self.n + j, self.trunc)
+
+    def _diff_at(self, pos: int, trunc) -> "MSeries":
+        """Derivative in exponent position `pos`, certified through `trunc`."""
         out = {}
         for e, c in self.terms.items():
             k = e[pos]
             if k:
-                e2 = e[:pos] + (k - 1,) + e[pos + 1 :]
-                out[e2] = c * k
-        return MSeries(self.n, self.trunc, out, self.nparams)
+                out[e[:pos] + (k - 1,) + e[pos + 1 :]] = c * k
+        return MSeries(self.n, trunc, out, self.nparams)
 
     # -- parameter handling ---------------------------------------------------
 

@@ -4,6 +4,7 @@ import builtins
 
 import pytest
 
+from forminv import flow
 from forminv.cli import run_command
 from forminv.series import MapF
 
@@ -59,6 +60,25 @@ def test_probe_layers_below_one(capsys, catalan_path, layers):
     captured = capsys.readouterr()
     assert f"error: --layers must be >= 1, got {layers}" in captured.err
     assert captured.out == ""
+
+
+def test_symbolic_flow_has_no_json_output(monkeypatch, capsys, catalan_path):
+    def not_reached(f, degree):
+        raise AssertionError("formal_flow ran")
+
+    monkeypatch.setattr(flow, "formal_flow", not_reached)
+    argv = ["flow", "--t", "t", "--format", "json", "--input", catalan_path]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert "--format text" in captured.err
+    assert captured.out == ""
+
+
+def test_probe_has_no_format_option(capsys, catalan_path):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["probe", "--layers", "6", "--format", "json", "--input", catalan_path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bench_runs_below_one(capsys, catalan_path):

@@ -7,6 +7,7 @@ attribute (``series._pack``); a private helper that only refers to itself
 counts as unreferenced.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -77,3 +78,49 @@ def test_every_private_helper_is_referenced():
             if not any(helper in r for key, r in refs.items() if key != (name, i)):
                 unused.append(f"{name}:{helper}")
     assert not unused, f"private helpers that nothing references: {unused}"
+
+
+def test_every_cli_option_is_read():
+    """Each option a ``forminv`` subcommand defines is read as
+    ``args.<dest>`` by the subcommand's handler or by a ``cli`` function
+    the handler calls (``_degree`` reads ``--deg``), so no option is
+    accepted and then ignored."""
+    from forminv.cli import build_parser
+
+    functions = {
+        stmt.name: stmt
+        for stmt in MODULES["cli.py"].body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+
+    def reads(name, seen):
+        if name in seen:
+            return set()
+        seen.add(name)
+        out = set()
+        for sub in ast.walk(functions[name]):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "args"
+            ):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in functions:
+                out |= reads(sub.func.id, seen)
+        return out
+
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    unread = []
+    for command, parser in commands.items():
+        read = reads(parser.get_default("func").__name__, set())
+        unread += [
+            f"{command} {action.option_strings[0]}"
+            for action in parser._actions
+            if action.option_strings and action.dest != "help" and action.dest not in read
+        ]
+    assert len(commands) == 7
+    assert not unread, f"options that no handler reads: {unread}"
