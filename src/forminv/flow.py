@@ -156,9 +156,10 @@ def check_lemma31(f: MapF, degree: int) -> Report:
     Lemma 3.1's JN_t(F_t) = JH (I - tJH)^(-1) = sum_k JH^k t^(k-1) is
     checked in its product form JN_t(F_t) . JF_t = JH, with JF_t = I - tJH:
     one matrix product.  JF_t is invertible with constant part I, so the
-    product form fails on exactly the maps the sum form fails on, in the
-    same row; a wrong entry also reaches the other entries of its row, one
-    z-degree or more higher.
+    product form fails on exactly the maps the sum form fails on.  Its first
+    failure lies in the same row, but a wrong entry also reaches the other
+    entries of that row one z-degree or more higher, so it can name an
+    earlier entry there.
 
     The nilpotency item reads JN_t's index through truncation, from powers
     cut at `degree` - 1, so a non-nilpotent JH can seem to have an index
