@@ -2,7 +2,7 @@
 
 Times every whole-map method on a dense homogeneous cubic in three
 variables across a range of truncation degrees, verifies that all results
-hash-agree, and prints the observed ranking (reported, never asserted -
+agree coefficient for coefficient, and prints the observed ranking (reported, never asserted -
 which method wins depends on the shape of H).  Also runs the
 layer-vanishing probe on a nilpotent example.
 

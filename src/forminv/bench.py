@@ -1,11 +1,15 @@
 """Benchmark harness comparing the inversion methods.
 
-Per (input, method, degree) cell: wall time as the median of a fixed
-number of runs, size of the resulting series, and a hash of its canonical
-serialization.  All methods run on the same input must hash-agree or the
-whole benchmark aborts with a diagnostic; timings are never reported for
-results that failed agreement.  Cells run one after another in one
-process, so no cell is timed while another competes for the CPU.
+Each (input, degree) cell is one ``inversion.run_methods`` call: every
+applicable method runs a fixed number of times, and its inverse must
+equal the first method's coefficient for coefficient through the degree
+as soon as it exists.  A disagreement aborts the benchmark at that cell,
+naming the input, the degree, both methods and the first differing
+coefficient, so no timing is reported for results that failed agreement.
+Per (input, method, degree) the record holds the median wall time, the
+size of the agreed inverse and a hash of its canonical serialization.
+Cells run one after another in one process, so no cell is timed while
+another competes for the CPU.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ import csv
 import hashlib
 import io
 import statistics
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MethodDisagreement
-from .inversion import METHODS, applicable_methods
+from .inversion import applicable_methods, run_methods
 from .mapdoc import serialize_polymap
 from .series import MapF
 
@@ -53,66 +56,46 @@ class SkipNote:
     reason: str
 
 
-def agreement_hash(g, degree) -> str:
-    return hashlib.sha256(
-        serialize_polymap(g.truncate(degree), degree).encode()
-    ).hexdigest()[:16]
-
-
-def _run_cell(input_id, f, method, degree, runs):
-    times = []
-    g = None
-    for _ in range(runs):
-        start = time.perf_counter()
-        g = METHODS[method](f, degree)
-        times.append((time.perf_counter() - start) * 1000.0)
-    g = g.truncate(degree)
-    return BenchRecord(
-        input_id=input_id,
-        method=method,
-        degree=degree,
-        millis=statistics.median(times),
-        terms=sum(len(c.terms) for c in g.components),
-        agree_hash=agreement_hash(g, degree),
-    )
-
-
 def run_bench(
     inputs: Sequence[tuple[str, MapF]],
     methods: Sequence[str],
     degrees: Sequence[int],
     runs: int = 3,
 ) -> tuple[list[BenchRecord], list[SkipNote]]:
-    """Execute the benchmark grid.  Inapplicable method/input pairs (e.g.
-    the homogeneous-only recurrence on a mixed-degree map) are skipped with
-    a note rather than failing the run."""
+    """Execute the benchmark grid, one (input, degree) cell at a time.
+    Inapplicable method/input pairs (e.g. the homogeneous-only recurrence
+    on a mixed-degree map) are skipped with a note rather than failing the
+    run.  Records come per input, then method, then degree."""
     records = []
     skips = []
     for input_id, f in inputs:
-        usable = set(applicable_methods(f, methods))
-        for method in methods:
-            if method not in usable:
-                skips.append(
-                    SkipNote(input_id, method, "precondition not met, skipped")
+        usable = applicable_methods(f, methods)
+        skips.extend(
+            SkipNote(input_id, method, "precondition not met, skipped")
+            for method in methods
+            if method not in usable
+        )
+        if not usable:
+            continue
+        by_method = {name: [] for name in usable}
+        for degree in degrees:
+            try:
+                results = run_methods(f, degree, usable, runs)
+            except MethodDisagreement as exc:
+                raise MethodDisagreement(
+                    f"input {input_id!r} at degree {degree}: {exc}"
+                ) from None
+            g = results[0][1]
+            terms = sum(len(c.terms) for c in g.components)
+            digest = hashlib.sha256(serialize_polymap(g, degree).encode()).hexdigest()
+            for name, _, times in results:
+                millis = statistics.median(times)
+                by_method[name].append(
+                    BenchRecord(input_id, name, degree, millis, terms, digest[:16])
                 )
-                continue
-            for degree in degrees:
-                records.append(_run_cell(input_id, f, method, degree, runs))
-    _check_agreement(records)
+        for cells in by_method.values():
+            records.extend(cells)
     return records, skips
-
-
-def _check_agreement(records: list[BenchRecord]):
-    by_cell: dict = {}
-    for r in records:
-        by_cell.setdefault((r.input_id, r.degree), []).append(r)
-    for (input_id, degree), group in by_cell.items():
-        hashes = {r.agree_hash for r in group}
-        if len(hashes) > 1:
-            details = ", ".join(f"{r.method}={r.agree_hash}" for r in group)
-            raise MethodDisagreement(
-                f"hash mismatch on input {input_id!r} at degree {degree}: {details}"
-            )
 
 
 def to_csv(records: Sequence[BenchRecord]) -> str:

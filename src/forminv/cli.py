@@ -166,9 +166,13 @@ def _cmd_bench(args) -> int:
         inputs.append((str(label), doc.to_mapf()))
     degrees = _parse_degree_range(args.deg_range)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
+    if not methods:
+        raise ForminvError(f"--methods {args.methods!r} names no method")
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ForminvError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ForminvError(f"--methods names {m!r} twice")
     records, skips = bench_mod.run_bench(inputs, methods, degrees, runs=args.runs)
     print(bench_mod.to_table(records, skips))
     if args.csv:
@@ -179,7 +183,8 @@ def _cmd_bench(args) -> int:
 
 
 def _parse_degree_range(spec: str) -> list[int]:
-    """'A..B[:S]' or 'A,B,...'; a range with no degree, or one below 1, is bad."""
+    """'A..B[:S]' or 'A,B,...'; a range with no degree, one below 1 or one
+    listed twice is bad."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -192,6 +197,8 @@ def _parse_degree_range(spec: str) -> list[int]:
         degrees = []
     if not degrees or min(degrees) < 1:
         raise ForminvError(f"bad degree range {spec!r}")
+    if len(set(degrees)) < len(degrees):
+        raise ForminvError(f"bad degree range {spec!r}: a degree repeats")
     return degrees
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .errors import HomogeneityError, NilpotencyError
@@ -511,21 +512,11 @@ def symmetry_detector(h: PolyMap) -> tuple[bool, str]:
     deformation transport equation dN/dt = JN . N is exactly the
     n-dimensional inviscid Burgers system for this input."""
     jh = h.jacobian()
-    n = h.n
-    symmetric = all(
-        jh[i][j].terms == jh[j][i].terms for i in range(n) for j in range(i + 1, n)
+    pairs = combinations(range(h.n), 2)
+    witness = next(((i, j) for i, j in pairs if jh[i][j].terms != jh[j][i].terms), None)
+    if witness is not None:
+        return False, f"JH is not symmetric: entries {witness} differ"
+    return True, (
+        "JH is symmetric (gradient map): the deformation transport "
+        "equation is the n-dimensional inviscid Burgers system"
     )
-    if symmetric:
-        note = (
-            "JH is symmetric (gradient map): the deformation transport "
-            "equation is the n-dimensional inviscid Burgers system"
-        )
-    else:
-        witness = next(
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if jh[i][j].terms != jh[j][i].terms
-        )
-        note = f"JH is not symmetric: entries {witness} differ"
-    return symmetric, note

@@ -491,6 +491,28 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
+def run_methods(f: MapF, degree: int, names: Sequence[str], runs: int = 1):
+    """The one loop that runs and compares the inversion methods.
+
+    Runs each named method `runs` times, in `names` order, timing each run
+    of ``METHODS[name](f, degree).truncate(degree)`` in milliseconds, and
+    checks each inverse against the first method's as soon as it exists:
+    the first disagreement raises MethodDisagreement naming both methods
+    and the first differing coefficient, before any later method runs.
+    Returns one (name, inverse, times_ms) per method, in `names` order."""
+    out = []
+    for name in names:
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            g = METHODS[name](f, degree).truncate(degree)
+            times.append((time.perf_counter() - start) * 1000.0)
+        if out:
+            _require_equal(out[0][1], g, degree, out[0][0], name)
+        out.append((name, g, times))
+    return out
+
+
 def cross_check(
     f: MapF, degree: int, methods: Optional[Sequence[str]] = None
 ) -> CrossCheckReport:
@@ -502,18 +524,11 @@ def cross_check(
     if not names:
         raise ValueError("no applicable methods selected")
     report = CrossCheckReport(degree=degree)
-    results: list[PolyMap] = []
-    for name in names:
-        start = time.perf_counter()
-        g = METHODS[name](f, degree).truncate(degree)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        report.runs.append(
-            MethodRun(name, elapsed, sum(len(c.terms) for c in g.components))
-        )
-        results.append(g)
-    base = results[0]
-    for name, g in zip(names[1:], results[1:]):
-        _require_equal(base, g, degree, names[0], name)
+    results = run_methods(f, degree, names)
+    for name, g, (millis,) in results:
+        terms = sum(len(c.terms) for c in g.components)
+        report.runs.append(MethodRun(name, millis, terms))
+    base = results[0][1]
     fg = f.map.compose(base, cap=degree)
     if not fg.is_identity_through(degree):
         raise MethodDisagreement(

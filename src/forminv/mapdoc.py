@@ -154,7 +154,7 @@ def parse_map(text: str) -> MapDocument:
 
 
 def document_from_polymap(
-    m: PolyMap, degree: int, names: Optional[list] = None, metadata: Optional[dict] = None
+    m: PolyMap, degree: int, names: Optional[list] = None
 ) -> MapDocument:
     comps = [list(c.terms.items()) for c in m.components]
     return MapDocument(
@@ -162,7 +162,6 @@ def document_from_polymap(
         degree=degree,
         components=comps,
         names=list(names) if names else [],
-        metadata=dict(metadata or {}),
     )
 
 

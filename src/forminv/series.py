@@ -43,6 +43,10 @@ asserts its truncation, ``unit_inverse`` included.  ``series_sum`` is
 the one way other series are summed, ``+`` included, so no other module
 accumulates terms or restates the truncation rule of a sum.  No stored
 coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
+Composition keeps its own ``_mac`` driver, and ``series_sum`` its
+``_collect``, because routing either through ``dot`` measured slower: it
+builds one ``MSeries`` and one packed view per outer term, or repacks the
+large part of an unbalanced ``+``.
 
 Products and compositions run on a *packed view* of each operand
 (``_pack``), built on first use and kept: integer numerators over one

@@ -40,3 +40,22 @@ def test_disagreement_aborts(shear, monkeypatch):
     with pytest.raises(MethodDisagreement):
         run_bench([("shear", shear)], ("fixed", "recurrent"), (4,), runs=1)
 
+
+
+def test_disagreement_stops_at_the_first_cell(shear, monkeypatch):
+    called = []
+
+    def corrupt(f, degree):
+        called.append(degree)
+        g = invert_fixed_point(f, degree)
+        bad = g.components[0] + MSeries.monomial(2, (1, 1), 1, degree)
+        return PolyMap([bad, g.components[1]])
+
+    monkeypatch.setitem(METHODS, "recurrent", corrupt)
+    with pytest.raises(MethodDisagreement) as exc:
+        run_bench([("shear", shear)], ("fixed", "recurrent"), (4, 6), runs=1)
+    message = str(exc.value)
+    assert "input 'shear' at degree 4" in message
+    assert "methods 'fixed' and 'recurrent'" in message
+    assert "component 1, exponent (1, 1): 0 vs 1" in message
+    assert called == [4]

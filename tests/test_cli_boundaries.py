@@ -113,6 +113,31 @@ def test_bench_bad_degree_range(capsys, catalan_path, spec):
     assert f"error: bad degree range '{spec}'" in capsys.readouterr().err
 
 
+def test_bench_repeated_degree(capsys, catalan_path):
+    code = run_command(["bench", "--deg-range", "3,3", "--input", catalan_path, "--runs", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: bad degree range '3,3': a degree repeats" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["", " , "])
+def test_bench_empty_method_list(capsys, catalan_path, spec):
+    argv = ["bench", "--deg-range", "3", "--methods", spec, "--input", catalan_path]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: --methods {spec!r} names no method" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_repeated_method(capsys, catalan_path):
+    argv = ["bench", "--deg-range", "3", "--methods", "fixed,ag,fixed", "--input", catalan_path]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: --methods names 'fixed' twice" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("t", ["abc", "1/0", "0.5"])
 def test_flow_invalid_rational(capsys, catalan_path, t):
     assert run_command(["flow", "--t", t, "--input", catalan_path]) == 2
