@@ -43,7 +43,7 @@ asserts its truncation, ``unit_inverse`` included.  ``series_sum`` is
 the one way other series are summed, ``+`` included, so no other module
 accumulates terms or restates the truncation rule of a sum.  No stored
 coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
-Composition keeps its own ``_mac`` driver, and ``series_sum`` its
+Composition runs ``_mac`` itself, and ``series_sum`` keeps its
 ``_collect``, because routing either through ``dot`` measured slower: it
 builds one ``MSeries`` and one packed view per outer term, or repacks the
 large part of an unbalanced ``+``.
