@@ -162,8 +162,10 @@ def _cmd_bench(args) -> int:
     inputs = []
     for idx, path in enumerate(args.input):
         doc = _read_document(path)
-        label = doc.metadata.get("id") or (path if path != "-" else f"input{idx}")
-        inputs.append((str(label), doc.to_mapf()))
+        label = str(doc.metadata.get("id") or (path if path != "-" else f"input{idx}"))
+        if label in (seen for seen, _ in inputs):
+            raise ForminvError(f"--input {path!r} repeats input {label!r}")
+        inputs.append((label, doc.to_mapf()))
     degrees = _parse_degree_range(args.deg_range)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:

@@ -82,8 +82,7 @@ class Report:
         failure = None
         diff = first_mismatch(zip(lhs.components, rhs.components), through=degree)
         if diff is not None:
-            i, exp, va, vb = diff
-            failure = f"component {i + 1}, exponent {exp}: {va} vs {vb}"
+            failure = f"component {diff[0] + 1}, {diff[1]}"
         self.add(name, failure is None, detail, failure)
 
     def to_dict(self):
@@ -187,8 +186,8 @@ def check_lemma31(f: MapF, degree: int) -> Report:
     failure = None
     diff = first_mismatch(zip(lhs, rhs), through=degree - 1)
     if diff is not None:
-        idx, exp, va, vb = diff
-        failure = f"entry ({idx // n + 1},{idx % n + 1}), exponent {exp}: {va} vs {vb}"
+        idx, text = diff
+        failure = f"entry ({idx // n + 1},{idx % n + 1}), {text}"
     report.add(
         "JN_t(F_t) = sum_k JH^k t^(k-1)",
         failure is None,

@@ -43,6 +43,9 @@ asserts its truncation, ``unit_inverse`` included.  ``series_sum`` is
 the one way other series are summed, ``+`` included, so no other module
 accumulates terms or restates the truncation rule of a sum.  No stored
 coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
+``first_mismatch`` is the one comparison of series through a degree: both
+``eq_through`` and every method-agreement, fixed-point and identity check
+call it, and it names the first differing coefficient.
 Composition runs ``_mac`` itself, and ``series_sum`` keeps its
 ``_collect``, because routing either through ``dot`` measured slower: it
 builds one ``MSeries`` and one packed view per outer term, or repacks the
@@ -289,10 +292,7 @@ class MSeries:
         return all(self.zdeg(e) > degree for e in self.terms)
 
     def eq_through(self, other: "MSeries", degree) -> bool:
-        self._check_compat(other)
-        self._require_precision(degree)
-        other._require_precision(degree)
-        return self._dict_through(degree) == other._dict_through(degree)
+        return first_mismatch([(self, other)], degree) is None
 
     def _dict_through(self, degree):
         return {e: c for e, c in self.terms.items() if self.zdeg(e) <= degree}
@@ -768,9 +768,7 @@ class PolyMap:
         return [[c.diff(j) for j in range(self.n)] for c in self.components]
 
     def eq_through(self, other: "PolyMap", degree) -> bool:
-        return all(
-            a.eq_through(b, degree) for a, b in zip(self.components, other.components)
-        )
+        return first_mismatch(zip(self.components, other.components), degree) is None
 
     def is_identity_through(self, degree) -> bool:
         return self.eq_through(PolyMap.identity(self.n, nparams=self.nparams), degree)
@@ -943,16 +941,23 @@ def jacobian_det(m: PolyMap, cap=None) -> MSeries:
 
 
 def first_mismatch(pairs, through=None):
-    """First (index, exponent, a_value, b_value), exponents in graded-lex
-    order, where the paired series differ through `through` (else through
-    their lesser truncation), or None; the index counts the pairs."""
+    """The one comparison of truncated series: the first pair whose two
+    series differ through `through` (else through their lesser
+    truncation), as (index, "exponent e: a vs b") with its first differing
+    exponent in graded-lex order, or None; the index counts the pairs.
+    Raises DimensionMismatch on a pair of different layouts and
+    TruncationError on a series not certified through the degree."""
     for i, (a, b) in enumerate(pairs):
+        a._check_compat(b)
         degree = min(a.trunc, b.trunc) if through is None else through
         a._require_precision(degree)
         b._require_precision(degree)
         da = a._dict_through(degree)
         db = b._dict_through(degree)
-        for e in sorted(set(da) | set(db), key=_grlex_key(a.n)):
-            if da.get(e, ZERO) != db.get(e, ZERO):
-                return i, e, da.get(e, ZERO), db.get(e, ZERO)
+        if da != db:
+            exp = min(
+                (e for e in da.keys() | db.keys() if da.get(e) != db.get(e)),
+                key=_grlex_key(a.n),
+            )
+            return i, f"exponent {exp}: {da.get(exp, ZERO)} vs {db.get(exp, ZERO)}"
     return None

@@ -36,3 +36,31 @@ def test_summary_counts_wins_in_the_better_direction():
     assert p50["parent"]["median"] == 11.5 and p50["change"]["median"] == 6.5
     assert p50["median_gain_exceeds_parent_iqr"]
     assert summary["jobs_per_kref"]["change_better_in"] == "3/4"
+    assert p50["within_bound"] and p50["unresolved"]
+    assert summary["jobs_per_kref"]["within_bound"]
+    assert not summary["jobs_per_kref"]["unresolved"]
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, within_bound, unresolved",
+    [
+        # narrow parent spread: the bound decides
+        ([10.0, 10.1, 10.2, 10.3], [11.9, 12.0, 12.1, 12.2], "lower", True, False),
+        ([10.0, 10.1, 10.2, 10.3], [12.9, 13.0, 13.1, 13.2], "lower", False, False),
+        ([10.0, 10.1, 10.2, 10.3], [7.7, 7.8, 7.9, 8.0], "higher", False, False),
+        ([10.0, 10.1, 10.2, 10.3], [8.3, 8.4, 8.5, 8.6], "higher", True, False),
+        # parent spread wider than the bound: unresolved either way ...
+        ([8.0, 10.0, 12.0, 14.0], [9.0, 11.0, 13.0, 15.0], "lower", True, True),
+        ([8.0, 10.0, 12.0, 14.0], [12.0, 14.0, 16.0, 18.0], "lower", False, True),
+        # ... unless every change run beats every parent run
+        ([8.0, 10.0, 12.0, 14.0], [4.0, 5.0, 6.0, 7.0], "lower", True, False),
+        ([8.0, 10.0, 12.0, 14.0], [15.0, 16.0, 17.0, 18.0], "higher", True, False),
+    ],
+)
+def test_summary_marks_bound_and_unresolved(parent, change, better, within_bound, unresolved):
+    metrics = [{"name": "m", "better": better, "bound": 0.2}]
+    pairs = [{"parent": {"metrics": {"m": p}}, "change": {"metrics": {"m": c}}}
+             for p, c in zip(parent, change)]
+    summary = bench_pairs.workload_summary(pairs, metrics)["m"]
+    assert summary["within_bound"] is within_bound
+    assert summary["unresolved"] is unresolved

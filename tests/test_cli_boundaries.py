@@ -138,6 +138,21 @@ def test_bench_repeated_method(capsys, catalan_path):
     assert captured.out == ""
 
 
+def test_bench_repeated_input(capsys, tmp_path, catalan_path):
+    # the same path twice, or two documents with the same metadata.id
+    named = []
+    for name in ("a.json", "b.json"):
+        p = tmp_path / name
+        p.write_text(CATALAN_DOC[:-1] + ',"metadata":{"id":"catalan"}}')
+        named.append(str(p))
+    for paths, label in [([catalan_path] * 2, catalan_path), (named, "catalan")]:
+        argv = ["bench", "--deg-range", "3", "--methods", "fixed,ag", "--runs", "1"]
+        assert run_command(argv + [x for p in paths for x in ("--input", p)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --input {paths[1]!r} repeats input {label!r}" in captured.err
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("t", ["abc", "1/0", "0.5"])
 def test_flow_invalid_rational(capsys, catalan_path, t):
     assert run_command(["flow", "--t", t, "--input", catalan_path]) == 2

@@ -339,6 +339,20 @@ class TestCrossCheck:
             cross_check(catalan_map, 6)
         assert "exponent (3,)" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "h, where",
+        [
+            ([mono(1, (2,))], "component 1, exponent (2,)"),
+            ([MSeries.zero(2), mono(2, (2, 0))], "component 2, exponent (2, 0)"),
+        ],
+    )
+    def test_identity_check_names_the_first_difference(self, monkeypatch, h, where):
+        # G = z is no inverse of z - H, so F(G) = z - H differs from z
+        monkeypatch.setitem(METHODS, "fixed", lambda f, d: PolyMap.identity(f.n, trunc=d))
+        with pytest.raises(MethodDisagreement) as err:
+            cross_check(MapF(PolyMap(h)), 4, ["fixed"])
+        assert str(err.value) == f"F(G) differs from z at {where}: -1 vs 0"
+
 
 # -- properties against the recurrent layers -----------------------------------
 

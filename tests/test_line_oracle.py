@@ -1,9 +1,10 @@
 """F(G) = z for every method, checked outside ``MSeries`` on a random line.
 
-Each method's inverse G of a corpus map F = z - H is read through
-``.terms`` only.  On a line z = c*x with rational c, every component of G
-and of H becomes a polynomial in the one variable x, held here as a list
-of ``fractions.Fraction`` coefficients, and F(G(c*x)) = G(c*x) - H(G(c*x))
+Each method's inverse G of a map F = z - H (the acceptance corpus, and
+seeded homogeneous maps with n = 2, 3) is read through ``.terms`` only.
+On a line z = c*x with rational c, every component of G and of H becomes
+a polynomial in the one variable x, held here as a list of
+``fractions.Fraction`` coefficients, and F(G(c*x)) = G(c*x) - H(G(c*x))
 must equal c*x through x^D.  A nonzero homogeneous part of F(G) - z of
 degree k vanishes at a random c only if c lies on a degree-k hypersurface,
 so one line per map is a strong check; it runs no series operation of the
@@ -17,10 +18,15 @@ from fractions import Fraction
 import pytest
 
 from forminv.inversion import METHODS, applicable_methods
-from forminv.randmaps import acceptance_corpus
+from forminv.randmaps import acceptance_corpus, random_h
+from forminv.series import MapF
 
 D = 5
-CORPUS = acceptance_corpus(50)
+# every homogeneous corpus map has n = 1; these run `homog` on n = 2, 3
+_RNG = random.Random("line-oracle-homogeneous")
+MAPS = acceptance_corpus(50) + [
+    MapF(random_h(_RNG, n, homogeneous_degree=d)) for n in (2, 3) for d in (2, 3)
+]
 
 
 def _fraction(c) -> Fraction:
@@ -61,7 +67,7 @@ def _substitute(terms: dict, args: list) -> list:
 def test_inverse_on_a_random_line(method):
     rng = random.Random(f"line-oracle-{method}")
     checked = 0
-    for index, f in enumerate(CORPUS):
+    for index, f in enumerate(MAPS):
         if method not in applicable_methods(f, [method]):
             continue
         if method == "jacobi" and f.n > 2:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from forminv.errors import SubstitutionError, TruncationError
 from forminv.flow import formal_flow
-from forminv.inversion import invert_bcw, invert_fixed_point
+from forminv.inversion import METHODS, applicable_methods, invert_bcw, invert_fixed_point
 from forminv.laurent import laurent_inv_power
 from forminv.rat import Rat
 from forminv.series import INF, MapF, MSeries, PolyMap, compose, unit_inverse
@@ -183,6 +183,32 @@ def test_tree_expansions_truncated_h(f, cut, degree):
     assert flow.trunc == flow.map.trunc <= fixed
     for got, want in [*zip(bcw, exact), *zip(flow.map, exact_flow.map)]:
         assert got.terms == through(want.terms, got.trunc, f.n)
+
+
+@SETTINGS
+@given(
+    exact_maps(),
+    st.lists(st.one_of(st.none(), st.integers(2, 5)), min_size=2, max_size=2),
+    st.integers(2, 6),
+)
+def test_every_method_truncated_h(f, cuts, degree):
+    """Every applicable method on H with each component exact or cut at
+    its own degree claims no more than the fixed-point oracle does, and
+    equals the exact-H inverse through what it claims, or raises
+    TruncationError."""
+    cut = [c if d is None else c.truncate(d) for c, d in zip(f.h.components, cuts)]
+    g = MapF(PolyMap(cut))
+    fixed = invert_fixed_point(g, degree).trunc
+    exact = invert_fixed_point(f, degree)
+    for name in applicable_methods(g, list(METHODS)):
+        try:
+            inverse = METHODS[name](g, degree)
+        except TruncationError:
+            event(f"{name} raised")
+            continue
+        assert inverse.trunc <= fixed, name
+        for got, want in zip(inverse, exact):
+            assert got.terms == through(want.terms, got.trunc, f.n), name
 
 
 def test_zero_h_known_through_two():

@@ -5,9 +5,14 @@ change checkout in alternating pairs, one pair per seed and workload (the
 side that runs first alternates too), and writes ``BENCH_<tag>.json`` at
 the root of this repository.  The file holds, per workload: every pair's
 end-to-end metrics (as ``BENCHMARK.json`` lists them), ``output_digest``
-and ``failed``; per side the median and quartiles of each metric; and in
-how many pairs the change did better.  An environment block records the
-Python version, the rational backend, the CPU count and both git revisions.
+and ``failed``; per side the median and quartiles of each metric; in how
+many pairs the change did better; ``within_bound``, whether the change's
+median is worse than the parent's by at most the metric's bound, taken
+as a relative change; and ``unresolved``, whether the parent's quartile
+spread, relative to its median, is wider than the bound while some change
+run does not beat every parent run, so that the bound cannot tell.  An
+environment block records the Python version, the rational backend, the
+CPU count and both git revisions.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag packed_kernel \\
         --seconds 30 --seeds deep=301-310 wide=311-316 identities=311-316
@@ -81,6 +86,9 @@ def workload_summary(pairs, metrics):
         wins = sum((c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"]))
         parent, change = summarize(side["parent"]), summarize(side["change"])
         gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+        iqr = parent["q3"] - parent["q1"]
+        all_better = all((c < p) if lower else (c > p)
+                         for p in side["parent"] for c in side["change"])
         out[name] = {
             "better": m["better"],
             "bound": m["bound"],
@@ -88,7 +96,9 @@ def workload_summary(pairs, metrics):
             "change": change,
             "change_better_in": f"{wins}/{len(pairs)}",
             "relative_change": change["median"] / parent["median"] - 1,
-            "median_gain_exceeds_parent_iqr": gain > parent["q3"] - parent["q1"],
+            "median_gain_exceeds_parent_iqr": gain > iqr,
+            "within_bound": -gain / parent["median"] <= m["bound"],
+            "unresolved": iqr / parent["median"] > m["bound"] and not all_better,
         }
     return out
 
