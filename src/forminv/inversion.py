@@ -2,10 +2,10 @@
 
 Five independent algorithms compute the inverse G (F(G) = G(F) = z):
 
-* ``fixed``     - graded fixed-point passes G <- z + H(G), each certifying
-                  o(H) - 1 more degrees, and a final pass at the working
-                  degree that must reproduce G; the reference oracle,
-                  needing nothing but composition.
+* ``fixed``     - the fixed point G = z + H(G): Newton steps double the
+                  exact degree of a polynomial candidate, and one plain
+                  pass z + H(G), certified by composition alone, must
+                  reproduce it; the reference oracle.
 * ``recurrent`` - graded layers N_[1] = H,
                   N_[m] = 1/(m-1) * sum_{k+l=m} JN_[k] . N_[l],
                   G = z + sum_m N_[m].
@@ -47,10 +47,13 @@ from .series import (
     MapF,
     MSeries,
     PolyMap,
+    compose_map_components,
     dot,
     first_mismatch,
     jacobian_det,
     label_fold,
+    mat_vec,
+    newton_inverse,
     series_det,
     series_sum,
     unit_inverse,
@@ -62,28 +65,52 @@ from .trees import TreePolyCache, tree_expansion
 
 
 def invert_fixed_point(f: MapF, degree: int) -> PolyMap:
-    """Inverse through `degree` by iterating G <- z + H(G) in graded passes.
+    """Inverse through `degree` as the fixed point G = z + H(G): Newton
+    steps build a polynomial candidate G^, and one plain pass certifies it.
 
-    With o = o(H) >= 2, G = z + H(G) agrees with z through degree o - 1,
-    and o(H(G + delta) - H(G)) >= o(delta) + o - 1: a pass fed G exact
-    through degree t returns it exact through t + o - 1.  Composition
-    certifies just that, so each pass caps its power table at the degree
-    it can prove, and the precision grows by the certified operations
-    alone.  The loop ends at the first pass that certifies no new degree:
-    a pass at `degree`, or at H's own truncation when that is lower.  That
-    pass must reproduce G term for term, so the oracle still checks its
-    own fixed point.
+    With o = o(H) >= 2, G^ = z equals G through t = o - 1.  A step sets
+    G^ <- G^ + M r, capped at s = min(2t + o - 1, top), with
+    r = z + H(G^) - G^ and M = (I - JH(G^))^{-1} through s - t - 1.  M is
+    kept across steps and refreshed when short by one matrix Newton step
+    (``newton_inverse``) on I - JH(G^), composed at cap s - t - 1: from
+    M = I, exact through o - 2, that doubles it as far as the next step
+    needs.  The pass P = z + H(G^ cut at s), capped at `degree`, is
+    certified by the ops through min(s + o - 1, degree, what a truncated H
+    allows), so the steps stop at top = min(degree, H.trunc) - o + 1.  P
+    must equal G^ through min(s, P.trunc), and P is returned.  G^ and M
+    are exact polynomials only as a computing device; two lemmas, which
+    the ops cannot certify, make them exact:
+
+    * Doubling: if G^ = G through t, the step leaves G^ = G through
+      2t + o - 1, as H(G) - H(G^) - JH(G^)(G - G^) has order
+      >= 2(t + 1) + o(H'') and o(H'') >= o - 2.
+    * Contraction: if P = G^ through k = min(s, P.trunc), then G = G^
+      through k (at the first degree m <= k where they differ,
+      G - P = H(G) - H(G^) has order >= m + o - 1 > m), so G = P through
+      P.trunc.
     """
-    ident = PolyMap.identity(f.n, trunc=INF)
-    order = min(c.known_order for c in f.h.components)
-    g = PolyMap.identity(f.n, trunc=min(order - 1, degree))
-    while True:
-        nxt = ident + f.h.compose(g, cap=degree)
-        if nxt.trunc <= g.trunc:
-            break
-        g = nxt
-    _require_equal(g, nxt, None, f"fixed-point pass at degree {nxt.trunc} changed")
-    return g
+    n, h = f.n, f.h
+    order = min(c.known_order for c in h.components)
+    top = min(degree, h.trunc) - order + 1
+    ident = PolyMap.identity(n, trunc=INF)
+    jac = [x for row in h.jacobian() for x in row]
+    g, t = ident, order - 1
+    m = [[MSeries.const(n, int(i == j)) for j in range(n)] for i in range(n)]
+    p = order - 2
+    while t < top:
+        s = min(2 * t + order - 1, top)
+        if p < s - t - 1:
+            p = s - t - 1
+            jg = iter(compose_map_components(jac, g, cap=p))
+            a = [[int(i == j) - next(jg) for j in range(n)] for i in range(n)]
+            m = newton_inverse(a, m, p)
+        r = ident + h.compose(g, cap=s) - g
+        g = PolyMap(MSeries(n, INF, x.terms) for x in g + PolyMap(mat_vec(m, r, s)))
+        t = s
+    out = ident + h.compose(g.truncate(t), cap=degree)
+    what = "fixed-point candidate differs from its pass at"
+    _require_equal(g, out, min(t, out.trunc), what)
+    return out
 
 
 # -- graded layers -------------------------------------------------------------

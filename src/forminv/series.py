@@ -39,7 +39,8 @@ the trees.  The multilinear form ``BForm`` is a fold and a contraction,
 ``invert_bcw`` the expansion with constant weights 1/aut(T), and
 ``formal_flow`` the one with weights in t.  A zero factor is left out of
 a capped sum only when it is ``known_zero`` through the cap.  No product
-asserts its truncation, ``unit_inverse`` included.  ``series_sum`` is
+asserts its truncation: ``newton_inverse`` builds exact-polynomial
+candidates, which only a plain pass certifies.  ``series_sum`` is
 the one way other series are summed, ``+`` included, so no other module
 accumulates terms or restates the truncation rule of a sum.  No stored
 coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
@@ -74,6 +75,7 @@ from typing import Iterable, Sequence
 from .errors import (
     CanonicalFormError,
     DimensionMismatch,
+    MethodDisagreement,
     SubstitutionError,
     TruncationError,
 )
@@ -865,14 +867,32 @@ def label_fold(states: dict, vec, cap=None, keys=None) -> dict:
     return {a: s for a, s in folded.items() if not s.known_zero(limit)}
 
 
+def newton_inverse(a, m, cap):
+    """One Newton step M + M(I - A M) toward the inverse of the square
+    matrix `a` of series, capped at `cap`, as exact polynomials.  If M is
+    A^{-1} through p, the step squares the error I - A M, so the result is
+    A^{-1} through min(2p + 1, cap): a lemma the ops cannot certify, so
+    callers certify what they build from M by one plain pass."""
+    am = mat_mul(a, m, cap)
+    e = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(am)]
+    return [
+        [MSeries(x.n, INF, (x + y).terms, x.nparams) for x, y in zip(row, fix)]
+        for row, fix in zip(m, mat_mul(m, e, cap))
+    ]
+
+
 def unit_inverse(s: MSeries, degree) -> MSeries:
     """Reciprocal of a series with nonzero constant term c0, exact through
     `degree`.  The part of z-degree <= 0 must be a nonzero constant: a
     parameter there, as in 1 + t, has no reciprocal polynomial in the
-    parameters.  A certified fixed point, as in ``invert_fixed_point``:
-    u = 1 - s/c0 has z-order >= 1 and 1/s = w/c0 with w = 1 + u w, so each
-    pass w <- 1 + u w from w = 1 (through degree 0) gains a degree by the
-    truncation rule of ``mul`` alone."""
+    parameters.  Solved as ``invert_fixed_point`` solves G = z + H(G):
+    1/s = w/c0 with w = 1 + u w, u = 1 - s/c0 of z-order k >= 1.  Newton
+    steps (``newton_inverse`` on 1x1 matrices) take the exact degree p of
+    a polynomial candidate w^ from w^ = 1 + u, p = 2k - 1 (w - 1 - u =
+    u^2 w), to degree - k, doubling it.
+    The pass w' = 1 + u (w^ cut at p), which ``mul`` certifies through
+    min(p + k, degree), must equal w^ through min(p, w'.trunc), and w'
+    is returned (the contraction lemma of ``invert_fixed_point``)."""
     const = (0,) * (s.n + s.nparams)
     c0 = s.terms.get(const)
     if not c0:
@@ -885,11 +905,18 @@ def unit_inverse(s: MSeries, degree) -> MSeries:
         raise TruncationError(
             f"need input through degree {degree}, certified {s.trunc}"
         )
-    u = s.scale(-ONE / c0) + 1
-    w = MSeries.const(s.n, ONE, 0, s.nparams)
-    while w.trunc < degree:
-        w = u.mul(w, cap=degree) + 1
-    return w.scale(ONE / c0).truncate(degree)
+    a = s.scale(ONE / c0)
+    u = 1 - a
+    w, p = MSeries(s.n, INF, (1 + u).terms, s.nparams), 2 * u.known_order - 1
+    top = degree - u.known_order
+    while p < top:
+        p = min(2 * p + 1, top)
+        ((w,),) = newton_inverse([[a]], [[w]], p)
+    out = u.mul(w.truncate(p), cap=degree) + 1
+    diff = first_mismatch([(w, out)], min(p, out.trunc))
+    if diff is not None:
+        raise MethodDisagreement(f"unit inverse candidate differs at {diff[1]}")
+    return out.scale(ONE / c0).truncate(degree)
 
 
 def series_det(matrix, cap=None) -> MSeries:

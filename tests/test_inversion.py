@@ -24,6 +24,7 @@ from forminv import (
     jacobi_coefficient,
     lagrange_coefficient,
 )
+from forminv import inversion
 from forminv.inversion import METHODS, applicable_methods, recurrent_layers
 from forminv.randmaps import random_divisible_map, random_h, random_map
 from forminv.rat import Rat
@@ -68,20 +69,29 @@ class TestFixedPoint:
         assert g.trunc == 4
         assert g.components[0].terms == {(1,): 1, (2,): 1, (3,): 3, (4,): 10}
 
-    def test_confirming_pass_must_reproduce_g(self, catalan_map, monkeypatch):
-        # corrupt z^cap in every pass fed a G already exact through the cap
-        compose = PolyMap.compose
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_wrong_candidate_coefficient_is_named(self, catalan_map, monkeypatch, k):
+        # at D = 6 with o = 2 the Newton steps reach s = 3, then s = 5;
+        # plant one wrong coefficient of degree k <= 5 in the last step
+        mat_vec = inversion.mat_vec
 
-        def corrupted(self, g, cap=None):
-            out = compose(self, g, cap)
-            if g.trunc < cap:
-                return out
-            return PolyMap([out.components[0] + mono(1, (cap,), 1, trunc=out.trunc)])
+        def planted(m, r, cap=None):
+            out = mat_vec(m, r, cap)
+            if cap == 5:
+                out[0] = out[0] + mono(1, (k,), 1)
+            return out
 
-        monkeypatch.setattr(PolyMap, "compose", corrupted)
+        monkeypatch.setattr(inversion, "mat_vec", planted)
         with pytest.raises(MethodDisagreement) as err:
             invert_fixed_point(catalan_map, 6)
-        assert "exponent (6,)" in str(err.value)
+        assert f"exponent ({k},)" in str(err.value)
+
+    @pytest.mark.parametrize("degree", [6, 12])
+    def test_newton_step_without_refresh_is_rejected(self, catalan_map, monkeypatch, degree):
+        # with M = I a step is a plain pass, exact through t + o - 1 only
+        monkeypatch.setattr(inversion, "newton_inverse", lambda a, m, cap: m)
+        with pytest.raises(MethodDisagreement):
+            invert_fixed_point(catalan_map, degree)
 
 
 class TestRecurrent:

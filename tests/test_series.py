@@ -8,6 +8,7 @@ import pytest
 from forminv import (
     DimensionMismatch,
     MapF,
+    MethodDisagreement,
     MSeries,
     PolyMap,
     SubstitutionError,
@@ -18,6 +19,7 @@ from forminv import (
     series_from_terms,
     unit_inverse,
 )
+from forminv import series as series_module
 from forminv.rat import Rat
 
 from conftest import mono, random_series, series
@@ -342,6 +344,31 @@ class TestUnitInverse:
             s = random_series(rng, 2, max_deg=3) + MSeries.const(2, Rat(3, 2))
             inv = unit_inverse(s, 6)
             assert s.mul(inv, cap=6)._dict_through(6) == {(0, 0): 1}
+
+    def test_wrong_candidate_is_rejected(self, monkeypatch):
+        # without its Newton steps the candidate stays 1 + z, and the pass
+        # 1 + z (1 + z) differs from it at z^2
+        monkeypatch.setattr(series_module, "newton_inverse", lambda a, m, cap: m)
+        with pytest.raises(MethodDisagreement) as err:
+            unit_inverse(series(1, {(0,): 1, (1,): -1}), 5)
+        assert "exponent (2,)" in str(err.value)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_wrong_candidate_coefficient_is_named(self, monkeypatch, k):
+        # 1/(1 - z) through 6: the candidate is exact through 1, 3, then 5;
+        # plant one wrong coefficient of degree k <= 5 in the last step
+        step = series_module.newton_inverse
+
+        def planted(a, m, cap):
+            out = step(a, m, cap)
+            if cap == 5:
+                out[0][0] = out[0][0] + mono(1, (k,), 1)
+            return out
+
+        monkeypatch.setattr(series_module, "newton_inverse", planted)
+        with pytest.raises(MethodDisagreement) as err:
+            unit_inverse(series(1, {(0,): 1, (1,): -1}), 6)
+        assert f"exponent ({k},)" in str(err.value)
 
     def test_needs_constant_term(self):
         with pytest.raises(SubstitutionError):

@@ -7,7 +7,7 @@ A claim beyond what is exact would show as a mismatch.
 """
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from forminv.errors import SubstitutionError, TruncationError
@@ -218,3 +218,49 @@ def test_zero_h_known_through_two():
     assert invert_fixed_point(f, 4).trunc == 2
     assert invert_bcw(f, 4).trunc == 2
     assert formal_flow(f, 4).trunc == formal_flow(f, 4).map.trunc == 2
+
+
+def plain_pass_fixed_point(f, degree):
+    """The oracle for ``invert_fixed_point``: graded passes G <- z + H(G),
+    capped at `degree`, from G = z through o(H) - 1, each certifying
+    o(H) - 1 more degrees by the ops alone, until a pass certifies no new
+    degree."""
+    ident = PolyMap.identity(f.n, trunc=INF)
+    order = min(c.known_order for c in f.h.components)
+    g = PolyMap.identity(f.n, trunc=min(order - 1, degree))
+    while True:
+        nxt = ident + f.h.compose(g, cap=degree)
+        if nxt.trunc <= g.trunc:
+            return g
+        g = nxt
+
+
+@st.composite
+def cut_maps(draw):
+    """F = z - H, n <= 3, each component of H of degree 2..5 with at most
+    two terms (none allowed), exact or cut at 2..5."""
+    n = draw(st.integers(1, 3))
+    comps = []
+    for _ in range(n):
+        terms = draw(st.dictionaries(graded_exponents(n, 2, 5), COEFFS, max_size=2))
+        cut = draw(st.one_of(st.none(), st.integers(2, 5)))
+        s = MSeries(n, INF, terms)
+        comps.append(s if cut is None else s.truncate(cut))
+    return MapF(PolyMap(comps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_maps(), st.integers(0, 12))
+@example(MapF(PolyMap.zero(2)), 5)
+@example(MapF(PolyMap.zero(2, trunc=3)), 7)
+@example(MapF(PolyMap([MSeries(1, INF, {(5,): Rat(1)})])), 2)
+@example(MapF(PolyMap([MSeries(2, INF, {(0, 4): Rat(1)}), MSeries(2, 3, {})])), 0)
+def test_fixed_point_matches_plain_passes(f, degree):
+    """The Newton candidate and its certifying pass return the plain-pass
+    loop's terms and per-component truncations."""
+    order = min(c.known_order for c in f.h.components)
+    event("H = 0" if all(c.is_zero() for c in f.h) else f"o(H) = {order}")
+    event(f"n = {f.n}, D < o(H) - 1" if degree < order - 1 else f"n = {f.n}")
+    got, want = invert_fixed_point(f, degree), plain_pass_fixed_point(f, degree)
+    assert [c.trunc for c in got] == [c.trunc for c in want]
+    assert [c.terms for c in got] == [c.terms for c in want]
