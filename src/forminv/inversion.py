@@ -74,17 +74,18 @@ def invert_fixed_point(f: MapF, degree: int) -> PolyMap:
     kept across steps and refreshed when short by one matrix Newton step
     (``newton_inverse``) on I - JH(G^), composed at cap s - t - 1: from
     M = I, exact through o - 2, that doubles it as far as the next step
-    needs.  The pass P = z + H(G^ cut at s), capped at `degree`, is
-    certified by the ops through min(s + o - 1, degree, what a truncated H
-    allows), so the steps stop at top = min(degree, H.trunc) - o + 1.  P
-    must equal G^ through min(s, P.trunc), and P is returned.  G^ and M
-    are exact polynomials only as a computing device; two lemmas, which
-    the ops cannot certify, make them exact:
+    needs.  With t the candidate's exact degree after the last step, the
+    pass P = z + H(G^ cut at t), capped at `degree`, is certified by the
+    ops through min(t + o - 1, degree, what a truncated H allows), so the
+    steps stop at top = min(degree, H.trunc) - o + 1.  P must equal G^
+    through min(t, P.trunc), and P is returned.  G^ and M are exact
+    polynomials only as a computing device; two lemmas, which the ops
+    cannot certify, make them exact:
 
     * Doubling: if G^ = G through t, the step leaves G^ = G through
       2t + o - 1, as H(G) - H(G^) - JH(G^)(G - G^) has order
       >= 2(t + 1) + o(H'') and o(H'') >= o - 2.
-    * Contraction: if P = G^ through k = min(s, P.trunc), then G = G^
+    * Contraction: if P = G^ through k = min(t, P.trunc), then G = G^
       through k (at the first degree m <= k where they differ,
       G - P = H(G) - H(G^) has order >= m + o - 1 > m), so G = P through
       P.trunc.

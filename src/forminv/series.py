@@ -887,12 +887,12 @@ def unit_inverse(s: MSeries, degree) -> MSeries:
     parameter there, as in 1 + t, has no reciprocal polynomial in the
     parameters.  Solved as ``invert_fixed_point`` solves G = z + H(G):
     1/s = w/c0 with w = 1 + u w, u = 1 - s/c0 of z-order k >= 1.  Newton
-    steps (``newton_inverse`` on 1x1 matrices) take the exact degree p of
-    a polynomial candidate w^ from w^ = 1 + u, p = 2k - 1 (w - 1 - u =
-    u^2 w), to degree - k, doubling it.
-    The pass w' = 1 + u (w^ cut at p), which ``mul`` certifies through
-    min(p + k, degree), must equal w^ through min(p, w'.trunc), and w'
-    is returned (the contraction lemma of ``invert_fixed_point``)."""
+    steps (``newton_inverse`` on 1x1 matrices) double the exact degree p
+    of a polynomial candidate w^, from w^ = 1 + u with p = 2k - 1
+    (w - 1 - u = u^2 w), up to degree - k.  The pass w' = 1 + u (w^ cut
+    at p), which ``mul`` certifies through min(p + k, degree), must equal
+    w^ through min(p, w'.trunc), and w' is returned (the contraction
+    lemma of ``invert_fixed_point``)."""
     const = (0,) * (s.n + s.nparams)
     c0 = s.terms.get(const)
     if not c0:
