@@ -66,9 +66,7 @@ def _cmd_invert(args) -> int:
     f = doc.to_mapf()
     degree = _degree(args, doc)
     if args.method == "all":
-        names = applicable_methods(
-            f, list(MAP_METHODS) + ["jacobi", "lagrange"]
-        )
+        names = applicable_methods(f, list(METHODS))
         report = cross_check(f, degree, names)
         _print_map(report.inverse, degree, args.format, doc.names)
         if args.format == "text":

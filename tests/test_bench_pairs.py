@@ -64,3 +64,16 @@ def test_summary_marks_bound_and_unresolved(parent, change, better, within_bound
     summary = bench_pairs.workload_summary(pairs, metrics)["m"]
     assert summary["within_bound"] is within_bound
     assert summary["unresolved"] is unresolved
+
+
+def test_checkout_without_git_gets_a_source_digest(tmp_path):
+    for name in ("one", "two"):
+        src = tmp_path / name / "src" / "forminv"
+        src.mkdir(parents=True)
+        (src / "series.py").write_text("X = 1\n")
+        (src / "laurent.py").write_text("Y = 2\n")
+    one, two = bench_pairs.git_rev(tmp_path / "one"), bench_pairs.git_rev(tmp_path / "two")
+    assert one.startswith("sha256:") and len(one) == len("sha256:") + 64
+    assert one == two
+    (tmp_path / "two" / "src" / "forminv" / "laurent.py").write_text("Y = 3\n")
+    assert bench_pairs.git_rev(tmp_path / "two") != one

@@ -193,19 +193,15 @@ def test_tree_expansions_truncated_h(f, cut, degree):
 )
 def test_every_method_truncated_h(f, cuts, degree):
     """Every applicable method on H with each component exact or cut at
-    its own degree claims no more than the fixed-point oracle does, and
-    equals the exact-H inverse through what it claims, or raises
-    TruncationError."""
+    its own degree returns, as the fixed-point oracle does, claims no more
+    than the oracle, and equals the exact-H inverse through what it
+    claims."""
     cut = [c if d is None else c.truncate(d) for c, d in zip(f.h.components, cuts)]
     g = MapF(PolyMap(cut))
     fixed = invert_fixed_point(g, degree).trunc
     exact = invert_fixed_point(f, degree)
     for name in applicable_methods(g, list(METHODS)):
-        try:
-            inverse = METHODS[name](g, degree)
-        except TruncationError:
-            event(f"{name} raised")
-            continue
+        inverse = METHODS[name](g, degree)
         assert inverse.trunc <= fixed, name
         for got, want in zip(inverse, exact):
             assert got.terms == through(want.terms, got.trunc, f.n), name

@@ -12,7 +12,8 @@ as a relative change; and ``unresolved``, whether the parent's quartile
 spread, relative to its median, is wider than the bound while some change
 run does not beat every parent run, so that the bound cannot tell.  An
 environment block records the Python version, the rational backend, the
-CPU count and both git revisions.
+CPU count and both git revisions (a source digest for a side that is
+not the top of its own git work tree).
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag packed_kernel \\
         --seconds 30 --seeds deep=301-310 wide=311-316 identities=311-316
@@ -24,6 +25,7 @@ workload applies to all three.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -67,10 +69,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def git_rev(checkout: Path, fallback: str) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+def source_digest(checkout: Path) -> str:
+    """sha256 over the names and bytes of the checkout's src/forminv/*.py."""
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src" / "forminv").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return "sha256:" + h.hexdigest()
+
+
+def git_rev(checkout: Path) -> str:
+    """HEAD when `checkout` is the top of its own git work tree (a copy
+    made by ``git archive`` is not), else the digest of its sources."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else fallback
+    top, _, rev = proc.stdout.strip().partition("\n")
+    if proc.returncode == 0 and Path(top).resolve() == checkout.resolve():
+        return rev
+    return source_digest(checkout)
 
 
 def summarize(values):
@@ -136,8 +151,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "rational_backend": env["change"]["rational_backend"],
         "nproc": len(os.sched_getaffinity(0)),
-        "parent_rev": git_rev(sides["parent"], env["parent"]["git_revision"]),
-        "change_rev": git_rev(sides["change"], env["change"]["git_revision"]),
+        "parent_rev": git_rev(sides["parent"]),
+        "change_rev": git_rev(sides["change"]),
     }
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
