@@ -85,6 +85,13 @@ class Report:
             failure = f"component {diff[0] + 1}, {diff[1]}"
         self.add(name, failure is None, detail, failure)
 
+    def add_derived(self, name, premises, detail):
+        """An item proved from earlier items: it holds exactly when all its
+        premises hold, and a failure names the premises that failed."""
+        failed = "; ".join(p.name for p in premises if not p.ok)
+        detail += "; derived from " + "; ".join(p.name for p in premises)
+        self.add(name, not failed, detail, f"premise failed: {failed}" if failed else None)
+
     def to_dict(self):
         return {
             "title": self.title,
@@ -300,32 +307,32 @@ def check_bcw_quadratic_nilpotent(h: PolyMap, degree: int) -> Report:
 
 
 def check_prop310(f: MapF, degree: int, s_order: int, t_order: int) -> Report:
-    """The family is closed under inversion: z - s N_t has inverse
-    z + s N_{t+s}, and both factor through the deformation itself."""
-    n_t = deformation_inverse(f, degree).n_t.with_params(1)
-    ident = PolyMap.identity(f.n, trunc=degree, nparams=2)
-    u = ident - n_t.shift_param(1)  # z - s N_t
-    n_ts = n_t.subst_param_sum(0, 1)
-    v = ident + n_ts.shift_param(1)  # z + s N_{t+s}
-
+    """The family is closed under inversion: U = z - s N_t has inverse
+    V = z + s N_{t+s}, and both factor through the deformation itself.
+    U o V = z and V o U = z are derived: F_t(G_t) = z gives G_t o F_t = z
+    (see `inversion.cross_check`) and, by t -> t+s, G_{t+s} o F_{t+s} = z."""
+    dinv = deformation_inverse(f, degree)
     report = Report(
         f"closure under inversion through degree {degree} "
         f"(verified exactly in t and s; stated orders t<={t_order}, s<={s_order})"
     )
-    report.add_equality("U_{s,t}(V_{s,t}) = z", u.compose(v, cap=degree), ident, degree)
-    report.add_equality("V_{s,t}(U_{s,t}) = z", v.compose(u, cap=degree), ident, degree)
-
+    ident = PolyMap.identity(f.n, trunc=degree, nparams=1)
+    report.add_equality("F_t(G_t) = z", dinv.f_t().compose(dinv.g_t(), cap=degree), ident, degree)
+    n_t = dinv.n_t.with_params(1)
+    ident = ident.with_params(1)
+    u = ident - n_t.shift_param(1)  # z - s N_t
+    n_ts = n_t.subst_param_sum(0, 1)
+    v = ident + n_ts.shift_param(1)  # z + s N_{t+s}
     h2 = f.h.with_params(2)
     f_ts = ident - h2.shift_param(0) - h2.shift_param(1)  # z - (t+s)H
     g_t = ident + n_t.shift_param(0)
-    report.add_equality(
-        "U_{s,t} = F_{t+s} o G_t", f_ts.compose(g_t, cap=degree), u, degree
-    )
+    report.add_equality("U_{s,t} = F_{t+s} o G_t", f_ts.compose(g_t, cap=degree), u, degree)
     f_t = ident - h2.shift_param(0)
     g_ts = ident + n_ts.shift_param(0) + n_ts.shift_param(1)  # z + (t+s)N_{t+s}
-    report.add_equality(
-        "V_{s,t} = F_t o G_{s+t}", f_t.compose(g_ts, cap=degree), v, degree
-    )
+    report.add_equality("V_{s,t} = F_t o G_{s+t}", f_t.compose(g_ts, cap=degree), v, degree)
+    premises = list(report.items)
+    report.add_derived("U_{s,t}(V_{s,t}) = z", premises, "U o V = F_{t+s} o (G_t o F_t) o G_{t+s}")
+    report.add_derived("V_{s,t}(U_{s,t}) = z", premises, "V o U = F_t o (G_{t+s} o F_{t+s}) o G_t")
     return report
 
 

@@ -29,6 +29,7 @@ from forminv import (
 )
 from forminv import flow
 from forminv.cli import run_command
+from forminv.inversion import GradedInverse
 from forminv.mapdoc import document_from_polymap, serialize_map
 from forminv.randmaps import random_h, random_map
 from forminv.rat import Rat
@@ -162,6 +163,29 @@ class TestProp310:
     def test_random(self, rng):
         f = random_map(rng, 2, max_deg=3)
         assert check_prop310(f, 4, 3, 3).ok
+
+    def test_failed_premise_fails_the_derived_items(self, monkeypatch, catalan_map):
+        """A fault in G_t alone reaches only the computed F_t(G_t) = z (the
+        factorizations build G_t from N_t); both derived items must fail
+        and name that premise."""
+        real = GradedInverse.g_t
+
+        def corrupted(dinv):
+            g = real(dinv)
+            (comp,) = g.components
+            terms = dict(comp.terms)
+            terms[(2, 1)] = terms.get((2, 1), Rat(0)) + 1  # z^2 t
+            return PolyMap([MSeries(1, comp.trunc, terms, 1)])
+
+        monkeypatch.setattr(GradedInverse, "g_t", corrupted)
+        report = check_prop310(catalan_map, 5, 2, 2)
+        failures = {item.name: item.first_failure for item in report.items if not item.ok}
+        assert failures.pop("F_t(G_t) = z").startswith("component 1, exponent (2, 1):")
+        assert failures == {
+            "U_{s,t}(V_{s,t}) = z": "premise failed: F_t(G_t) = z",
+            "V_{s,t}(U_{s,t}) = z": "premise failed: F_t(G_t) = z",
+        }
+        assert not report.ok
 
 
 class TestGpde:
@@ -390,10 +414,11 @@ class TestTopDegreeFault:
             "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
         ]
         assert self.failing(check_prop310(faulty, d, 2, 2)) == [
-            "U_{s,t}(V_{s,t}) = z",
-            "V_{s,t}(U_{s,t}) = z",
+            "F_t(G_t) = z",
             "U_{s,t} = F_{t+s} o G_t",
             "V_{s,t} = F_t o G_{s+t}",
+            "U_{s,t}(V_{s,t}) = z",
+            "V_{s,t}(U_{s,t}) = z",
         ]
         assert self.failing(check_gpde(PolyMap.identity(2), faulty.h, d)) == [
             "dU_t/dt = JU_t . N_t"
