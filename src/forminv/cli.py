@@ -54,11 +54,14 @@ def _print_map(m: PolyMap, degree: int, fmt: str, names=None):
 
 def _degree(args, doc) -> int:
     """The working degree: --deg, or the document's D when it is absent."""
-    if args.deg is None:
-        return doc.degree
-    if args.deg < 1:
-        raise ForminvError(f"--deg must be >= 1, got {args.deg}")
-    return args.deg
+    return doc.degree if args.deg is None else _at_least("--deg", args.deg)
+
+
+def _at_least(option: str, value: int, low: int = 1) -> int:
+    """The value of `option`, or an input error naming it when below `low`."""
+    if value < low:
+        raise ForminvError(f"{option} must be >= {low}, got {value}")
+    return value
 
 
 def _cmd_invert(args) -> int:
@@ -86,12 +89,11 @@ def _cmd_verify(args) -> int:
     elif args.suite == "newp":
         report = flow_mod.check_newp(f.h, degree)
     elif args.suite == "prop310":
-        report = flow_mod.check_prop310(f, degree, args.s_order, args.t_order)
+        s_order = _at_least("--s-order", args.s_order, 0)
+        t_order = _at_least("--t-order", args.t_order, 0)
+        report = flow_mod.check_prop310(f, degree, s_order, t_order)
     elif args.suite == "gpde":
-        if args.u0:
-            u0 = _read_document(args.u0).to_polymap()
-        else:
-            u0 = PolyMap.identity(f.n)
+        u0 = _read_document(args.u0).to_polymap() if args.u0 else PolyMap.identity(f.n)
         report = flow_mod.check_gpde(u0, f.h, degree)
     elif args.suite == "euler":
         report = flow_mod.check_euler_identities(f.h, degree)
@@ -131,9 +133,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_trees(args) -> int:
-    if args.max_size < 1:
-        raise ForminvError(f"--max-size must be >= 1, got {args.max_size}")
-    by_size = enumerate_trees(args.max_size)
+    by_size = enumerate_trees(_at_least("--max-size", args.max_size))
     total = 0
     for size in sorted(by_size):
         for t in by_size[size]:
@@ -145,18 +145,15 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if args.layers < 1:
-        raise ForminvError(f"--layers must be >= 1, got {args.layers}")
-    doc = _read_document(args.input)
-    f = doc.to_mapf()
-    report = flow_mod.polynomiality_probe(f.h, args.layers)
+    layers = _at_least("--layers", args.layers)
+    f = _read_document(args.input).to_mapf()
+    report = flow_mod.polynomiality_probe(f.h, layers)
     print(report.to_text())
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    if args.runs < 1:
-        raise ForminvError(f"--runs must be >= 1, got {args.runs}")
+    _at_least("--runs", args.runs)
     inputs = []
     for idx, path in enumerate(args.input):
         doc = _read_document(path)
@@ -223,9 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="compute the inverse map")
     p.add_argument(
-        "--method",
-        choices=sorted(METHODS) + ["all"],
-        default="all",
+        "--method", choices=sorted(METHODS) + ["all"], default="all",
         help="inversion algorithm; 'all' cross-checks every applicable one",
     )
     add_common(p)
@@ -233,9 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument(
-        "--suite",
-        required=True,
-        choices=("lemma31", "newp", "prop310", "gpde", "euler", "pde"),
+        "--suite", required=True, choices=("lemma31", "newp", "prop310", "gpde", "euler", "pde")
     )
     p.add_argument("--s-order", type=int, default=3)
     p.add_argument("--t-order", type=int, default=3)
@@ -289,10 +282,7 @@ def run_command(argv) -> int:
     except MethodDisagreement as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except ForminvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ForminvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -35,6 +35,7 @@ def test_summary_counts_wins_in_the_better_direction():
     assert p50["change_better_in"] == "3/4"
     assert p50["parent"]["median"] == 11.5 and p50["change"]["median"] == 6.5
     assert p50["median_gain_exceeds_parent_iqr"]
+    assert not p50["gain_shown"]  # 3/4 pairs is below 9/10
     assert summary["jobs_per_kref"]["change_better_in"] == "3/4"
     assert p50["within_bound"] and p50["unresolved"]
     assert summary["jobs_per_kref"]["within_bound"]
@@ -64,6 +65,25 @@ def test_summary_marks_bound_and_unresolved(parent, change, better, within_bound
     summary = bench_pairs.workload_summary(pairs, metrics)["m"]
     assert summary["within_bound"] is within_bound
     assert summary["unresolved"] is unresolved
+
+
+@pytest.mark.parametrize(
+    "change, shown",
+    [
+        # 9 wins and a tie in 10 pairs, gain far above the parent's spread
+        ([9.0] * 9 + [10.2], True),
+        # 8 wins and two ties: the ties count for neither side
+        ([9.0] * 8 + [9.8, 10.2], False),
+        # 10 wins, but the median gain is inside the parent's spread
+        ([9.7, 10.1] * 5, False),
+    ],
+)
+def test_gain_shown_needs_nine_in_ten_and_the_parent_spread(change, shown):
+    parent = [9.8, 10.2] * 5  # median 10.0, quartiles 9.8 and 10.2
+    metrics = [{"name": "m", "better": "lower", "bound": 0.2}]
+    pairs = [{"parent": {"metrics": {"m": p}}, "change": {"metrics": {"m": c}}}
+             for p, c in zip(parent, change)]
+    assert bench_pairs.workload_summary(pairs, metrics)["m"]["gain_shown"] is shown
 
 
 def test_checkout_without_git_gets_a_source_digest(tmp_path):

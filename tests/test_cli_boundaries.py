@@ -81,6 +81,25 @@ def test_probe_has_no_format_option(capsys, catalan_path):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("option", ["--s-order", "--t-order"])
+def test_prop310_negative_order(monkeypatch, capsys, catalan_path, option):
+    def not_reached(*args):
+        raise AssertionError("check_prop310 ran")
+
+    monkeypatch.setattr(flow, "check_prop310", not_reached)
+    argv = ["verify", "--suite", "prop310", option, "-5", "--input", catalan_path]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {option} must be >= 0, got -5" in captured.err
+    assert captured.out == ""
+
+
+def test_prop310_order_zero_is_accepted(capsys, catalan_path):
+    argv = ["verify", "--suite", "prop310", "--s-order", "0", "--t-order", "0"]
+    assert run_command(argv + ["--input", catalan_path]) == 0
+    assert "stated orders t<=0, s<=0): pass" in capsys.readouterr().out
+
+
 def test_bench_runs_below_one(capsys, catalan_path):
     code = run_command(["bench", "--deg-range", "3", "--input", catalan_path, "--runs", "0"])
     assert code == 2

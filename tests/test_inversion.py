@@ -363,6 +363,24 @@ class TestCrossCheck:
             cross_check(MapF(PolyMap(h)), 4, ["fixed"])
         assert str(err.value) == f"F(G) differs from z at {where}: -1 vs 0"
 
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_f_of_g_alone_catches_a_shared_wrong_inverse(self, monkeypatch, degree):
+        """Every method returns the same inverse with its z1^D coefficient
+        changed: they agree, so only F(G) = z can reject it (the change
+        reaches F(G) = G - H(G) at degree D and H(G) only above D)."""
+        f = MapF(PolyMap([mono(2, (1, 1)) + mono(2, (0, 2)), mono(2, (2, 0), -1)]))
+        names = applicable_methods(f)
+        g = invert_fixed_point(f, degree).truncate(degree)
+        wrong = PolyMap([g.components[0] + mono(2, (degree, 0)), g.components[1]])
+        for name in names:
+            monkeypatch.setitem(METHODS, name, lambda f, d: wrong)
+        with pytest.raises(MethodDisagreement) as err:
+            cross_check(f, degree)
+        assert str(err.value).startswith(
+            f"F(G) differs from z at component 1, exponent ({degree}, 0): "
+        )
+        assert len(names) == 5
+
 
 # -- properties against the recurrent layers -----------------------------------
 

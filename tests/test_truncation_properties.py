@@ -245,6 +245,36 @@ def cut_maps(draw):
     return MapF(PolyMap(comps))
 
 
+@st.composite
+def inverse_candidates(draw):
+    """A cut map, D = 0..8, and `fixed`'s inverse through D, either as it
+    is or with one coefficient of z-degree 1..max(D, 1) changed."""
+    f = draw(cut_maps())
+    degree = draw(st.integers(0, 8))
+    g = invert_fixed_point(f, degree)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, f.n - 1))
+        bump = MSeries(f.n, INF, {draw(graded_exponents(f.n, 1, max(degree, 1))): draw(COEFFS)})
+        g = PolyMap([c + bump if j == i else c for j, c in enumerate(g)])
+    return f, degree, g
+
+
+@SETTINGS
+@given(inverse_candidates())
+def test_right_inverse_is_left_inverse(case):
+    """The lemma ``cross_check`` relies on to skip G(F): for G without
+    constant term, F(G) = z through a degree exactly when G(F) = z through
+    it (either one makes G the true inverse there).  Both compositions are
+    compared through the least degree they certify."""
+    f, degree, g = case
+    fg, gf = f.map.compose(g, cap=degree), g.compose(f.map, cap=degree)
+    through = min(c.trunc for c in (*fg, *gf))
+    z = PolyMap.identity(f.n)
+    right = fg.eq_through(z, through)
+    event(f"F(G) = z: {right}")
+    assert gf.eq_through(z, through) == right
+
+
 @settings(max_examples=200, deadline=None)
 @given(cut_maps(), st.integers(0, 12))
 @example(MapF(PolyMap.zero(2)), 5)

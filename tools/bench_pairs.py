@@ -10,7 +10,10 @@ many pairs the change did better; ``within_bound``, whether the change's
 median is worse than the parent's by at most the metric's bound, taken
 as a relative change; and ``unresolved``, whether the parent's quartile
 spread, relative to its median, is wider than the bound while some change
-run does not beat every parent run, so that the bound cannot tell.  An
+run does not beat every parent run, so that the bound cannot tell; and
+``gain_shown``, whether the change did better in at least 9 of every 10
+pairs (a tie counts for neither side) and its median gain exceeds the
+parent's quartile spread, the rule a claimed gain must meet.  An
 environment block records the Python version, the rational backend, the
 CPU count and both git revisions (a source digest for a side that is
 not the top of its own git work tree).
@@ -112,6 +115,7 @@ def workload_summary(pairs, metrics):
             "change_better_in": f"{wins}/{len(pairs)}",
             "relative_change": change["median"] / parent["median"] - 1,
             "median_gain_exceeds_parent_iqr": gain > iqr,
+            "gain_shown": 10 * wins >= 9 * len(pairs) and gain > iqr,
             "within_bound": -gain / parent["median"] <= m["bound"],
             "unresolved": iqr / parent["median"] > m["bound"] and not all_better,
         }
