@@ -61,7 +61,6 @@ from .inversion import (
 from .flow import (
     FlowSeries,
     Report,
-    check_bcw_quadratic_nilpotent,
     check_euler_identities,
     check_gpde,
     check_lemma31,

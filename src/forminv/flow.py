@@ -5,9 +5,9 @@ N_[m] obey the same recurrence as the graded inverse; N_t solves the
 transport equation dN/dt = JN . N with N at t=0 equal to H.  This module
 packages the deformed inverse, evaluates that residual symbolically in t,
 runs the related identity checks (composition closure of the family, the
-transported Cauchy problem, the homogeneous Euler identities, the
-quadratic-nilpotent shortcut), builds the formal flow from rooted-tree
-data, computes integer powers of F, probes layer vanishing for nilpotent
+transported Cauchy problem, the homogeneous Euler identities, the maps
+whose inverse is z + H), builds the formal flow from rooted-tree data,
+computes integer powers of F, probes layer vanishing for nilpotent
 homogeneous maps, and detects symmetric Jacobians (the gradient-map case,
 where the transport equation is the n-dimensional inviscid Burgers
 system).
@@ -234,9 +234,12 @@ def check_newp(h: PolyMap, degree: int) -> Report:
     """Characterization of the maps whose inverse is z + H: this happens
     exactly when JH . H = 0, in which case every integer power of z - H is
     z - mH.  When JH . H is nonzero, the second layer N_[2] = JH . H is
-    itself nonzero."""
+    itself nonzero.  For homogeneous H of degree d >= 2 it also checks the
+    Euler bridge JH^2 . z = d JH . H, so JH^2 = 0 (the quadratic-nilpotent
+    case of Bass, Connell and Wright) gives JH . H = 0 and G = z + H."""
     report = Report("inverse = z + H iff JH.H = 0")
-    jh_h = PolyMap(mat_vec(h.jacobian(), h.components))
+    jh = h.jacobian()
+    jh_h = PolyMap(mat_vec(jh, h.components))
     annihilates = all(c.is_zero() for c in jh_h.components)
     report.data["JH.H"] = "0" if annihilates else jh_h.format()
     f = MapF(h)
@@ -261,48 +264,13 @@ def check_newp(h: PolyMap, degree: int) -> Report:
             bool(nonzero),
             f"first nonzero higher layer: {nonzero[0] if nonzero else 'none'}",
         )
-    return report
-
-
-def check_bcw_quadratic_nilpotent(h: PolyMap, degree: int) -> Report:
-    """For homogeneous H with JH^2 = 0 the inverse of z - H is exactly
-    z + H.  Also verifies the Euler bridge JH^2 . z = d JH . H, which ties
-    the matrix condition to the vector condition."""
     d = h.homogeneous_degree()
-    if d is None or d < 2:
-        raise HomogeneityError("needs homogeneous H of degree >= 2")
-    report = Report("quadratic-nilpotent shortcut")
-    jh = h.jacobian()
-    jh2 = mat_mul(jh, jh)
-    ident_vars = PolyMap.identity(h.n, trunc=INF)
-    euler_lhs = PolyMap(mat_vec(jh2, ident_vars.components))
-    euler_rhs = PolyMap(mat_vec(jh, h.components)).scale(d)
-    report.add_equality(
-        "JH^2 . z = d JH . H", euler_lhs, euler_rhs, 2 * h.max_degree()
-    )
-    is_nilpotent2 = all(e.is_zero() for row in jh2 for e in row)
-    report.data["JH^2"] = "0" if is_nilpotent2 else "nonzero"
-    if is_nilpotent2:
-        g = ident_vars + h
-        f = ident_vars - h
-        report.add_equality(
-            "F(z + H) = z exactly",
-            f.compose(g),
-            ident_vars,
-            g.max_degree() * max(h.max_degree(), 1),
-        )
-        report.add_equality(
-            "G(z - H) = z exactly",
-            g.compose(f),
-            ident_vars,
-            g.max_degree() * max(h.max_degree(), 1),
-        )
-    else:
-        report.add(
-            "precondition gate",
-            True,
-            "JH^2 != 0: nothing asserted beyond the Euler bridge",
-        )
+    if d is not None and d >= 2:
+        jh2 = mat_mul(jh, jh)
+        nilpotent = all(e.is_zero() for row in jh2 for e in row)
+        report.data["JH^2"] = "0" if nilpotent else "nonzero"
+        euler = PolyMap(mat_vec(jh2, PolyMap.identity(h.n).components))
+        report.add_equality("JH^2 . z = d JH . H", euler, jh_h.scale(d), 2 * d)
     return report
 
 

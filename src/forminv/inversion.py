@@ -51,8 +51,8 @@ from .series import (
     first_mismatch,
     jacobian_det,
     label_fold,
+    mat_mul,
     mat_vec,
-    newton_inverse,
     series_det,
     series_sum,
     unit_inverse,
@@ -61,6 +61,21 @@ from .trees import TreePolyCache, tree_expansion
 
 
 # -- fixed-point oracle --------------------------------------------------------
+
+
+def newton_inverse(a, m, cap):
+    """One Newton step M + M(I - A M) toward the inverse of the square
+    matrix `a` of series, capped at `cap`, as exact polynomials.  If M is
+    A^{-1} through p, the step squares the error I - A M, so the result is
+    A^{-1} through min(2p + 1, cap): a lemma the ops cannot certify, so
+    ``invert_fixed_point`` certifies what it builds from M by one plain
+    pass."""
+    am = mat_mul(a, m, cap)
+    e = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(am)]
+    return [
+        [MSeries(x.n, INF, (x + y).terms, x.nparams) for x, y in zip(row, fix)]
+        for row, fix in zip(m, mat_mul(m, e, cap))
+    ]
 
 
 def invert_fixed_point(f: MapF, degree: int) -> PolyMap:

@@ -39,8 +39,9 @@ the trees.  The multilinear form ``BForm`` is a fold and a contraction,
 ``invert_bcw`` the expansion with constant weights 1/aut(T), and
 ``formal_flow`` the one with weights in t.  A zero factor is left out of
 a capped sum only when it is ``known_zero`` through the cap.  No product
-asserts its truncation: ``newton_inverse`` builds exact-polynomial
-candidates, which only a plain pass certifies.  ``series_sum`` is
+asserts its truncation.  ``inverse_powers`` is the one reciprocal: the
+binomial series of (1 - x)^(-a), which its products and sums certify,
+serves ``unit_inverse`` and the factors of ``laurent``.  ``series_sum`` is
 the one way other series are summed, ``+`` included, so no other module
 accumulates terms or restates the truncation rule of a sum.  No stored
 coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
@@ -75,7 +76,6 @@ from typing import Iterable, Sequence
 from .errors import (
     CanonicalFormError,
     DimensionMismatch,
-    MethodDisagreement,
     SubstitutionError,
     TruncationError,
 )
@@ -232,7 +232,7 @@ class MSeries:
     @classmethod
     def const(cls, n, value, trunc=INF, nparams=0):
         value = Rat(value)
-        terms = {} if not value else {(0,) * (n + nparams): value}
+        terms = {(0,) * (n + nparams): value} if value and trunc >= 0 else {}
         return cls(n, trunc, terms, nparams)
 
     @classmethod
@@ -250,7 +250,8 @@ class MSeries:
             raise DimensionMismatch(
                 f"monomial exponent length {len(exp)}, expected {n + nparams}"
             )
-        return cls(n, trunc, {exp: value} if value else {}, nparams)
+        keep = value and sum(exp[:n]) <= trunc
+        return cls(n, trunc, {exp: value} if keep else {}, nparams)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -772,9 +773,6 @@ class PolyMap:
     def eq_through(self, other: "PolyMap", degree) -> bool:
         return first_mismatch(zip(self.components, other.components), degree) is None
 
-    def is_identity_through(self, degree) -> bool:
-        return self.eq_through(PolyMap.identity(self.n, nparams=self.nparams), degree)
-
     def max_degree(self):
         """Largest z-degree of a stored term (polynomial degree when exact)."""
         degs = [c.zdeg(e) for c in self.components for e in c.terms]
@@ -867,32 +865,31 @@ def label_fold(states: dict, vec, cap=None, keys=None) -> dict:
     return {a: s for a, s in folded.items() if not s.known_zero(limit)}
 
 
-def newton_inverse(a, m, cap):
-    """One Newton step M + M(I - A M) toward the inverse of the square
-    matrix `a` of series, capped at `cap`, as exact polynomials.  If M is
-    A^{-1} through p, the step squares the error I - A M, so the result is
-    A^{-1} through min(2p + 1, cap): a lemma the ops cannot certify, so
-    callers certify what they build from M by one plain pass."""
-    am = mat_mul(a, m, cap)
-    e = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(am)]
-    return [
-        [MSeries(x.n, INF, (x + y).terms, x.nparams) for x, y in zip(row, fix)]
-        for row, fix in zip(m, mat_mul(m, e, cap))
-    ]
+def inverse_powers(x: MSeries, exps: Iterable[int], through) -> dict:
+    """{a: (1 - x)^(-a) for a in exps} certified through `through`, for x
+    of z-order >= 1 (a Laurent x included), as the binomial series
+    sum_m C(a-1+m, m) x^m.  x^m has order >= m, so the powers stop at
+    m = through or at the first one with no terms, which stays in the sum
+    for its truncation.  Every product and sum certifies its own
+    truncation, so the result needs no lemma.  (1 - x)^0 = 1 exactly."""
+    x = x.truncate(through)
+    powers = [x]
+    while len(powers) < through and powers[-1].terms:
+        powers.append(powers[-1].mul(x, cap=through))
+    one = MSeries.const(x.n, ONE, through, x.nparams)
+    return {
+        a: series_sum([one] + [p.scale(math.comb(a - 1 + m, m)) for m, p in enumerate(powers, 1)])
+        if a else MSeries.const(x.n, ONE, nparams=x.nparams)
+        for a in exps
+    }
 
 
 def unit_inverse(s: MSeries, degree) -> MSeries:
     """Reciprocal of a series with nonzero constant term c0, exact through
     `degree`.  The part of z-degree <= 0 must be a nonzero constant: a
     parameter there, as in 1 + t, has no reciprocal polynomial in the
-    parameters.  Solved as ``invert_fixed_point`` solves G = z + H(G):
-    1/s = w/c0 with w = 1 + u w, u = 1 - s/c0 of z-order k >= 1.  Newton
-    steps (``newton_inverse`` on 1x1 matrices) double the exact degree p
-    of a polynomial candidate w^, from w^ = 1 + u with p = 2k - 1
-    (w - 1 - u = u^2 w), up to degree - k.  The pass w' = 1 + u (w^ cut
-    at p), which ``mul`` certifies through min(p + k, degree), must equal
-    w^ through min(p, w'.trunc), and w' is returned (the contraction
-    lemma of ``invert_fixed_point``)."""
+    parameters.  1/s = (1 - u)^(-1) / c0 with u = 1 - s/c0 of z-order
+    >= 1, by ``inverse_powers``."""
     const = (0,) * (s.n + s.nparams)
     c0 = s.terms.get(const)
     if not c0:
@@ -905,18 +902,7 @@ def unit_inverse(s: MSeries, degree) -> MSeries:
         raise TruncationError(
             f"need input through degree {degree}, certified {s.trunc}"
         )
-    a = s.scale(ONE / c0)
-    u = 1 - a
-    w, p = MSeries(s.n, INF, (1 + u).terms, s.nparams), 2 * u.known_order - 1
-    top = degree - u.known_order
-    while p < top:
-        p = min(2 * p + 1, top)
-        ((w,),) = newton_inverse([[a]], [[w]], p)
-    out = u.mul(w.truncate(p), cap=degree) + 1
-    diff = first_mismatch([(w, out)], min(p, out.trunc))
-    if diff is not None:
-        raise MethodDisagreement(f"unit inverse candidate differs at {diff[1]}")
-    return out.scale(ONE / c0).truncate(degree)
+    return inverse_powers(1 - s.scale(ONE / c0), [1], degree)[1].scale(ONE / c0)
 
 
 def series_det(matrix, cap=None) -> MSeries:

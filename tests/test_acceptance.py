@@ -15,7 +15,6 @@ from forminv import (
     MapF,
     MSeries,
     PolyMap,
-    check_bcw_quadratic_nilpotent,
     check_euler_identities,
     check_gpde,
     check_newp,
@@ -163,7 +162,7 @@ def test_a5_pde_residual():
 def test_a6_newp_both_directions():
     """A6: inverse = z + H exactly when JH.H = 0 (with powers z - mH), the
     square map has a nonzero second layer, and JH^2 = 0 homogeneous
-    instances route through the quadratic-nilpotent shortcut."""
+    instances pass the Euler bridge JH^2 . z = d JH . H."""
     shear = PolyMap([MSeries.monomial(2, (0, 2), 1), MSeries.zero(2)])
     report = check_newp(shear, DEGREE)
     assert report.ok
@@ -179,8 +178,9 @@ def test_a6_newp_both_directions():
     layers = invert_recurrent(MapF(square), DEGREE).layers
     assert layers[1].components[0].terms == {(3,): 2}  # N_[2] = 2z^3 != 0
 
-    report = check_bcw_quadratic_nilpotent(shear, DEGREE)
+    report = check_newp(shear, DEGREE)
     assert report.ok and report.data["JH^2"] == "0"
+    assert "JH^2 . z = d JH . H" in [item.name for item in report.items]
     # a 3-variable strictly-triangular quadratic instance
     tri = PolyMap(
         [
@@ -189,8 +189,9 @@ def test_a6_newp_both_directions():
             MSeries.zero(3),
         ]
     )
-    report = check_bcw_quadratic_nilpotent(tri, DEGREE)
+    report = check_newp(tri, DEGREE)
     assert report.ok and report.data["JH^2"] == "0"
+    assert "G = z + H" in [item.name for item in report.items]
     _passed("A6 inverse characterization", "both directions + JH^2 = 0 route")
 
 

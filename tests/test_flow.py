@@ -12,7 +12,6 @@ from forminv import (
     MSeries,
     NilpotencyError,
     PolyMap,
-    check_bcw_quadratic_nilpotent,
     check_euler_identities,
     check_gpde,
     check_lemma31,
@@ -52,7 +51,7 @@ class TestDeformation:
 
     def test_t_zero_is_identity(self, catalan_map):
         dinv = deformation_inverse(catalan_map, 6)
-        assert dinv.at(0).is_identity_through(6)
+        assert dinv.at(0).eq_through(PolyMap.identity(1), 6)
 
     def test_annihilating_h_gives_constant_family(self, shear_map):
         # JH.H = 0: N_t = H for all t
@@ -67,8 +66,9 @@ class TestDeformation:
         for _ in range(3):
             f = random_map(rng, rng.choice((1, 2)))
             dinv = deformation_inverse(f, 6)
-            assert dinv.g_t().compose(dinv.f_t(), cap=6).is_identity_through(6)
-            assert dinv.f_t().compose(dinv.g_t(), cap=6).is_identity_through(6)
+            ident = PolyMap.identity(f.n, nparams=1)
+            assert dinv.g_t().compose(dinv.f_t(), cap=6).eq_through(ident, 6)
+            assert dinv.f_t().compose(dinv.g_t(), cap=6).eq_through(ident, 6)
 
 
 class TestPdeResidual:
@@ -134,26 +134,32 @@ class TestNewP:
 
 
 class TestBcwQuadraticNilpotent:
+    """check_newp on homogeneous H: the Euler bridge JH^2 . z = d JH . H
+    and the JH^2 = 0 case, whose inverse is z + H."""
+
     def test_shear(self, shear_map):
-        report = check_bcw_quadratic_nilpotent(shear_map.h, 6)
+        report = check_newp(shear_map.h, 6)
         assert report.ok
         assert report.data["JH^2"] == "0"
+        names = [item.name for item in report.items]
+        assert "JH^2 . z = d JH . H" in names and "G = z + H" in names
 
     def test_square_gate(self, catalan_map):
-        report = check_bcw_quadratic_nilpotent(catalan_map.h, 6)
+        report = check_newp(catalan_map.h, 6)
         assert report.ok
         assert report.data["JH^2"] == "nonzero"
+        assert "G = z + H" not in [item.name for item in report.items]
 
     def test_euler_bridge_random_cubic(self, rng):
         for _ in range(4):
             h = random_h(rng, 2, homogeneous_degree=3)
-            assert check_bcw_quadratic_nilpotent(h, 6).ok
+            report = check_newp(h, 6)
+            assert report.ok
+            assert "JH^2 . z = d JH . H" in [item.name for item in report.items]
 
-    def test_rejects_inhomogeneous(self):
-        with pytest.raises(HomogeneityError):
-            check_bcw_quadratic_nilpotent(
-                PolyMap([mono(1, (2,)) + mono(1, (3,))]), 5
-            )
+    def test_inhomogeneous_has_no_euler_item(self):
+        report = check_newp(PolyMap([mono(1, (2,)) + mono(1, (3,))]), 5)
+        assert report.ok and "JH^2" not in report.data
 
 
 class TestProp310:
@@ -289,7 +295,7 @@ class TestFormalFlow:
 
 class TestPowerMap:
     def test_zero_power(self, catalan_map):
-        assert power_map(catalan_map, 0, 5).is_identity_through(5)
+        assert power_map(catalan_map, 0, 5).eq_through(PolyMap.identity(1), 5)
 
     def test_minus_one_is_inverse(self, catalan_map):
         g = power_map(catalan_map, -1, 6)
@@ -302,7 +308,7 @@ class TestPowerMap:
     def test_inverse_powers_compose(self, catalan_map):
         p = power_map(catalan_map, 3, 5)
         q = power_map(catalan_map, -3, 5)
-        assert p.compose(q, cap=5).is_identity_through(5)
+        assert p.compose(q, cap=5).eq_through(PolyMap.identity(1), 5)
 
     def test_matches_iterated_composition(self, rng):
         f = random_map(rng, 2, max_deg=3)

@@ -33,6 +33,7 @@ from forminv.series import (
     PolyMap,
     compose,
     dot,
+    inverse_powers,
     series_det,
     series_from_terms,
     series_sum,
@@ -174,6 +175,34 @@ def test_unit_inverse_matches_naive(data, degree):
     assert all(sum(e) <= degree for e in inv.terms)
     one = naive_product(s.terms, inv.terms, lambda e: sum(e) <= degree)
     assert one == {(0,) * n: Rat(1)}
+
+
+@st.composite
+def reciprocal_operands(draw):
+    """x of z-order >= 1, Laurent or not, exact or cut, with a parameter
+    in some cases; an exponent a in 0..4 and a degree D in -1..8."""
+    n = draw(st.integers(1, 3))
+    nparams = draw(st.integers(0, 1))
+    trunc = draw(st.sampled_from([INF, 0, 1, 2, 3, 5]))
+    lo = draw(st.sampled_from([0, -1]))
+    terms = draw(term_dicts(n, nparams, lo=lo, hi=3))
+    terms = {e: c for e, c in terms.items() if 1 <= zdeg(e, n) <= trunc}
+    x = MSeries(n, trunc, terms, nparams)
+    return x, draw(st.integers(0, 4)), draw(st.integers(-1, 8))
+
+
+@SETTINGS
+@given(reciprocal_operands())
+def test_inverse_powers_times_power_is_one(data):
+    x, a, degree = data
+    (s,) = inverse_powers(x, [a], degree).values()
+    assert s.trunc == (INF if a == 0 else min(degree, x.trunc))
+    assert no_zero_coefficient(s.terms)
+    assert all(zdeg(e, x.n) <= s.trunc for e in s.terms)
+    one = MSeries.const(x.n, ONE, nparams=x.nparams)
+    power = reduce(lambda p, _: naive_product(p, (one - x).terms, lambda e: True), range(a), one.terms)
+    through = naive_product(s.terms, power, lambda e: zdeg(e, x.n) <= s.trunc)
+    assert through == ({} if s.trunc < 0 else one.terms)
 
 
 @st.composite

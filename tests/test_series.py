@@ -8,7 +8,6 @@ import pytest
 from forminv import (
     DimensionMismatch,
     MapF,
-    MethodDisagreement,
     MSeries,
     PolyMap,
     SubstitutionError,
@@ -19,7 +18,8 @@ from forminv import (
     series_from_terms,
     unit_inverse,
 )
-from forminv import series as series_module
+from forminv.laurent import inverse_power_factors
+from forminv.series import inverse_powers
 from forminv.rat import Rat
 
 from conftest import mono, random_series, series
@@ -55,6 +55,17 @@ class TestConstruction:
     def test_monomials_of_one_layout_cancel(self):
         s = MSeries.monomial(2, (1, 0), 1) + MSeries.monomial(2, (1, 0), -1)
         assert s.is_zero()
+
+    def test_const_stores_no_term_above_its_truncation(self):
+        assert MSeries.const(1, 1, trunc=-1).terms == {}
+        assert MSeries.const(2, 3, trunc=-2, nparams=1).terms == {}
+        assert MSeries.const(1, 1, trunc=0).terms == {(0,): 1}
+
+    def test_monomial_stores_no_term_above_its_truncation(self):
+        assert MSeries.monomial(2, (1, 1), 3, trunc=1).terms == {}
+        assert MSeries.monomial(2, (1, 1), 3, trunc=2).terms == {(1, 1): 3}
+        # a parameter exponent does not count toward the truncation
+        assert MSeries.monomial(1, (1, 4), 2, trunc=1, nparams=1).terms == {(1, 4): 2}
 
 
 class TestAddMul:
@@ -345,31 +356,19 @@ class TestUnitInverse:
             inv = unit_inverse(s, 6)
             assert s.mul(inv, cap=6)._dict_through(6) == {(0, 0): 1}
 
-    def test_wrong_candidate_is_rejected(self, monkeypatch):
-        # without its Newton steps the candidate stays 1 + z, and the pass
-        # 1 + z (1 + z) differs from it at z^2
-        monkeypatch.setattr(series_module, "newton_inverse", lambda a, m, cap: m)
-        with pytest.raises(MethodDisagreement) as err:
-            unit_inverse(series(1, {(0,): 1, (1,): -1}), 5)
-        assert "exponent (2,)" in str(err.value)
-
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_wrong_candidate_coefficient_is_named(self, monkeypatch, k):
-        # 1/(1 - z) through 6: the candidate is exact through 1, 3, then 5;
-        # plant one wrong coefficient of degree k <= 5 in the last step
-        step = series_module.newton_inverse
-
-        def planted(a, m, cap):
-            out = step(a, m, cap)
-            if cap == 5:
-                out[0][0] = out[0][0] + mono(1, (k,), 1)
-            return out
-
-        monkeypatch.setattr(series_module, "newton_inverse", planted)
-        with pytest.raises(MethodDisagreement) as err:
-            unit_inverse(series(1, {(0,): 1, (1,): -1}), 6)
-        assert f"exponent ({k},)" in str(err.value)
-
     def test_needs_constant_term(self):
         with pytest.raises(SubstitutionError):
             unit_inverse(mono(1, (1,)), 3)
+
+
+class TestInversePowers:
+    def test_below_degree_zero_is_empty(self):
+        h = PolyMap([mono(1, (2,))])
+        (factors,) = inverse_power_factors(h, [[1, 2]], -1)
+        for factors in (inverse_powers(mono(1, (1,)), [1, 2], -1), factors):
+            assert [(s.terms, s.trunc) for s in factors.values()] == [({}, -1)] * 2
+
+    def test_empty_power_bounds_the_truncation(self):
+        # x = 0 known only through 1: (1 - x)^(-1) = 1 through 1, not further
+        (s,) = inverse_powers(MSeries.zero(1, trunc=1), [1], 5).values()
+        assert s.trunc == 1 and s.terms == {(0,): 1}

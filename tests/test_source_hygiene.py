@@ -1,5 +1,6 @@
 """Source hygiene of the library modules: no import that its module never
-uses, and no private top-level function or class that nothing calls.
+uses, no private top-level function or class that nothing calls, and no
+public one that only the tests call.
 
 Each module of ``src/forminv`` except ``__init__.py`` is parsed with
 ``ast``.  A name counts as referenced where it appears as a name or as an
@@ -78,6 +79,53 @@ def test_every_private_helper_is_referenced():
             if not any(helper in r for key, r in refs.items() if key != (name, i)):
                 unused.append(f"{name}:{helper}")
     assert not unused, f"private helpers that nothing references: {unused}"
+
+
+# public names that nothing in the library, demos or perfbench calls, each
+# kept for a reason outside them
+TEST_OR_USER_ONLY = {
+    "series.py:series_from_terms": "the validating constructor for library users",
+    "randmaps.py:acceptance_corpus": "the seeded corpus the tests share",
+    "randmaps.py:random_divisible_map": "the seeded divisible maps the tests share",
+}
+
+
+def test_every_public_helper_has_a_caller():
+    """Each public top-level function or class of the library is referenced
+    in ``src/forminv`` outside its own definition and ``__init__.py``, in
+    ``demos/`` or in ``perfbench/``, so no public helper is kept for the
+    tests alone."""
+    root = SRC.parent.parent
+    outside = [
+        ast.parse(path.read_text(), filename=str(path))
+        for folder in ("demos", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    refs = {
+        (name, i): referenced(stmt)
+        for name, tree in MODULES.items()
+        for i, stmt in enumerate(tree.body)
+    }
+    used = set().union(*map(referenced, outside))
+    defined = {
+        f"{name}:{stmt.name}"
+        for name, tree in MODULES.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert set(TEST_OR_USER_ONLY) <= defined
+    orphans = []
+    for name, tree in MODULES.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name.startswith("_") or f"{name}:{stmt.name}" in TEST_OR_USER_ONLY:
+                continue
+            if stmt.name in used:
+                continue
+            if not any(stmt.name in r for key, r in refs.items() if key != (name, i)):
+                orphans.append(f"{name}:{stmt.name}")
+    assert not orphans, f"public helpers that only tests reach: {orphans}"
 
 
 def test_every_cli_option_is_read():
