@@ -10,7 +10,8 @@ whose inverse is z + H), builds the formal flow from rooted-tree data,
 computes integer powers of F, probes layer vanishing for nilpotent
 homogeneous maps, and detects symmetric Jacobians (the gradient-map case,
 where the transport equation is the n-dimensional inviscid Burgers
-system).
+system: ``recurrent_layers`` computes such a map's layers from one scalar
+potential, and ``check_pde`` checks that potential's Burgers equation).
 
 Parameters t and s are exact polynomial variables carried in the series
 exponents, so every identity here is checked exactly, coefficient by
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .errors import HomogeneityError, NilpotencyError
@@ -38,6 +38,8 @@ from .series import (
     MSeries,
     PolyMap,
     compose_map_components,
+    dot,
+    first_asymmetry,
     first_mismatch,
     mat_mul,
     mat_vec,
@@ -78,9 +80,12 @@ class Report:
     def add(self, name, ok, detail="", first_failure=None):
         self.items.append(CheckItem(name, bool(ok), detail, first_failure))
 
-    def add_equality(self, name, lhs: PolyMap, rhs: PolyMap, degree, detail=""):
+    def add_equality(self, name, lhs, rhs, degree, detail=""):
+        """lhs = rhs through `degree`, for two maps or two sequences of
+        series; a failure names the component and the first differing
+        coefficient."""
         failure = None
-        diff = first_mismatch(zip(lhs.components, rhs.components), through=degree)
+        diff = first_mismatch(zip(lhs, rhs), through=degree)
         if diff is not None:
             failure = f"component {diff[0] + 1}, {diff[1]}"
         self.add(name, failure is None, detail, failure)
@@ -140,16 +145,51 @@ def pde_residual(dinv: GradedInverse) -> PolyMap:
 
 
 def check_pde(f: MapF, degree: int) -> Report:
-    """The transport equation dN_t/dt = JN_t . N_t, as the residual of
-    `pde_residual` compared with zero through `degree`."""
+    """The Cauchy problem of the deformation through `degree`: the
+    transport equation dN_t/dt = JN_t . N_t, as the residual of
+    `pde_residual` compared with zero, and the initial condition N_0 = H.
+
+    On a gradient map (JH symmetric) it also checks the inviscid Burgers
+    form of the problem: Q_t, the Euler potential of N_t (see
+    ``_euler_potential``), has grad Q_t = N_t and
+    dQ_t/dt = 1/2 <N_t, N_t>, exactly in t, and Q_0 = P, the Euler
+    potential of H.  ``recurrent_layers`` builds a gradient map's layers
+    from the potential and never forms JN_t . N_t, so there the transport
+    item tests the equivalence of the two equations independently."""
+    dinv = deformation_inverse(f, degree)
     report = Report(f"deformation transport residual through degree {degree}")
     report.add_equality(
         "dN_t/dt - JN_t.N_t = 0",
-        pde_residual(deformation_inverse(f, degree)),
+        pde_residual(dinv),
         PolyMap.zero(f.n, degree, nparams=1),
         degree,
     )
+    report.add_equality("N_t at t = 0 equals H", dinv.n_t.eval_param(0, 0), f.h, degree)
+    if first_asymmetry(f.h.jacobian()) is None:
+        n_t = dinv.n_t
+        q_t = _euler_potential(n_t)
+        grad = [q_t.diff(i) for i in range(f.n)]
+        report.add_equality("burgers: grad Q_t = N_t", grad, n_t, degree)
+        half_norm = dot(zip(n_t, n_t), cap=degree + 1).scale(Rat(1, 2))
+        report.add_equality(
+            "burgers: dQ_t/dt = 1/2 <N_t, N_t>", [q_t.pdiff(0)], [half_norm], degree + 1
+        )
+        report.add_equality(
+            "burgers: Q_0 = P", [q_t.eval_param(0, 0)], [_euler_potential(f.h)], degree + 1
+        )
     return report
+
+
+def _euler_potential(v: PolyMap) -> MSeries:
+    """Q = sum_j 1/(j+1) sum_i z_i v_i,[j] over the homogeneous z-parts
+    v_[j] of v, parameters carried along: by Euler's formula grad Q = v
+    whenever v is a gradient, with Q(0) = 0.  Certified one degree past v:
+    z_i raises every degree by one."""
+    size = v.n + v.nparams
+    zv = series_sum(
+        c.mul_monomial(tuple(int(j == i) for j in range(size))) for i, c in enumerate(v)
+    )
+    return MSeries(zv.n, zv.trunc, {e: c / zv.zdeg(e) for e, c in zv.terms.items()}, zv.nparams)
 
 
 def check_lemma31(f: MapF, degree: int) -> Report:
@@ -307,7 +347,8 @@ def check_prop310(f: MapF, degree: int, s_order: int, t_order: int) -> Report:
 def check_gpde(u0: PolyMap, h: PolyMap, degree: int) -> Report:
     """Transport of an arbitrary initial series along the deformation:
     U_t = U_0(z + t N_t) solves dU/dt = JU . N_t with U at t=0 equal
-    to U_0."""
+    to U_0, for the N_t whose value at t=0 is H (the Cauchy problem of
+    ``check_pde``)."""
     dinv = deformation_inverse(MapF(h), degree)
     u_t = u0.with_params(1).compose(dinv.g_t(), cap=degree)
     lhs = PolyMap(tuple(c.pdiff(0) for c in u_t.components))
@@ -320,6 +361,7 @@ def check_gpde(u0: PolyMap, h: PolyMap, degree: int) -> Report:
         u0.truncate(u_t.trunc),
         min(degree, u_t.trunc),
     )
+    report.add_equality("N_t at t = 0 equals H", dinv.n_t.eval_param(0, 0), h, degree)
     return report
 
 
@@ -485,9 +527,7 @@ def symmetry_detector(h: PolyMap) -> tuple[bool, str]:
     """True when JH is symmetric (H is a gradient), in which case the
     deformation transport equation dN/dt = JN . N is exactly the
     n-dimensional inviscid Burgers system for this input."""
-    jh = h.jacobian()
-    pairs = combinations(range(h.n), 2)
-    witness = next(((i, j) for i, j in pairs if jh[i][j].terms != jh[j][i].terms), None)
+    witness = first_asymmetry(h.jacobian())
     if witness is not None:
         return False, f"JH is not symmetric: entries {witness} differ"
     return True, (

@@ -8,7 +8,10 @@ Seven methods compute the two-sided inverse G (F(G) = G(F) = z):
                   reproduce it; the reference oracle.
 * ``recurrent`` - graded layers N_[1] = H,
                   N_[m] = 1/(m-1) * sum_{k+l=m} JN_[k] . N_[l],
-                  G = z + sum_m N_[m].
+                  G = z + sum_m N_[m]; for exact H with symmetric JH
+                  (a gradient, H = grad P) the layers are N_[m] = grad Q_[m]
+                  of one scalar potential, by the Burgers recurrence
+                  (m-1) Q_[m] = 1/2 sum_{k+l=m} N_[k] . N_[l].
 * ``homog``     - differential-free recurrence through the symmetric
                   d-linear form B with B(z,...,z) = H; homogeneous H only.
 * ``ag``        - the residue-free derivative expansion
@@ -48,6 +51,7 @@ from .series import (
     PolyMap,
     compose_map_components,
     dot,
+    first_asymmetry,
     first_mismatch,
     jacobian_det,
     label_fold,
@@ -185,18 +189,53 @@ class GradedInverse:
 def recurrent_layers(h: PolyMap, count: int, cap=None) -> list[PolyMap]:
     """N_[1] = H; N_[m] = 1/(m-1) sum_{k+l=m, k,l>=1} JN_[k] . N_[l], one
     ``dot`` per component.  With cap=None and polynomial H the layers are
-    exact polynomials."""
+    exact polynomials.
+
+    When H is exact and JH symmetric, H is a gradient and the layers come
+    from one scalar potential instead (``_potential_layers``).  The route
+    is read off the Jacobian the first layer needs anyway.  A truncated H
+    stays on the Jacobian route: with unequal component truncations the
+    potential certifies other truncations."""
     if count < 1:
         return []
     layers = [h if cap is None else h.truncate(cap)]
-    jacs = []
+    if count == 1:
+        return layers
+    jacs = [layers[0].jacobian()]
+    if h.trunc == INF and first_asymmetry(jacs[0]) is None:
+        return _potential_layers(layers[0], count, cap)
     for m in range(2, count + 1):
-        jacs.append(layers[-1].jacobian())
         pairs = list(zip(jacs, reversed(layers)))  # (JN_[k], N_[m-k]), k = 1..m-1
         comps = [
             dot([p for j, u in pairs for p in zip(j[i], u)], cap) for i in range(h.n)
         ]
         layers.append(PolyMap(comps).scale(Rat(1, m - 1)))
+        if m < count:
+            jacs.append(layers[-1].jacobian())
+    return layers
+
+
+def _potential_layers(h: PolyMap, count: int, cap) -> list[PolyMap]:
+    """The layers of a gradient H = grad P (Zhao, JPAA 2005): N_t = grad Q_t
+    with dQ_t/dt = 1/2 <grad Q_t, grad Q_t>, the inviscid Burgers
+    equation.  By powers of t, N_[m] = grad Q_[m] with
+
+        (m-1) Q_[m] = sum_{k<l, k+l=m} N_[k] . N_[l] + 1/2 N_[m/2] . N_[m/2],
+
+    one ``dot`` at cap + 1 over n ceil((m-1)/2) products, the 1/2 on one
+    operand of the middle pair.  N_[1] = H is already grad P, so P itself
+    is never formed.  Each N_[k] is exact through the cap, of order >= 2,
+    so Q_[m] is exact through cap + 1 and grad Q_[m] through the cap: the
+    layers and truncations of the Jacobian route."""
+    layers = [h]
+    qcap = None if cap is None else cap + 1
+    for m in range(2, count + 1):
+        pairs = [p for k in range(1, (m + 1) // 2) for p in zip(layers[k - 1], layers[m - k - 1])]
+        if m % 2 == 0:
+            mid = layers[m // 2 - 1]
+            pairs += zip(mid.scale(Rat(1, 2)), mid)
+        q = dot(pairs, qcap).scale(Rat(1, m - 1))
+        layers.append(PolyMap([q.diff(i) for i in range(h.n)]))
     return layers
 
 
@@ -441,7 +480,9 @@ def _lagrange_weight(f: MapF, through) -> MSeries:
     rows = []
     for r, comp in enumerate(f.h.components):
         h = comp.mul_monomial(tuple(-x for x in _unit_exp(f.n, r)))
-        recip = unit_inverse(1 - h, max(min(through, h.trunc), 0))
+        cut = min(through, h.trunc)
+        # 1 - h keeps its constant term only when h is certified through 0
+        recip = unit_inverse(1 - h, cut) if cut >= 0 else MSeries.zero(f.n, cut)
         zf = recip.mul_monomial(_unit_exp(f.n, r))
         rows.append([int(r == c) - zf.mul(h.diff(c), cap=through) for c in range(f.n)])
     return series_det(rows, cap=through)

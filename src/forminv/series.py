@@ -69,7 +69,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, combinations
 from operator import itemgetter, lshift
 from typing import Iterable, Sequence
 
@@ -843,6 +843,14 @@ def mat_vec(a, v, cap=None):
 
 def mat_mul(a, b, cap=None):
     return [[dot(zip(row, col), cap) for col in zip(*b)] for row in a]
+
+
+def first_asymmetry(matrix):
+    """The first (i, j), i < j, whose entries (i, j) and (j, i) store
+    different terms, or None when the square matrix of series is exactly
+    symmetric: the one test of a symmetric Jacobian (a gradient map)."""
+    pairs = combinations(range(len(matrix)), 2)
+    return next(((i, j) for i, j in pairs if matrix[i][j].terms != matrix[j][i].terms), None)
 
 
 def label_fold(states: dict, vec, cap=None, keys=None) -> dict:

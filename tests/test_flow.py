@@ -2,6 +2,7 @@
 flow, integer powers, the layer-vanishing probe, and symmetry detection."""
 
 import dataclasses
+import math
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from forminv import (
     check_gpde,
     check_lemma31,
     check_newp,
+    check_pde,
     check_prop310,
     deformation_inverse,
     formal_flow,
@@ -206,6 +208,84 @@ class TestGpde:
     def test_h_zero(self):
         u0 = PolyMap([mono(1, (2,))])
         assert check_gpde(u0, PolyMap.zero(1), 4).ok
+
+
+def gradient(n, potential):
+    """H = grad P for P given as {exponent: coefficient}."""
+    p = MSeries(n, math.inf, {e: Rat(c) for e, c in potential.items()})
+    return PolyMap([p.diff(i) for i in range(n)])
+
+
+# grad P for n = 1, 2, 3, each of mixed degrees
+GRADIENTS = [
+    gradient(1, {(3,): Rat(1, 3), (5,): 1}),
+    gradient(2, {(2, 1): Rat(1, 2), (0, 3): Rat(1, 3), (4, 0): 1}),
+    gradient(3, {(1, 1, 1): 1, (0, 0, 4): Rat(1, 2)}),
+]
+BURGERS = [
+    "burgers: grad Q_t = N_t",
+    "burgers: dQ_t/dt = 1/2 <N_t, N_t>",
+    "burgers: Q_0 = P",
+]
+
+
+def failing(report):
+    return [item.name for item in report.items if not item.ok]
+
+
+class TestCauchyProblem:
+    """Both PDE suites check the initial condition N_0 = H, so neither
+    passes the deformation of another map, which solves the same
+    transport equation."""
+
+    @pytest.mark.parametrize(
+        "h, extra",
+        [
+            (GRADIENTS[0], ["burgers: Q_0 = P"]),
+            (PolyMap([mono(2, (1, 1)) + mono(2, (0, 2)), mono(2, (2, 0), -1)]), []),
+        ],
+        ids=["catalan_like", "n2"],
+    )
+    def test_deformation_of_2h_fails_both_suites(self, monkeypatch, h, extra):
+        real = flow.deformation_inverse
+        monkeypatch.setattr(
+            flow, "deformation_inverse", lambda f, d: real(MapF(f.h.scale(2)), d)
+        )
+        f = MapF(h)
+        assert failing(check_pde(f, 5)) == ["N_t at t = 0 equals H"] + extra
+        assert failing(check_gpde(PolyMap.identity(f.n), h, 5)) == ["N_t at t = 0 equals H"]
+
+
+class TestBurgers:
+    @pytest.mark.parametrize("h", GRADIENTS, ids=["n1", "n2", "n3"])
+    def test_items_pass_on_gradient_maps(self, h):
+        report = check_pde(MapF(h), 6)
+        assert report.ok
+        assert [item.name for item in report.items][2:] == BURGERS
+
+    def test_no_items_off_gradient_maps(self, shear_map):
+        report = check_pde(shear_map, 6)
+        assert report.ok
+        assert [item.name for item in report.items] == [
+            "dN_t/dt - JN_t.N_t = 0",
+            "N_t at t = 0 equals H",
+        ]
+
+    @pytest.mark.parametrize("h", GRADIENTS, ids=["n1", "n2", "n3"])
+    def test_one_wrong_coefficient_of_n2_fails(self, monkeypatch, h):
+        real = flow.deformation_inverse
+
+        def planted(f, degree):
+            dinv = real(f, degree)
+            first, second, *rest = dinv.layers
+            comp = second.components[0]
+            exp = next(iter(comp.terms))
+            terms = {**comp.terms, exp: comp.terms[exp] + 1}
+            second = PolyMap([MSeries(f.n, comp.trunc, terms), *second.components[1:]])
+            return dataclasses.replace(dinv, layers=(first, second, *rest))
+
+        monkeypatch.setattr(flow, "deformation_inverse", planted)
+        assert "burgers: dQ_t/dt = 1/2 <N_t, N_t>" in failing(check_pde(MapF(h), 6))
 
 
 class TestEulerIdentities:
@@ -402,31 +482,27 @@ class TestTopDegreeFault:
         monkeypatch.setattr(flow, "deformation_inverse", corrupted)
         return MapF(self.H)
 
-    @staticmethod
-    def failing(report):
-        return [item.name for item in report.items if not item.ok]
-
     def test_every_suite_fails(self, faulty, tmp_path, capsys):
         d = self.DEGREE
-        assert self.failing(check_lemma31(faulty, d)) == [
+        assert failing(check_lemma31(faulty, d)) == [
             "N_t(F_t) = H",
             "H(G_t) = N_t",
             "JN_t(F_t) = sum_k JH^k t^(k-1)",
         ]
-        assert self.failing(check_euler_identities(faulty.h, d)) == [
+        assert failing(check_euler_identities(faulty.h, d)) == [
             "N_t = (1/d) JN_t (z - (d-1) t N_t)",
             "JN_t z = d(I + ((d-1)t/d) JN_t) N_t",
             "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z",
             "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
         ]
-        assert self.failing(check_prop310(faulty, d, 2, 2)) == [
+        assert failing(check_prop310(faulty, d, 2, 2)) == [
             "F_t(G_t) = z",
             "U_{s,t} = F_{t+s} o G_t",
             "V_{s,t} = F_t o G_{s+t}",
             "U_{s,t}(V_{s,t}) = z",
             "V_{s,t}(U_{s,t}) = z",
         ]
-        assert self.failing(check_gpde(PolyMap.identity(2), faulty.h, d)) == [
+        assert failing(check_gpde(PolyMap.identity(2), faulty.h, d)) == [
             "dU_t/dt = JU_t . N_t"
         ]
         # dN_t/dt gains z1^4 at t^0; JN_t . N_t changes only above degree 4

@@ -28,7 +28,7 @@ from forminv import inversion
 from forminv.inversion import METHODS, applicable_methods, recurrent_layers
 from forminv.randmaps import random_divisible_map, random_h, random_map
 from forminv.rat import Rat
-from forminv.series import INF
+from forminv.series import INF, series_sum
 
 from conftest import mono
 
@@ -449,3 +449,94 @@ def test_degree_zero_inverse_has_no_terms(f):
         except DivisibilityError:  # the product form needs z_i | H_i
             continue
         assert [(c.terms, c.trunc) for c in g.components] == [({}, 0)] * f.n, name
+
+
+# -- the potential route of recurrent_layers -----------------------------------
+
+
+def jacobian_layers(h, count, cap=None):
+    """Reference layers: N_[1] = H cut at the cap and
+    N_[m] = 1/(m-1) sum_{k+l=m} JN_[k] . N_[l], by capped products and
+    sums of single series."""
+    layers = [h if cap is None else h.truncate(cap)]
+    for m in range(2, count + 1):
+        jacs = [layer.jacobian() for layer in layers]
+        comps = [
+            series_sum(
+                [jacs[k - 1][i][j].mul(layers[m - k - 1][j], cap=cap)
+                 for k in range(1, m) for j in range(h.n)]
+            ).scale(Rat(1, m - 1))
+            for i in range(h.n)
+        ]
+        layers.append(PolyMap(comps))
+    return layers
+
+
+def layer_data(layers):
+    return [(c.trunc, c.terms) for layer in layers for c in layer]
+
+
+@st.composite
+def gradient_maps(draw, max_n=4):
+    """H = grad P for P with 1..3 monomials of mixed degrees 3..5 in
+    n = 1..max_n variables, so o(H) >= 2 and JH is symmetric."""
+    n = draw(st.integers(1, max_n))
+    p = MSeries(n, INF, draw(st.dictionaries(exponents(n, 3, 5), COEFFS, min_size=1, max_size=3)))
+    return PolyMap([p.diff(i) for i in range(n)])
+
+
+CAPS = st.one_of(st.none(), st.integers(0, 8))
+
+
+@PROPERTY
+@given(gradient_maps(), st.integers(1, 5), CAPS)
+@example(PolyMap([mono(2, (2, 0)), mono(2, (0, 2))]), 4, None)
+def test_gradient_layers_match_the_jacobian_recurrence(h, count, cap):
+    assert layer_data(recurrent_layers(h, count, cap)) == layer_data(
+        jacobian_layers(h, count, cap)
+    )
+
+
+@PROPERTY
+@given(
+    gradient_maps(max_n=3),
+    st.lists(st.one_of(st.none(), st.integers(1, 6)), min_size=3, max_size=3),
+    st.integers(1, 5),
+    CAPS,
+)
+def test_truncated_gradient_layers_match_the_jacobian_recurrence(h, cuts, count, cap):
+    """Components cut at unequal degrees: the potential would certify
+    other truncations, so these stay on the Jacobian route."""
+    h = PolyMap([c if d is None else c.truncate(d) for c, d in zip(h, cuts)])
+    assert layer_data(recurrent_layers(h, count, cap)) == layer_data(
+        jacobian_layers(h, count, cap)
+    )
+
+
+@PROPERTY
+@given(canonical_maps(hi=4), st.integers(1, 5), st.integers(0, 8))
+def test_layers_match_the_jacobian_recurrence(f, count, cap):
+    assert layer_data(recurrent_layers(f.h, count, cap)) == layer_data(
+        jacobian_layers(f.h, count, cap)
+    )
+
+
+@pytest.mark.parametrize(
+    "h, potential",
+    [
+        (PolyMap([mono(1, (2,)) + mono(1, (5,))]), True),  # every n = 1 map
+        (PolyMap([mono(2, (1, 1)), mono(2, (2, 0), Rat(1, 2))]), True),  # grad z1^2 z2 / 2
+        (PolyMap([mono(2, (1, 1), trunc=4), mono(2, (2, 0), Rat(1, 2), trunc=4)]), False),
+        (PolyMap([mono(2, (0, 2)), MSeries.zero(2)]), False),  # shear: JH not symmetric
+    ],
+    ids=["n1", "gradient", "truncated_gradient", "shear"],
+)
+def test_route_is_read_off_the_map(monkeypatch, h, potential):
+    """The potential route runs exactly for exact H with symmetric JH."""
+    calls = []
+    real = inversion._potential_layers
+    monkeypatch.setattr(
+        inversion, "_potential_layers", lambda *a: calls.append(a) or real(*a)
+    )
+    assert layer_data(recurrent_layers(h, 4, 6)) == layer_data(jacobian_layers(h, 4, 6))
+    assert bool(calls) == potential

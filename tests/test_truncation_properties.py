@@ -191,11 +191,13 @@ def test_tree_expansions_truncated_h(f, cut, degree):
     st.lists(st.one_of(st.none(), st.integers(2, 5)), min_size=2, max_size=2),
     st.integers(2, 6),
 )
+@example(MapF(PolyMap.zero(2)), [0, 0], 3)
 def test_every_method_truncated_h(f, cuts, degree):
     """Every applicable method on H with each component exact or cut at
     its own degree returns, as the fixed-point oracle does, claims no more
     than the oracle, and equals the exact-H inverse through what it
-    claims."""
+    claims.  H cut at degree 0 leaves h_i = H_i / z_i certified through
+    -1 only, which the product form must survive."""
     cut = [c if d is None else c.truncate(d) for c, d in zip(f.h.components, cuts)]
     g = MapF(PolyMap(cut))
     fixed = invert_fixed_point(g, degree).trunc
