@@ -12,7 +12,9 @@ Euler, Prop. 3.10, the transported Cauchy problem and ``forminv verify
 --suite pde``) were recorded while every suite still built N_t one degree
 past the degree it compares; the Prop. 3.10 entries were recorded again
 when that suite gained the computed item F_t(G_t) = z and began to report
-U(V) = z and V(U) = z as items derived from it and the two factorizations.
+U(V) = z and V(U) = z as items derived from it and the two factorizations,
+and the transported Cauchy problem and ``verify --suite pde`` entries when
+both suites gained the initial-condition item "N_t at t = 0 equals H".
 The high-precision entries
 (``HIGH_PRECISION_GOLDEN``: inverses at D = 30 with coefficients of 100+
 bits, a unit inverse whose denominators mix 2, 3, 5 and 7, and a Laurent
@@ -189,28 +191,28 @@ REPORT_GOLDEN = {
     "lemma31.n2d2": "6a210cac7faca80862a807c022250977e7f25db1762758133092ce3d67ab37ab",
     "euler.n2d2": "4503d4157a90d6861610973224de6db8768290ac9dccf7a932f18c13bfde6a76",
     "prop310.n2d2": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
-    "gpde.n2d2": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
-    "verify_pde.n2d2": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "gpde.n2d2": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
+    "verify_pde.n2d2": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.n2d3": "e495eda1ba1fc324c5f82fbf731477d46de0ee852bdaa083fd90005db0773c48",
     "euler.n2d3": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
     "prop310.n2d3": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
-    "gpde.n2d3": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
-    "verify_pde.n2d3": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "gpde.n2d3": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
+    "verify_pde.n2d3": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.n3d2": "6a210cac7faca80862a807c022250977e7f25db1762758133092ce3d67ab37ab",
     "euler.n3d2": "4503d4157a90d6861610973224de6db8768290ac9dccf7a932f18c13bfde6a76",
     "prop310.n3d2": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
-    "gpde.n3d2": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
-    "verify_pde.n3d2": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "gpde.n3d2": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
+    "verify_pde.n3d2": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.n3d3": "97b4fc174581732803f0c7a2dd60115f9bd9cdf2a384b61857d5738db66b7619",
     "euler.n3d3": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
     "prop310.n3d3": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
-    "gpde.n3d3": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
-    "verify_pde.n3d3": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "gpde.n3d3": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
+    "verify_pde.n3d3": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.lemma31_defect": "97b4fc174581732803f0c7a2dd60115f9bd9cdf2a384b61857d5738db66b7619",
     "euler.lemma31_defect": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
     "prop310.lemma31_defect": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
-    "gpde.lemma31_defect": "75b808e9e07b139400598eb10fff973721756e4cff1984a731303e8c48282537",
-    "verify_pde.lemma31_defect": "9414c4a245bf00bb21b316afad69cc7455784859534689214c2b52af4c57dec4",
+    "gpde.lemma31_defect": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
+    "verify_pde.lemma31_defect": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
 }
 
 
