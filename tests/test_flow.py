@@ -255,6 +255,21 @@ class TestCauchyProblem:
         assert failing(check_pde(f, 5)) == ["N_t at t = 0 equals H"] + extra
         assert failing(check_gpde(PolyMap.identity(f.n), h, 5)) == ["N_t at t = 0 equals H"]
 
+    def test_one_wrong_coefficient_of_n1_fails_both_suites(self, monkeypatch):
+        real = flow.deformation_inverse
+
+        def planted(f, degree):
+            dinv = real(f, degree)
+            first, *rest = dinv.layers
+            comp = first.components[0]
+            first = PolyMap([comp + mono(f.n, (3,) + (0,) * (f.n - 1)), *first.components[1:]])
+            return dataclasses.replace(dinv, layers=(first, *rest))
+
+        monkeypatch.setattr(flow, "deformation_inverse", planted)
+        for h in GRADIENTS:
+            assert "N_t at t = 0 equals H" in failing(check_pde(MapF(h), 5))
+            assert "N_t at t = 0 equals H" in failing(check_gpde(PolyMap.identity(h.n), h, 5))
+
 
 class TestBurgers:
     @pytest.mark.parametrize("h", GRADIENTS, ids=["n1", "n2", "n3"])
