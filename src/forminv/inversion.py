@@ -199,19 +199,16 @@ def recurrent_layers(h: PolyMap, count: int, cap=None) -> list[PolyMap]:
     if count < 1:
         return []
     layers = [h if cap is None else h.truncate(cap)]
-    if count == 1:
-        return layers
-    jacs = [layers[0].jacobian()]
-    if h.trunc == INF and first_asymmetry(jacs[0]) is None:
-        return _potential_layers(layers[0], count, cap)
+    jacs = []
     for m in range(2, count + 1):
+        jacs.append(layers[-1].jacobian())
+        if m == 2 and h.trunc == INF and first_asymmetry(jacs[0]) is None:
+            return _potential_layers(layers[0], count, cap)
         pairs = list(zip(jacs, reversed(layers)))  # (JN_[k], N_[m-k]), k = 1..m-1
         comps = [
             dot([p for j, u in pairs for p in zip(j[i], u)], cap) for i in range(h.n)
         ]
         layers.append(PolyMap(comps).scale(Rat(1, m - 1)))
-        if m < count:
-            jacs.append(layers[-1].jacobian())
     return layers
 
 
