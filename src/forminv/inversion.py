@@ -59,6 +59,7 @@ from .series import (
     mat_vec,
     series_det,
     series_sum,
+    taylor_sums,
     unit_inverse,
 )
 from .trees import TreePolyCache, tree_expansion
@@ -361,13 +362,14 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
     graded order.  Since o(H^m) >= 2|m|, indices with |m| >= degree
     contribute nothing and the sum stops at |m| = degree - 1.
 
-    Each part (D^m / m!) (z_i q), q = j(F) H^m, is read off q's terms in
-    one pass (``_ag_part``), with no chain of derivatives.  A power or a q
-    is left out only when ``known_zero`` through its cap.
+    Every part (D^m / m!) (z_i q), q = j(F) H^m, is read off q's packed
+    rows, and each component sums its parts in one integer accumulator
+    (``taylor_sums``), with no chain of derivatives.  A power or a q is
+    left out only when ``known_zero`` through its cap.
     """
     n = f.n
     jf = jacobian_det(f.map)
-    parts = [[MSeries.zero(n, degree)] for _ in range(n)]
+    parts = []
     powers = {(0,) * n: MSeries.const(n, ONE)}
     for m in _graded_exponents(n, degree - 1):
         total = sum(m)
@@ -380,28 +382,9 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
         if hpow.known_zero(cap):
             continue
         q = jf.mul(hpow, cap=cap)
-        if q.known_zero(cap):
-            continue
-        for i in range(n):
-            parts[i].append(_ag_part(q, m, i, degree))
-    return PolyMap(map(series_sum, parts)).truncate(degree)
-
-
-def _ag_part(q: MSeries, m, i: int, degree) -> MSeries:
-    """(D^m / m!) (z_i q) for q without parameters: c z^e becomes
-    c * prod_k C(e_k + [k = i], m_k) z^(e + e_i - m), certified through
-    min(q.trunc + 1 - |m|, degree), as z_i adds a degree and each
-    derivative takes one away; terms above that are dropped."""
-    total = sum(m)
-    trunc = min(q.trunc + 1 - total, degree)
-    out = {}
-    for e, c in q.terms.items():
-        e = list(e)
-        e[i] += 1
-        weight = math.prod(map(math.comb, e, m))
-        if weight and sum(e) - total <= trunc:
-            out[tuple(x - k for x, k in zip(e, m))] = c * weight
-    return MSeries(q.n, trunc, out)
+        if not q.known_zero(cap):
+            parts.append((q, m))
+    return PolyMap(taylor_sums(n, parts, degree))
 
 
 def _unit_exp(n, i):

@@ -26,10 +26,9 @@ outside input, rejects negative exponents, and composition rejects them
 in the outer series, whose powers of the inner map it builds by
 multiplication.
 
-``_mac`` is the one loop that accumulates packed integer numerators and
-``_collect`` the one accumulate-and-cancel step on ``terms``.  ``dot``, a
-sum of products (``mul`` is the dot of one pair), and
-``compose_map_components`` run ``_mac``.  Each sum of products is one
+Every product runs ``packed.mac`` on the packed views of its operands
+(see ``packed``).  ``dot``, a sum of products (``mul`` is the dot of one
+pair), and ``compose_map_components`` run it.  Each sum of products is one
 ``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``, ``recurrent_layers``
 and the three stages of every tree sum.  A tree sum is a fold, then a
 contraction, then an expansion: ``label_fold`` builds label-multiset
@@ -48,29 +47,32 @@ coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
 ``first_mismatch`` is the one comparison of series through a degree: both
 ``eq_through`` and every method-agreement, fixed-point and identity check
 call it, and it names the first differing coefficient.
-Composition runs ``_mac`` itself, and ``series_sum`` keeps its
-``_collect``, because routing either through ``dot`` measured slower: it
-builds one ``MSeries`` and one packed view per outer term, or repacks the
-large part of an unbalanced ``+``.
+Composition runs ``mac`` itself, and ``series_sum`` keeps its
+``_collect`` on ``terms``, because routing either through ``dot``
+measured slower: it builds one ``MSeries`` per outer term, or packs parts
+held as terms and reads the sum back as terms.
 
-Products and compositions run on a *packed view* of each operand
-(``_pack``), built on first use and kept: integer numerators over one
-common denominator, each exponent packed into one integer.  ``terms``
-stays the canonical form that all else reads; the view relies on no
-``terms`` dict being changed after construction, and no code does so.
+The result of a product, a composition or ``taylor_sums`` is stored as
+its packed view only: ``order``, ``is_zero`` and the next product read
+the rows, and ``terms`` is built from them on first read.
+``mul_monomial`` runs on the rows.  ``scale``, ``-``, ``truncate``,
+``diff``, ``pdiff`` and ``shift_param`` run on the rows of an operand
+held as a view only, and on the terms of any other.  A series built from terms keeps them and
+packs its view on first use.  Both forms rely on no ``terms`` dict or
+view being changed after construction, and no code does so.
 
 All values are immutable after construction and all operations are pure,
 so the whole module is safe to use from multiple threads: two threads
-that race to build the same view build two equal ones, and either is kept.
+that race to build the same view, or the same ``terms`` of a view, build
+two equal ones, and either is kept.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import namedtuple
 from itertools import chain, combinations
-from operator import itemgetter, lshift
+from operator import lshift
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -79,6 +81,7 @@ from .errors import (
     SubstitutionError,
     TruncationError,
 )
+from .packed import View, WIDTH, decode, mac, normalized, pack, repack, summed
 from .rat import ONE, Rat, ZERO, rat_to_str
 
 INF = math.inf
@@ -101,29 +104,12 @@ def _collect(pairs, out=None) -> dict:
     return out
 
 
-_WIDTH = 16  # default bits per packed exponent field
-_View = namedtuple("_View", "width zero rows degs den span")
-
-
-def _pack(s: "MSeries", width=None) -> _View:
-    """Packed view of the terms of `s`: rows (z-degree, key, num) sorted by
-    z-degree, coefficient num / den with den the lcm of the denominators.
-    Bits [width*i, width*(i+1)) of a key hold exponent i plus the bias
-    2^(width-1), so a sum of exponents has the sum of the keys minus `zero`.
-    span is the largest |exponent|; the width is _WIDTH unless it needs more."""
-    terms, n, size = s.terms, s.n, s.n + s.nparams
-    span = max(map(abs, chain.from_iterable(terms)), default=0)
-    if width is None:
-        width = max(_WIDTH, span.bit_length() + 1)
-    shifts = range(0, width * size, width)
-    zero = ((1 << width * size) - 1) // ((1 << width) - 1) << (width - 1)
-    ratios = [(c.numerator, c.denominator) for c in terms.values()]
+def _pack(s: "MSeries") -> View:
+    """The packed view of the terms of `s` (see ``packed``)."""
+    ratios = [(c.numerator, c.denominator) for c in s.terms.values()]
     den = math.lcm(*[q for _, q in ratios])
-    degs = map(sum, terms) if not s.nparams else [sum(e[:n]) for e in terms]
-    keys = [sum(map(lshift, e, shifts), zero) for e in terms]
     nums = [p * (den // q) for p, q in ratios]
-    rows = sorted(zip(degs, keys, nums), key=itemgetter(0))
-    return _View(width, zero, rows, [row[0] for row in rows], den, span)
+    return pack(list(s.terms), nums, den, s.n, s.nparams)
 
 
 def _views(series, span):
@@ -131,38 +117,19 @@ def _views(series, span):
     |exponent| of any sum of keys to be formed, so that no field carries:
     the kept views if they share such a width, else wider ones, not kept."""
     views = [s._packed() for s in series]
-    width = min((v.width for v in views), default=_WIDTH)
+    width = min((v.width for v in views), default=WIDTH)
     if span >= 1 << (width - 1) or any(v.width != width for v in views):
         width = span.bit_length() + 1
-        views = [_pack(s, width) for s in series]
+        views = [repack(v.rows, v.den, s.n, s.nparams, v.width, width) for s, v in zip(series, views)]
     return width, views
 
 
-def _unpack(acc: dict, den, size, width) -> dict:
-    """Terms ``{exponent: Rat(num, den)}`` of the nonzero sums in `acc`."""
-    bias, mask = 1 << (width - 1), (1 << width) - 1
-    if size == 1:
-        return {(k - bias,): Rat(v, den) for k, v in acc.items() if v}
-    shifts = range(0, width * size, width)
-    return {
-        tuple([(k >> i & mask) - bias for i in shifts]): Rat(v, den)
-        for k, v in acc.items() if v
-    }
-
-
-def _mac(acc: dict, outer, shift, scale, inner: _View, cap):
-    """The one loop that accumulates packed numerators: for each row
-    (da, ka, na) of `outer` and each row (db, kb, nb) of the view `inner`
-    with da + db <= cap, add scale * na * nb to acc[ka + kb + shift].  The
-    inner loop stops at the first row of too high a degree."""
-    rows, degs = inner.rows, inner.degs
-    get = acc.get
-    for da, ka, na in outer:
-        ka += shift
-        na *= scale
-        for _, kb, nb in rows[: bisect_right(degs, cap - da)]:
-            k = ka + kb
-            acc[k] = get(k, 0) + na * nb
+def _stored(n, trunc, nparams, view: View) -> "MSeries":
+    """The series held only as its packed `view`, which builds its terms
+    on first read."""
+    s = MSeries(n, trunc, None, nparams)
+    s._view = view
+    return s
 
 
 def dot(pairs: Iterable, cap=None) -> "MSeries":
@@ -172,9 +139,9 @@ def dot(pairs: Iterable, cap=None) -> "MSeries":
     of those and `cap`; terms above it are dropped, so terms and truncation
     are those of ``series_sum`` of the capped ``mul``s.
 
-    Each pair runs ``_mac`` once, the shorter operand outside, numerators
-    scaled to the lcm of the pairs' denominator products; one ``Rat`` is
-    built per nonzero sum."""
+    Each pair runs ``mac`` once, the shorter operand outside, numerators
+    scaled to the lcm of the pairs' denominator products; the sums are
+    stored as they are, as the result's packed view."""
     pairs = list(pairs)
     first = pairs[0][0]
     trunc = INF if cap is None else cap
@@ -184,9 +151,9 @@ def dot(pairs: Iterable, cap=None) -> "MSeries":
         ta, tb = a.trunc, b.trunc
         trunc = min(trunc, ta + b.known_order, tb + a.known_order, ta + tb + 1)
     live = [
-        (a, b) if len(a.terms) <= len(b.terms) else (b, a)
+        (a, b) if len(a._packed().rows) <= len(b._packed().rows) else (b, a)
         for a, b in pairs
-        if a.terms and b.terms and a.order + b.order <= trunc
+        if not a.is_zero() and not b.is_zero() and a.order + b.order <= trunc
     ]
     n, nparams = first.n, first.nparams
     if not live:
@@ -197,8 +164,8 @@ def dot(pairs: Iterable, cap=None) -> "MSeries":
     den = math.lcm(*[va.den * vb.den for va, vb in views])
     acc = {}
     for va, vb in views:
-        _mac(acc, va.rows, -va.zero, den // (va.den * vb.den), vb, trunc)
-    return MSeries(n, trunc, _unpack(acc, den, n + nparams, width), nparams)
+        mac(acc, va.rows, -va.zero, den // (va.den * vb.den), vb, trunc)
+    return _stored(n, trunc, nparams, summed(n, nparams, width, acc, den, span))
 
 
 def _grlex_key(n):
@@ -213,13 +180,13 @@ class MSeries:
     exponents are negative.  Use the factory helpers or
     :func:`series_from_terms`; the raw constructor trusts its input."""
 
-    __slots__ = ("n", "nparams", "trunc", "terms", "_order", "_view")
+    __slots__ = ("n", "nparams", "trunc", "_terms", "_order", "_view")
 
     def __init__(self, n, trunc, terms, nparams=0):
         self.n = n
         self.nparams = nparams
         self.trunc = trunc
-        self.terms = terms
+        self._terms = terms
         self._order = None
         self._view = None
 
@@ -259,14 +226,26 @@ class MSeries:
         return sum(exp[: self.n]) if self.nparams else sum(exp)
 
     @property
+    def terms(self) -> dict:
+        """{exponent: coefficient}; a series stored as its packed view only
+        builds the dict on first read."""
+        if self._terms is None:
+            v = self._view
+            exps = decode([r[1] for r in v.rows], self.n + self.nparams, v.width)
+            self._terms = {e: Rat(r[2], v.den) for e, r in zip(exps, v.rows)}
+        return self._terms
+
+    @property
     def order(self):
         """Minimal total z-degree of a stored term; inf for the zero series."""
         if self._order is None:
             n = self.n
-            if self.nparams:
-                self._order = min((sum(e[:n]) for e in self.terms), default=INF)
+            if self._view is not None:
+                self._order = self._view.degs[0] if self._view.degs else INF
+            elif self.nparams:
+                self._order = min((sum(e[:n]) for e in self._terms), default=INF)
             else:
-                self._order = min((sum(e) for e in self.terms), default=INF)
+                self._order = min((sum(e) for e in self._terms), default=INF)
         return self._order
 
     def _packed(self):
@@ -275,6 +254,22 @@ class MSeries:
             self._view = _pack(self)
         return self._view
 
+    def _rows_op(self, trunc, rows, den, width=None, span=None) -> "MSeries":
+        """The series of `rows`, formed from the rows of this series' view
+        by a unary op, at the view's width and span unless given."""
+        v, n, nparams = self._view, self.n, self.nparams
+        span = v.span if span is None else span
+        return _stored(n, trunc, nparams, normalized(n, nparams, width or v.width, rows, den, span))
+
+    def _shifted(self, exp, trunc) -> "MSeries":
+        """z^exp times the series: each key moves by exp packed."""
+        span = self._packed().span + max(map(abs, exp), default=0)
+        width, (v,) = _views([self], span)
+        shift = sum(map(lshift, exp, range(0, width * len(exp), width)))
+        d = sum(exp[: self.n])
+        rows = [(e + d, k + shift, a) for e, k, a in v.rows]
+        return self._rows_op(trunc, rows, v.den, width, span)
+
     @property
     def known_order(self):
         """Lower bound on the order of the true series this value represents
@@ -282,13 +277,13 @@ class MSeries:
         return min(self.order, self.trunc + 1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._view.rows if self._terms is None else self._terms)
 
     def known_zero(self, degree) -> bool:
         """No terms, certified through `degree`: the test for leaving a
         factor out of a sum of products capped at `degree`.  A zero
         certified less far bounds the sum's truncation, so it stays in."""
-        return not self.terms and self.trunc >= degree
+        return self.is_zero() and self.trunc >= degree
 
     def is_zero_through(self, degree) -> bool:
         self._require_precision(degree)
@@ -335,6 +330,9 @@ class MSeries:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._terms is None:
+            rows = [(d, k, -a) for d, k, a in self._view.rows]
+            return self._rows_op(self.trunc, rows, self._view.den)
         return MSeries(
             self.n, self.trunc, {e: -c for e, c in self.terms.items()}, self.nparams
         )
@@ -358,6 +356,10 @@ class MSeries:
         c = Rat(c)
         if not c:
             return MSeries.zero(self.n, INF, self.nparams)
+        if self._terms is None:
+            p = c.numerator
+            rows = [(d, k, a * p) for d, k, a in self._view.rows]
+            return self._rows_op(self.trunc, rows, self._view.den * c.denominator)
         return MSeries(
             self.n, self.trunc, {e: v * c for e, v in self.terms.items()}, self.nparams
         )
@@ -373,12 +375,7 @@ class MSeries:
             )
         deg = sum(exp[: self.n])
         trunc = self.trunc if self.trunc == INF else self.trunc + deg
-        return MSeries(
-            self.n,
-            trunc,
-            {tuple(x + y for x, y in zip(e, exp)): c for e, c in self.terms.items()},
-            self.nparams,
-        )
+        return self._shifted(exp, trunc)
 
     def mul(self, other: "MSeries", cap=None) -> "MSeries":
         """Product, exact through the largest certifiable degree
@@ -389,6 +386,9 @@ class MSeries:
     def truncate(self, degree) -> "MSeries":
         if degree >= self.trunc:
             return self
+        if self._terms is None:
+            v = self._view
+            return self._rows_op(degree, v.rows[: bisect_right(v.degs, degree)], v.den)
         return MSeries(
             self.n,
             degree,
@@ -413,6 +413,18 @@ class MSeries:
 
     def _diff_at(self, pos: int, trunc) -> "MSeries":
         """Derivative in exponent position `pos`, certified through `trunc`."""
+        if self._terms is None:
+            span = self._view.span + 1
+            width, (v,) = _views([self], span)
+            at, mask, bias = width * pos, (1 << width) - 1, 1 << (width - 1)
+            d, unit = int(pos < self.n), 1 << width * pos
+            rows = [
+                (e - d, k - unit, a * x)
+                for e, k, a in v.rows
+                for x in [(k >> at & mask) - bias]
+                if x
+            ]
+            return self._rows_op(trunc, rows, v.den, width, span)
         out = {}
         for e, c in self.terms.items():
             k = e[pos]
@@ -439,6 +451,8 @@ class MSeries:
         if not 0 <= j < self.nparams:
             raise DimensionMismatch(f"parameter index {j} out of range")
         pos = self.n + j
+        if self._terms is None:
+            return self._shifted((0,) * pos + (k,) + (0,) * (self.nparams - j - 1), self.trunc)
         out = {
             e[:pos] + (e[pos] + k,) + e[pos + 1 :]: c for e, c in self.terms.items()
         }
@@ -626,9 +640,9 @@ def _compose_trunc(f: MSeries, g: "PolyMap"):
     bounds = []
     if f.trunc != INF:
         bounds.append((f.trunc + 1) * og - 1)
-    positive = [d for d in (f.zdeg(e) for e in f.terms) if d >= 1]
-    if gtrunc != INF and positive:
-        bounds.append((min(positive) - 1) * og + gtrunc)
+    positive = next((d for d in f._packed().degs if d >= 1), None)
+    if gtrunc != INF and positive is not None:
+        bounds.append((positive - 1) * og + gtrunc)
     return min(bounds) if bounds else INF
 
 
@@ -658,29 +672,60 @@ def compose_map_components(fs: Sequence[MSeries], g: "PolyMap", cap=None):
     trunc = min((_compose_trunc(f, g) for f in fs), default=INF)
     if cap is not None:
         trunc = min(trunc, cap)
-    n = f0.n
-    zexps = list({e[:n] for f in fs for e in f.terms})
+    n, nparams = f0.n, f0.nparams
+    outer = [f._packed() for f in fs]
+    exps = [decode([r[1] for r in v.rows], n + nparams, v.width) for v in outer]
+    zexps = list({e[:n] for es in exps for e in es})
     if any(x < 0 for e in zexps for x in e):
         raise SubstitutionError("cannot substitute into a negative power of z")
     table = _power_table(zexps, g, trunc)
     # the parameter exponent of a term of f enters as an offset to the keys
-    pspan = max((abs(x) for f in fs for e in f.terms for x in e[n:]), default=0)
+    pspan = max((abs(x) for es in exps for e in es for x in e[n:]), default=0)
     entries = [table[a] for a in zexps]
     span = max((s._packed().span for s in entries), default=0) + pspan
     width, views = _views(entries, span)
     views = dict(zip(zexps, views))
     results = []
-    for f in fs:
-        den = math.lcm(*(c.denominator * views[e[:n]].den for e, c in f.terms.items()))
+    for v, es in zip(outer, exps):
+        den = v.den * math.lcm(*(views[e[:n]].den for e in es))
         acc = {}
-        for e, c in f.terms.items():
+        for e, (_, _, a) in zip(es, v.rows):
             view = views[e[:n]]
-            scale = c.numerator * (den // (c.denominator * view.den))
+            scale = a * (den // (v.den * view.den))
             offset = sum(x << width * i for i, x in enumerate(e[n:], n))
-            _mac(acc, ((0, 0, 1),), offset, scale, view, trunc)
-        out = _unpack(acc, den, n + f0.nparams, width)
-        results.append(MSeries(n, trunc, out, f0.nparams))
+            mac(acc, ((0, 0, 1),), offset, scale, view, trunc)
+        results.append(_stored(n, trunc, nparams, summed(n, nparams, width, acc, den, span)))
     return results
+
+
+def taylor_sums(n, parts, degree) -> list:
+    """[sum over (q, m) in `parts` of (D^m / m!)(z_i q) for i < n], for q in
+    n variables without parameters or negative exponents.  A term c z^e of
+    q gives c * prod_k C(e_k + [k = i], m_k) z^(e + e_i - m), so each sum is
+    one accumulator over the packed rows of the q's, with numerators over
+    the lcm of their denominators.  Every sum is certified through the
+    least of `degree` and each q.trunc + 1 - |m|, as z_i adds a degree and
+    each derivative takes one away; terms above that are dropped."""
+    trunc = min([degree] + [q.trunc + 1 - sum(m) for q, m in parts])
+    qs = [q for q, _ in parts]
+    span = max((q._packed().span for q in qs), default=0) + 1
+    width, views = _views(qs, span)
+    den = math.lcm(*[v.den for v in views])
+    shifts = range(0, width * n, width)
+    accs = [{} for _ in range(n)]
+    for (_, m), v in zip(parts, views):
+        rows = v.rows[: bisect_right(v.degs, trunc - 1 + sum(m))]
+        drop, scale = sum(map(lshift, m, shifts)), den // v.den
+        for e, (_, k, a) in zip(decode([r[1] for r in rows], n, width), rows):
+            e, k, a = list(e), k - drop, a * scale
+            for i, acc in enumerate(accs):
+                e[i] += 1
+                weight = math.prod(map(math.comb, e, m))
+                e[i] -= 1
+                if weight:
+                    key = k + (1 << width * i)
+                    acc[key] = acc.get(key, 0) + a * weight
+    return [_stored(n, trunc, 0, summed(n, 0, width, acc, den, span)) for acc in accs]
 
 
 # -- maps -----------------------------------------------------------------------

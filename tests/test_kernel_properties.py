@@ -10,13 +10,21 @@ integer views of their operands, so their operands also draw coprime and
 the default field width.
 
 The determinant, the labeled tree sums and the parts of ``ag`` each sum
-their products in one ``dot`` (or read a part off the terms of one
-product).  Their references below are the folds they replaced: each
-product taken by ``mul`` and the products summed by ``series_sum``, or
-the chain of unary ops, compared in both terms and truncation.
+their products in one ``dot`` (or read the parts off the packed rows of
+the products, ``taylor_sums``).  Their references below are the folds
+they replaced: each product taken by ``mul`` and the products summed by
+``series_sum``, or the chain of unary ops, compared in both terms and
+truncation.
+
+A computed series is stored as its packed view only, and builds its
+terms on first read.  Every such view must be the one ``_pack`` builds
+from those terms, with each row's degree (read off its key) the z-degree
+of its exponent; each unary op must give the same series on an operand
+held as a view only as on one held as terms, and leave both unchanged.
 """
 
 import math
+from contextlib import contextmanager
 from functools import reduce
 from operator import add
 
@@ -24,19 +32,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forminv import packed, series
 from forminv.errors import DimensionMismatch
-from forminv.inversion import _ag_part
+from forminv.flow import check_prop310
+from forminv.inversion import jacobi_coefficient
+from forminv.laurent import laurent_inv_power
 from forminv.rat import ONE, Rat
 from forminv.series import (
     INF,
+    MapF,
     MSeries,
     PolyMap,
     compose,
     dot,
+    first_asymmetry,
+    first_mismatch,
     inverse_powers,
     series_det,
     series_from_terms,
     series_sum,
+    taylor_sums,
     unit_inverse,
 )
 from forminv.trees import tree_sums
@@ -497,7 +512,7 @@ def test_tree_sums_match_fold_of_capped_products(data):
 
 
 def chain_ag_part(q, m, i, degree):
-    """Reference for ``_ag_part``: z_i q by ``mul_monomial``, then |m|
+    """Reference for one part of ``taylor_sums``: z_i q by ``mul_monomial``, then |m|
     calls of ``diff``, ``scale`` by 1/m! and ``truncate``."""
     term = q.mul_monomial(tuple(1 if j == i else 0 for j in range(q.n)))
     for axis, reps in enumerate(m):
@@ -508,25 +523,214 @@ def chain_ag_part(q, m, i, degree):
 
 @st.composite
 def ag_parts(draw):
-    """q in 1-3 variables, exact or truncated at 0-7 (terms above it
-    removed); a multi-index m with |m| <= 4, a component i and a degree
-    of 0-8."""
+    """1-3 parts (q, m) of one n in 1-3 variables: q exact or truncated at
+    0-7 (terms above it removed), a multi-index m with |m| <= 4; and a
+    degree of 0-8."""
     n = draw(st.integers(1, 3))
-    trunc = draw(st.one_of(st.just(INF), st.integers(0, 7)))
-    terms = draw(term_dicts(n, hi=4, max_size=8, coeffs=KERNEL_COEFFS))
-    q = MSeries(n, trunc, {e: c for e, c in terms.items() if sum(e) <= trunc})
-    m = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda m: sum(m) <= 4))
-    return q, m, draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        trunc = draw(st.one_of(st.just(INF), st.integers(0, 7)))
+        terms = draw(term_dicts(n, hi=4, max_size=8, coeffs=KERNEL_COEFFS))
+        q = MSeries(n, trunc, {e: c for e, c in terms.items() if sum(e) <= trunc})
+        m = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda m: sum(m) <= 4))
+        parts.append((q, m))
+    return n, parts, draw(st.integers(0, 8))
 
 
 @settings(max_examples=80, deadline=None)
 @given(ag_parts())
 def test_ag_part_matches_chain_of_unary_ops(data):
-    q, m, i, degree = data
-    r = _ag_part(q, m, i, degree)
-    want = chain_ag_part(q, m, i, degree)
-    assert (r.terms, r.trunc) == (want.terms, want.trunc)
-    assert no_zero_coefficient(r.terms)
+    n, parts, degree = data
+    for i, r in enumerate(taylor_sums(n, parts, degree)):
+        chains = [chain_ag_part(q, m, i, degree) for q, m in parts]
+        want = series_sum([MSeries.zero(n, degree)] + chains)
+        assert (r.terms, r.trunc) == (want.terms, want.trunc)
+        assert no_zero_coefficient(r.terms)
+
+
+# -- the packed view as the stored form ----------------------------------------
+
+
+@contextmanager
+def stored_views():
+    """Collects every series that the block stores as a packed view only."""
+    stored, original = [], series._stored
+
+    def record(*args):
+        s = original(*args)
+        stored.append(s)
+        return s
+
+    series._stored = record
+    try:
+        yield stored
+    finally:
+        series._stored = original
+
+
+def assert_view_is_packed_terms(s):
+    """The stored view equals ``_pack`` of the series' terms field for
+    field, and each row's degree is the z-degree of its exponent."""
+    view = s._view
+    want = series._pack(MSeries(s.n, s.trunc, s.terms, s.nparams))
+    assert (view.den, view.rows, view.degs, view.width) == (
+        want.den, want.rows, want.degs, want.width
+    )
+    assert view.degs == [s.zdeg(e) for e in s.terms]
+    assert all(abs(x) <= view.span for e in s.terms for x in e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dot_pairs(), compositions(), ag_parts())
+def test_every_stored_view_is_the_packed_terms(dots, comps, ag):
+    with stored_views() as stored:
+        dot(*dots)
+        f, g, cap = comps
+        compose(f, g, cap=cap)
+        taylor_sums(*ag)
+    assert stored
+    for s in stored:
+        assert_view_is_packed_terms(s)
+
+
+def _catalan2():
+    """F = z - H in two variables, H quadratic and cubic."""
+    h = PolyMap([
+        MSeries(2, INF, {(2, 0): Rat(1), (1, 1): Rat(-1, 2)}),
+        MSeries(2, INF, {(0, 2): Rat(1, 3), (2, 1): Rat(2)}),
+    ])
+    return MapF(h)
+
+
+@pytest.mark.parametrize("run", [
+    # Laurent expansions: negative exponents and negative degrees
+    lambda: laurent_inv_power(_catalan2(), (2, 1), 3),
+    lambda: jacobi_coefficient(_catalan2(), 1, (2, 2)),
+    # one- and two-parameter series of the t and s family
+    lambda: check_prop310(_catalan2(), 4, 2, 2),
+], ids=["laurent_inv_power", "jacobi_coefficient", "prop310"])
+def test_degrees_read_off_keys_are_the_exponents(run):
+    with stored_views() as stored:
+        run()
+    assert stored
+    for s in stored:
+        assert_view_is_packed_terms(s)
+
+
+def test_degree_read_guards_the_widths():
+    """Both sides of the guard: a span that forces a width above the
+    default, and 16-bit keys whose degrees n * span exceed what their
+    fields tell, so the degrees come from the decoded exponents."""
+    with stored_views() as stored:
+        wide = MSeries(2, INF, {(2**19, -3): Rat(1, 3)}).mul(MSeries(2, INF, {(1, 0): 1}))
+        s = MSeries(3, INF, {(12000,) * 3: Rat(1, 3)})
+        deep = s.mul(MSeries(3, INF, {(0, 0, 0): 1, (0, 1, 0): 1}))
+    assert (wide._view.width > packed.WIDTH, wide._view.degs) == (True, [2**19 - 2])
+    assert (deep._view.width, deep._view.degs) == (packed.WIDTH, [36000, 36001])
+    assert deep.terms == {(12000,) * 3: Rat(1, 3), (12000, 12001, 12000): Rat(1, 3)}
+    for s in stored:
+        assert_view_is_packed_terms(s)
+
+
+def view_only(s):
+    """A series equal to `s`, held only as its packed view."""
+    out = MSeries(s.n, s.trunc, None, s.nparams)
+    out._view = series._pack(s)
+    return out
+
+
+def terms_only(s):
+    """A series equal to `s`, held only as terms."""
+    return MSeries(s.n, s.trunc, dict(s.terms), s.nparams)
+
+
+@st.composite
+def unary_operands(draw):
+    """A series in 1-3 variables with 0-2 parameters, exact or truncated
+    at -2..6, Laurent in some cases, sometimes with exponents beyond the
+    default field width; coprime and 100+-bit denominators."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    entry = st.integers(draw(st.sampled_from([0, -2])), 3)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.sampled_from(HUGE))
+    exps = st.tuples(*[entry] * (n + p))
+    trunc = draw(st.one_of(st.just(INF), st.integers(-2, 6)))
+    terms = draw(st.dictionaries(exps, KERNEL_COEFFS, max_size=6))
+    return MSeries(n, trunc, {e: c for e, c in terms.items() if zdeg(e, n) <= trunc}, p)
+
+
+def unit(size, i, k=1):
+    return tuple(k if j == i else 0 for j in range(size))
+
+
+@st.composite
+def unary_ops(draw, s):
+    """(name, op, reference): an op of ``MSeries`` that runs on the packed
+    rows, and what it gives as (terms, trunc) on the terms with ``Rat``s."""
+    n, p, size = s.n, s.nparams, s.n + s.nparams
+
+    def moved(terms, exp, weight=lambda e: 1):
+        return {tuple(x + y for x, y in zip(e, exp)): c * weight(e) for e, c in terms.items() if weight(e)}
+
+    c = draw(KERNEL_COEFFS)
+    exp = draw(st.tuples(*[st.integers(-3, 3)] * size))
+    degree = draw(st.integers(-3, 7))
+    i = draw(st.integers(0, n - 1))
+    shift = lambda t, d: t if t == INF else t + d
+    ops = [
+        ("neg", lambda s: -s, lambda t: ({e: -v for e, v in t.items()}, s.trunc)),
+        ("scale", lambda s: s.scale(c), lambda t: ({e: v * c for e, v in t.items()}, s.trunc)),
+        ("mul_monomial", lambda s: s.mul_monomial(exp),
+         lambda t: (moved(t, exp), shift(s.trunc, sum(exp[:n])))),
+        ("truncate", lambda s: s.truncate(degree),
+         lambda t: ({e: v for e, v in t.items() if zdeg(e, n) <= degree}, min(degree, s.trunc))),
+        ("diff", lambda s: s.diff(i),
+         lambda t: (moved(t, unit(size, i, -1), lambda e: e[i]), shift(s.trunc, -1))),
+    ]
+    if p:
+        j, k = draw(st.integers(0, p - 1)), draw(st.integers(-2, 3))
+        ops += [
+            ("pdiff", lambda s: s.pdiff(j),
+             lambda t: (moved(t, unit(size, n + j, -1), lambda e: e[n + j]), s.trunc)),
+            ("shift_param", lambda s: s.shift_param(j, k),
+             lambda t: (moved(t, unit(size, n + j, k)), s.trunc)),
+        ]
+    return draw(st.sampled_from(ops))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unary_ops_agree_in_either_form(data):
+    s = data.draw(unary_operands())
+    name, op, reference = data.draw(unary_ops(s))
+    want_terms, want_trunc = reference(s.terms)
+    as_view, as_terms = view_only(s), terms_only(s)
+    before = (list(as_view._view.rows), dict(as_terms.terms))
+    with stored_views() as stored:
+        results = [op(as_view), op(as_terms)]
+    for r in results:
+        assert (r.terms, r.trunc, r.n, r.nparams) == (want_terms, want_trunc, s.n, s.nparams), name
+        assert no_zero_coefficient(r.terms)
+    assert (as_view._view.rows, as_view.terms, as_terms.terms) == (before[0], s.terms, before[1])
+    for r in stored:
+        assert_view_is_packed_terms(r)
+
+
+@SETTINGS
+@given(series_pairs(), st.booleans(), st.integers(0, 8))
+def test_comparisons_agree_in_either_form(pair, same, degree):
+    a, b = pair
+    if same:
+        b = terms_only(a)
+    forms = (view_only, terms_only)
+    answers = {
+        (x == y, first_mismatch([(x, y)], degree), first_asymmetry([[x, y], [x, x]]))
+        for fa in forms
+        for fb in forms
+        for x, y in [(fa(a), fb(b))]
+    }
+    assert len(answers) == 1
+    assert (a == b) == (a.terms == b.terms)
 
 
 @SETTINGS
