@@ -78,7 +78,7 @@ def newton_inverse(a, m, cap):
     am = mat_mul(a, m, cap)
     e = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(am)]
     return [
-        [MSeries(x.n, INF, (x + y).terms, x.nparams) for x, y in zip(row, fix)]
+        [(x + y).as_exact() for x, y in zip(row, fix)]
         for row, fix in zip(m, mat_mul(m, e, cap))
     ]
 
@@ -125,7 +125,7 @@ def invert_fixed_point(f: MapF, degree: int) -> PolyMap:
             a = [[int(i == j) - next(jg) for j in range(n)] for i in range(n)]
             m = newton_inverse(a, m, p)
         r = ident + h.compose(g, cap=s) - g
-        g = PolyMap(MSeries(n, INF, x.terms) for x in g + PolyMap(mat_vec(m, r, s)))
+        g = PolyMap(x.as_exact() for x in g + PolyMap(mat_vec(m, r, s)))
         t = s
     out = ident + h.compose(g.truncate(t), cap=degree)
     what = "fixed-point candidate differs from its pass at"

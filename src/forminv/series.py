@@ -47,19 +47,22 @@ coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
 ``first_mismatch`` is the one comparison of series through a degree: both
 ``eq_through`` and every method-agreement, fixed-point and identity check
 call it, and it names the first differing coefficient.
-Composition runs ``mac`` itself, and ``series_sum`` keeps its
-``_collect`` on ``terms``, because routing either through ``dot``
-measured slower: it builds one ``MSeries`` per outer term, or packs parts
-held as terms and reads the sum back as terms.
+Composition and ``series_sum`` run ``mac`` themselves, a composition
+because routing it through ``dot`` builds one ``MSeries`` per outer term,
+which measured slower.
 
-The result of a product, a composition or ``taylor_sums`` is stored as
-its packed view only: ``order``, ``is_zero`` and the next product read
-the rows, and ``terms`` is built from them on first read.
-``mul_monomial`` runs on the rows.  ``scale``, ``-``, ``truncate``,
-``diff``, ``pdiff`` and ``shift_param`` run on the rows of an operand
-held as a view only, and on the terms of any other.  A series built from terms keeps them and
-packs its view on first use.  Both forms rely on no ``terms`` dict or
-view being changed after construction, and no code does so.
+The packed view is the one stored form: every op reads the views of its
+operands and stores its result as a view only.  That covers products,
+sums, compositions and ``taylor_sums``, the unary ops (``scale``, ``-``,
+``mul_monomial``, ``truncate``, ``diff``, ``pdiff``, ``shift_param``),
+the parameter ops (``with_params``, ``eval_param``, ``subst_param_sum``)
+and ``first_mismatch``, which cross-multiplies numerators.  A ``Rat`` is
+built only at the edges: ``series_from_terms`` and the factories take
+them, ``terms`` builds them from the rows on first read (for serializing,
+formatting and callers that read coefficients), and ``first_mismatch``
+builds the two of the pair it names.  A series built from terms keeps
+them and packs its view on first use.  Both forms rely on no ``terms``
+dict or view being changed after construction, and no code does so.
 
 All values are immutable after construction and all operations are pure,
 so the whole module is safe to use from multiple threads: two threads
@@ -71,7 +74,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import chain, combinations
+from itertools import combinations
 from operator import lshift
 from typing import Iterable, Sequence
 
@@ -81,27 +84,19 @@ from .errors import (
     SubstitutionError,
     TruncationError,
 )
-from .packed import View, WIDTH, decode, mac, normalized, pack, repack, summed
+from .packed import View, WIDTH, decode, mac, normalized, pack, repack, summed, zero_key
 from .rat import ONE, Rat, ZERO, rat_to_str
 
 INF = math.inf
 
 
-def _collect(pairs, out=None) -> dict:
-    """Sum the (exponent, coefficient) pairs by exponent into `out` (a
-    fresh dict by default), then drop the exponents whose sum is zero."""
-    out = {} if out is None else out
-    zeros = []
+def _collect(pairs) -> dict:
+    """Sum the (exponent, coefficient) pairs by exponent, dropping the
+    exponents whose sum is zero."""
+    out = {}
     for e, c in pairs:
-        s = out.get(e)
-        s = c if s is None else s + c
-        out[e] = s
-        if not s:
-            zeros.append(e)
-    for e in zeros:
-        if e in out and not out[e]:
-            del out[e]
-    return out
+        out[e] = out.get(e, ZERO) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _pack(s: "MSeries") -> View:
@@ -180,14 +175,13 @@ class MSeries:
     exponents are negative.  Use the factory helpers or
     :func:`series_from_terms`; the raw constructor trusts its input."""
 
-    __slots__ = ("n", "nparams", "trunc", "_terms", "_order", "_view")
+    __slots__ = ("n", "nparams", "trunc", "_terms", "_view")
 
     def __init__(self, n, trunc, terms, nparams=0):
         self.n = n
         self.nparams = nparams
         self.trunc = trunc
         self._terms = terms
-        self._order = None
         self._view = None
 
     # -- construction ------------------------------------------------------
@@ -238,15 +232,8 @@ class MSeries:
     @property
     def order(self):
         """Minimal total z-degree of a stored term; inf for the zero series."""
-        if self._order is None:
-            n = self.n
-            if self._view is not None:
-                self._order = self._view.degs[0] if self._view.degs else INF
-            elif self.nparams:
-                self._order = min((sum(e[:n]) for e in self._terms), default=INF)
-            else:
-                self._order = min((sum(e) for e in self._terms), default=INF)
-        return self._order
+        degs = self._packed().degs
+        return degs[0] if degs else INF
 
     def _packed(self):
         """The packed view of ``terms`` (see ``_pack``), built on first use."""
@@ -257,7 +244,7 @@ class MSeries:
     def _rows_op(self, trunc, rows, den, width=None, span=None) -> "MSeries":
         """The series of `rows`, formed from the rows of this series' view
         by a unary op, at the view's width and span unless given."""
-        v, n, nparams = self._view, self.n, self.nparams
+        v, n, nparams = self._packed(), self.n, self.nparams
         span = v.span if span is None else span
         return _stored(n, trunc, nparams, normalized(n, nparams, width or v.width, rows, den, span))
 
@@ -287,13 +274,10 @@ class MSeries:
 
     def is_zero_through(self, degree) -> bool:
         self._require_precision(degree)
-        return all(self.zdeg(e) > degree for e in self.terms)
+        return self.is_zero() or self.order > degree
 
     def eq_through(self, other: "MSeries", degree) -> bool:
         return first_mismatch([(self, other)], degree) is None
-
-    def _dict_through(self, degree):
-        return {e: c for e, c in self.terms.items() if self.zdeg(e) <= degree}
 
     def _require_precision(self, degree):
         if self.trunc < degree:
@@ -315,7 +299,7 @@ class MSeries:
             and self.n == other.n
             and self.nparams == other.nparams
             and self.trunc == other.trunc
-            and self.terms == other.terms
+            and first_mismatch([(self, other)]) is None
         )
 
     __hash__ = None
@@ -330,12 +314,9 @@ class MSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._terms is None:
-            rows = [(d, k, -a) for d, k, a in self._view.rows]
-            return self._rows_op(self.trunc, rows, self._view.den)
-        return MSeries(
-            self.n, self.trunc, {e: -c for e, c in self.terms.items()}, self.nparams
-        )
+        v = self._packed()
+        rows = [(d, k, -a) for d, k, a in v.rows]
+        return _stored(self.n, self.trunc, self.nparams, v._replace(rows=rows))
 
     def __sub__(self, other):
         if not isinstance(other, MSeries):
@@ -356,13 +337,9 @@ class MSeries:
         c = Rat(c)
         if not c:
             return MSeries.zero(self.n, INF, self.nparams)
-        if self._terms is None:
-            p = c.numerator
-            rows = [(d, k, a * p) for d, k, a in self._view.rows]
-            return self._rows_op(self.trunc, rows, self._view.den * c.denominator)
-        return MSeries(
-            self.n, self.trunc, {e: v * c for e, v in self.terms.items()}, self.nparams
-        )
+        v, p = self._packed(), c.numerator
+        rows = [(d, k, a * p) for d, k, a in v.rows]
+        return self._rows_op(self.trunc, rows, v.den * c.denominator)
 
     def mul_monomial(self, exp) -> "MSeries":
         """Multiply by z^exp; exponents may be negative.  The certified
@@ -386,15 +363,12 @@ class MSeries:
     def truncate(self, degree) -> "MSeries":
         if degree >= self.trunc:
             return self
-        if self._terms is None:
-            v = self._view
-            return self._rows_op(degree, v.rows[: bisect_right(v.degs, degree)], v.den)
-        return MSeries(
-            self.n,
-            degree,
-            {e: c for e, c in self.terms.items() if self.zdeg(e) <= degree},
-            self.nparams,
-        )
+        v = self._packed()
+        return self._rows_op(degree, v.rows[: bisect_right(v.degs, degree)], v.den)
+
+    def as_exact(self) -> "MSeries":
+        """The same terms, certified exact (truncation INF)."""
+        return _stored(self.n, INF, self.nparams, self._packed())
 
     # -- differentiation ------------------------------------------------------
 
@@ -413,81 +387,87 @@ class MSeries:
 
     def _diff_at(self, pos: int, trunc) -> "MSeries":
         """Derivative in exponent position `pos`, certified through `trunc`."""
-        if self._terms is None:
-            span = self._view.span + 1
-            width, (v,) = _views([self], span)
-            at, mask, bias = width * pos, (1 << width) - 1, 1 << (width - 1)
-            d, unit = int(pos < self.n), 1 << width * pos
-            rows = [
-                (e - d, k - unit, a * x)
-                for e, k, a in v.rows
-                for x in [(k >> at & mask) - bias]
-                if x
-            ]
-            return self._rows_op(trunc, rows, v.den, width, span)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[pos]
-            if k:
-                out[e[:pos] + (k - 1,) + e[pos + 1 :]] = c * k
-        return MSeries(self.n, trunc, out, self.nparams)
+        span = self._packed().span + 1
+        width, (v,) = _views([self], span)
+        at, mask, bias = width * pos, (1 << width) - 1, 1 << (width - 1)
+        d, unit = int(pos < self.n), 1 << width * pos
+        rows = [
+            (e - d, k - unit, a * x)
+            for e, k, a in v.rows
+            for x in [(k >> at & mask) - bias]
+            if x
+        ]
+        return self._rows_op(trunc, rows, v.den, width, span)
 
     # -- parameter handling ---------------------------------------------------
 
     def with_params(self, extra: int) -> "MSeries":
-        """Append `extra` parameter positions (exponent 0 everywhere)."""
+        """Append `extra` parameter positions (exponent 0 everywhere): each
+        key gains the bias of the new fields above its top field."""
         if extra == 0:
             return self
-        pad = (0,) * extra
-        return MSeries(
-            self.n,
-            self.trunc,
-            {e + pad: c for e, c in self.terms.items()},
-            self.nparams + extra,
-        )
+        v, nparams = self._packed(), self.nparams + extra
+        zero = zero_key(v.width, self.n + nparams)
+        rows = [(d, k + zero - v.zero, a) for d, k, a in v.rows]
+        return _stored(self.n, self.trunc, nparams, v._replace(zero=zero, rows=rows))
 
     def shift_param(self, j: int, k: int = 1) -> "MSeries":
         """Multiply by the j-th parameter raised to the k-th power."""
         if not 0 <= j < self.nparams:
             raise DimensionMismatch(f"parameter index {j} out of range")
         pos = self.n + j
-        if self._terms is None:
-            return self._shifted((0,) * pos + (k,) + (0,) * (self.nparams - j - 1), self.trunc)
-        out = {
-            e[:pos] + (e[pos] + k,) + e[pos + 1 :]: c for e, c in self.terms.items()
-        }
-        return MSeries(self.n, self.trunc, out, self.nparams)
+        return self._shifted((0,) * pos + (k,) + (0,) * (self.nparams - j - 1), self.trunc)
 
     def eval_param(self, j: int, value) -> "MSeries":
-        """Substitute an exact rational for the j-th parameter (removed from
-        the exponent layout)."""
+        """Substitute an exact rational p/q for the j-th parameter (removed
+        from the exponent layout).  With lo <= 0 <= hi bounding the rows'
+        exponents e of it, each numerator is scaled by p^(e - lo) q^(hi - e)
+        and the denominator by p^(-lo) q^hi, so every factor stays an
+        integer; the rows, field j dropped from their keys, meet in one
+        accumulator."""
         if not 0 <= j < self.nparams:
             raise DimensionMismatch(f"parameter index {j} out of range")
         value = Rat(value)
-        pos = self.n + j
-        out = _collect(
-            (e[:pos] + e[pos + 1 :], c * value ** e[pos] if e[pos] else c)
-            for e, c in self.terms.items()
-        )
-        return MSeries(self.n, self.trunc, out, self.nparams - 1)
+        p, q = value.numerator, value.denominator
+        v, n, nparams = self._packed(), self.n, self.nparams - 1
+        width, at = v.width, v.width * (n + j)
+        mask, bias, below = (1 << width) - 1, 1 << (width - 1), (1 << at) - 1
+        exps = [(k >> at & mask) - bias for _, k, _ in v.rows]
+        lo, hi = min([0, *exps]), max([0, *exps])
+        if lo < 0 and not p:
+            raise ZeroDivisionError("a negative power of the parameter at 0")
+        weight = {e: p ** (e - lo) * q ** (hi - e) for e in set(exps)}
+        acc = {}
+        for e, (_, k, a) in zip(exps, v.rows):
+            key = (k & below) | (k >> (at + width)) << at
+            acc[key] = acc.get(key, 0) + a * weight[e]
+        den = v.den * p ** -lo * q ** hi
+        return _stored(n, self.trunc, nparams, summed(n, nparams, width, acc, den, v.span))
 
     def subst_param_sum(self, j: int, k: int) -> "MSeries":
         """Substitute parameter j := parameter j + parameter k (binomial
-        expansion); used for reindexing deformations like t -> t + s."""
+        expansion); used for reindexing deformations like t -> t + s.  A row
+        whose exponent of j is a adds r (unit_k - unit_j) to its key with
+        weight C(a, r), r = 0..a, into one accumulator, at a width that
+        holds twice the span.  A negative a has no polynomial expansion."""
         if j == k:
             raise DimensionMismatch("parameters must differ")
-        pj, pk = self.n + j, self.n + k
-
-        def expand():
-            for e, c in self.terms.items():
-                a = e[pj]
-                for r in range(a + 1):
-                    e2 = list(e)
-                    e2[pj] = a - r
-                    e2[pk] = e[pk] + r
-                    yield tuple(e2), c * math.comb(a, r)
-
-        return MSeries(self.n, self.trunc, _collect(expand()), self.nparams)
+        if not (0 <= j < self.nparams and 0 <= k < self.nparams):
+            raise DimensionMismatch(f"parameter index {j} or {k} out of range")
+        n, nparams = self.n, self.nparams
+        span = 2 * self._packed().span
+        width, (v,) = _views([self], span)
+        at, mask, bias = width * (n + j), (1 << width) - 1, 1 << (width - 1)
+        step = (1 << width * (n + k)) - (1 << at)
+        acc = {}
+        for _, key, num in v.rows:
+            a = (key >> at & mask) - bias
+            if a < 0:
+                raise SubstitutionError(f"parameter {j} to the power {a} has no expansion")
+            for r in range(a + 1):
+                key_r = key + r * step
+                acc[key_r] = acc.get(key_r, 0) + num * math.comb(a, r)
+        return _stored(n, self.trunc, nparams, summed(n, nparams, width, acc, v.den, span))
 
     def strip_params(self) -> "MSeries":
         """Drop parameter positions entirely; requires no parameter appears
@@ -590,24 +570,24 @@ def series_from_terms(n, trunc, items: Iterable, nparams=0) -> MSeries:
 
 def series_sum(parts: Iterable[MSeries]) -> MSeries:
     """Sum of a non-empty iterable of series with one layout, in one
-    accumulate pass.  The sum is certified through the least truncation
-    among the parts; terms above it are dropped when some part claimed
-    more, so terms and truncation are those of folding ``+``.  A lone
-    part is returned as it is."""
+    integer accumulator: the parts' views at a shared width, numerators
+    over the lcm of their denominators, each cut at the least truncation
+    among the parts, which certifies the sum; so terms and truncation are
+    those of folding ``+``.  A lone part is returned as it is."""
     first, *rest = parts
     if not rest:
         return first
     for p in rest:
         first._check_compat(p)
-    # the largest part's terms are copied, which costs less than collecting them
-    big, *rest = sorted((first, *rest), key=lambda p: len(p.terms), reverse=True)
-    truncs = [big.trunc] + [p.trunc for p in rest]
-    trunc = min(truncs)
-    items = chain.from_iterable(p.terms.items() for p in rest)
-    out = _collect(items, dict(big.terms))
-    if max(truncs) > trunc:
-        out = {e: c for e, c in out.items() if first.zdeg(e) <= trunc}
-    return MSeries(first.n, trunc, out, first.nparams)
+    parts = [first, *rest]
+    n, nparams, trunc = first.n, first.nparams, min(p.trunc for p in parts)
+    span = max(p._packed().span for p in parts)
+    width, views = _views(parts, span)
+    den = math.lcm(*[v.den for v in views])
+    acc = {}
+    for v in views:
+        mac(acc, ((0, 0, 1),), 0, den // v.den, v, trunc)
+    return _stored(n, trunc, nparams, summed(n, nparams, width, acc, den, span))
 
 
 # -- composition ---------------------------------------------------------------
@@ -927,7 +907,7 @@ def inverse_powers(x: MSeries, exps: Iterable[int], through) -> dict:
     truncation, so the result needs no lemma.  (1 - x)^0 = 1 exactly."""
     x = x.truncate(through)
     powers = [x]
-    while len(powers) < through and powers[-1].terms:
+    while len(powers) < through and not powers[-1].is_zero():
         powers.append(powers[-1].mul(x, cap=through))
     one = MSeries.const(x.n, ONE, through, x.nparams)
     return {
@@ -1018,12 +998,17 @@ def first_mismatch(pairs, through=None):
         degree = min(a.trunc, b.trunc) if through is None else through
         a._require_precision(degree)
         b._require_precision(degree)
-        da = a._dict_through(degree)
-        db = b._dict_through(degree)
+        width, (va, vb) = _views([a, b], max(a._packed().span, b._packed().span))
+        g = math.gcd(va.den, vb.den)
+        da, db = (
+            {k: x * (other.den // g) for _, k, x in v.rows[: bisect_right(v.degs, degree)]}
+            for v, other in ((va, vb), (vb, va))
+        )
         if da != db:
-            exp = min(
-                (e for e in da.keys() | db.keys() if da.get(e) != db.get(e)),
-                key=_grlex_key(a.n),
-            )
-            return i, f"exponent {exp}: {da.get(exp, ZERO)} vs {db.get(exp, ZERO)}"
+            keys = [k for k in da.keys() | db.keys() if da.get(k) != db.get(k)]
+            exps = decode(keys, a.n + a.nparams, width)
+            grlex = _grlex_key(a.n)
+            exp, k = min(zip(exps, keys), key=lambda ek: grlex(ek[0]))
+            den = va.den // g * vb.den
+            return i, f"exponent {exp}: {Rat(da.get(k, 0), den)} vs {Rat(db.get(k, 0), den)}"
     return None

@@ -23,6 +23,11 @@ def series(n, terms, trunc=None):
     return out
 
 
+def terms_through(s, degree):
+    """The terms of `s` of z-degree at most `degree`."""
+    return {e: c for e, c in s.terms.items() if s.zdeg(e) <= degree}
+
+
 @pytest.fixture
 def catalan_map():
     """F = z - z^2; its inverse has Catalan coefficients."""

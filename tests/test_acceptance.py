@@ -35,6 +35,8 @@ from forminv.randmaps import acceptance_corpus, random_divisible_map, random_h
 from forminv.rat import Rat
 from forminv.trees import enumerate_trees, order_polynomial, strict_order_count
 
+from conftest import terms_through
+
 DEGREE = 8
 CORPUS = acceptance_corpus(50)
 
@@ -63,10 +65,10 @@ def test_a2_catalan_oracle():
     f = MapF(PolyMap([MSeries.monomial(1, (2,), 1)]))
     oracle = METHODS["fixed"](f, 12)
     golden = {(k,): Rat(CATALAN[k - 1]) for k in range(1, 13)}
-    assert oracle.components[0]._dict_through(12) == golden
+    assert terms_through(oracle.components[0], 12) == golden
     for name in ("recurrent", "homog", "ag", "bcw"):
         g = METHODS[name](f, 12)
-        assert g.components[0]._dict_through(12) == golden, name
+        assert terms_through(g.components[0], 12) == golden, name
     for k in range(1, 13):
         assert jacobi_coefficient(f, 0, (k,)) == CATALAN[k - 1]
         assert lagrange_coefficient(f, 0, (k,)) == CATALAN[k - 1]

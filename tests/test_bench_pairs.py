@@ -97,3 +97,18 @@ def test_checkout_without_git_gets_a_source_digest(tmp_path):
     assert one == two
     (tmp_path / "two" / "src" / "forminv" / "laurent.py").write_text("Y = 3\n")
     assert bench_pairs.git_rev(tmp_path / "two") != one
+
+
+def test_environment_records_each_sides_source_lines(tmp_path):
+    sides = {}
+    for name, lines in (("parent", 3), ("change", 2)):
+        src = tmp_path / name / "src" / "forminv"
+        src.mkdir(parents=True)
+        (src / "series.py").write_text("X = 1\n" * lines)
+        (src / "packed.py").write_text("Y = 2\n")
+        (tmp_path / name / "src" / "notes.txt").write_text("not counted\n")
+        sides[name] = tmp_path / name
+    env = bench_pairs.environment(sides, "fractions")
+    assert env["source_lines"] == {"parent": 4, "change": 3}
+    assert env["rational_backend"] == "fractions"
+    assert env["change_rev"] == bench_pairs.source_digest(sides["change"])

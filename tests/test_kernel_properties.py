@@ -21,6 +21,9 @@ terms on first read.  Every such view must be the one ``_pack`` builds
 from those terms, with each row's degree (read off its key) the z-degree
 of its exponent; each unary op must give the same series on an operand
 held as a view only as on one held as terms, and leave both unchanged.
+The parameter ops, ``series_sum`` and ``first_mismatch`` run on the rows
+too; their references below are the formulas on dicts of ``Rat``s that
+they replaced.
 """
 
 import math
@@ -33,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forminv import packed, series
-from forminv.errors import DimensionMismatch
+from forminv.errors import DimensionMismatch, SubstitutionError
 from forminv.flow import check_prop310
 from forminv.inversion import jacobi_coefficient
 from forminv.laurent import laurent_inv_power
@@ -68,7 +71,7 @@ KERNEL_COEFFS = st.one_of(
 
 def exponents(n, nparams, lo=0, hi=3):
     z = st.tuples(*[st.integers(lo, hi)] * n)
-    p = st.tuples(*[st.integers(0, 2)] * nparams)
+    p = st.tuples(*[st.integers(min(lo, 0), 2)] * nparams)
     return st.builds(lambda a, b: a + b, z, p)
 
 
@@ -548,6 +551,16 @@ def test_ag_part_matches_chain_of_unary_ops(data):
         assert no_zero_coefficient(r.terms)
 
 
+@st.composite
+def param_series(draw):
+    """A series in 1-2 variables with 1-2 parameters, Laurent in some
+    cases, its parameters then to powers from -2."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 2))
+    lo = draw(st.sampled_from([0, -2]))
+    return MSeries(n, INF, draw(term_dicts(n, p, lo=lo, max_size=8)), p)
+
+
 # -- the packed view as the stored form ----------------------------------------
 
 
@@ -581,13 +594,29 @@ def assert_view_is_packed_terms(s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dot_pairs(), compositions(), ag_parts())
-def test_every_stored_view_is_the_packed_terms(dots, comps, ag):
+@given(
+    dot_pairs(),
+    compositions(),
+    ag_parts(),
+    summands(),
+    param_series(),
+    st.sampled_from([Rat(2), Rat(-1, 2), Rat(3, 5)]),
+)
+def test_every_stored_view_is_the_packed_terms(dots, comps, ag, parts, s, value):
+    # an exponent of 2^15 needs a field wider than the default
+    wide = MSeries(s.n, INF, {(2**15,) + (0,) * (s.n + s.nparams - 1): Rat(1, 3)}, s.nparams)
     with stored_views() as stored:
         dot(*dots)
         f, g, cap = comps
         compose(f, g, cap=cap)
         taylor_sums(*ag)
+        series_sum(parts)
+        for x in (s, s + wide):
+            y = x.with_params(1)
+            y.eval_param(0, value)
+            if all(e[x.n] >= 0 for e in x.terms):
+                y.subst_param_sum(0, y.nparams - 1)
+            x.as_exact()
     assert stored
     for s in stored:
         assert_view_is_packed_terms(s)
@@ -733,6 +762,46 @@ def test_comparisons_agree_in_either_form(pair, same, degree):
     assert (a == b) == (a.terms == b.terms)
 
 
+def naive_first_mismatch(pairs, through):
+    """``first_mismatch`` on dicts of ``Rat``s."""
+    for i, (a, b) in enumerate(pairs):
+        degree = min(a.trunc, b.trunc) if through is None else through
+        da, db = ({e: c for e, c in s.terms.items() if zdeg(e, s.n) <= degree} for s in (a, b))
+        differ = [e for e in da.keys() | db.keys() if da.get(e, 0) != db.get(e, 0)]
+        if differ:
+            e = min(differ, key=lambda e: (zdeg(e, a.n), e))
+            return i, f"exponent {e}: {da.get(e, Rat(0))} vs {db.get(e, Rat(0))}"
+    return None
+
+
+@st.composite
+def comparison_pairs(draw):
+    """1-3 exact pairs (a, b) of one layout, and a degree of -2..6 or None
+    (each pair's lesser truncation).  b is a with one coefficient changed
+    or a term added, or both or neither; an added term above the degree
+    still changes b's denominator, and one with an exponent beyond the
+    default field width its width."""
+    n, p = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    exps = st.tuples(*[st.one_of(st.integers(-1, 3), st.sampled_from(HUGE))] * (n + p))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(exps, KERNEL_COEFFS, max_size=5))
+        other = dict(terms)
+        if terms and draw(st.booleans()):
+            other[draw(st.sampled_from(sorted(terms)))] = draw(KERNEL_COEFFS)
+        if draw(st.booleans()):
+            other[draw(exps)] = draw(KERNEL_COEFFS)
+        pairs.append((MSeries(n, INF, terms, p), MSeries(n, INF, other, p)))
+    return pairs, draw(st.one_of(st.none(), st.integers(-2, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(comparison_pairs())
+def test_first_mismatch_matches_rat_dicts(data):
+    pairs, through = data
+    assert first_mismatch(pairs, through) == naive_first_mismatch(pairs, through)
+
+
 @SETTINGS
 @given(series_pairs(), compositions())
 def test_kernel_leaves_its_operands_unchanged(pair, data):
@@ -747,34 +816,41 @@ def test_kernel_leaves_its_operands_unchanged(pair, data):
     assert dot([(a, b), (b, a), (a, a)], cap=cap) == dotted
 
 
-@st.composite
-def param_series(draw):
-    n = draw(st.integers(1, 2))
-    p = draw(st.integers(1, 2))
-    return MSeries(n, INF, draw(term_dicts(n, p, max_size=8)), p)
-
-
 @SETTINGS
 @given(param_series(), st.sampled_from([Rat(0), Rat(1), Rat(-1), Rat(2), Rat(-1, 2)]))
 def test_eval_param_matches_naive(s, value):
-    r = s.eval_param(0, value)
-    assert no_zero_coefficient(r.terms)
+    """Exact on negative parameter exponents too, where the value 0 raises
+    as it does with ``Rat``s."""
     pos = s.n
     want = {}
-    for e, c in s.terms.items():
-        e2 = e[:pos] + e[pos + 1 :]
-        want[e2] = want.get(e2, 0) + c * value ** e[pos]
+    try:
+        for e, c in s.terms.items():
+            e2 = e[:pos] + e[pos + 1 :]
+            want[e2] = want.get(e2, 0) + c * value ** e[pos]
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            s.eval_param(0, value)
+        return
+    r = s.eval_param(0, value)
+    assert no_zero_coefficient(r.terms)
+    assert all(isinstance(c, Rat) for c in r.terms.values())
     assert r.terms == {e: c for e, c in want.items() if c}
 
 
 @SETTINGS
 @given(param_series())
 def test_subst_param_sum_matches_naive(s):
+    """A negative exponent of the parameter substituted has no polynomial
+    expansion, and raises."""
     if s.nparams < 2:
         s = s.with_params(1)
+    pj, pk = s.n, s.n + 1
+    if any(e[pj] < 0 for e in s.terms):
+        with pytest.raises(SubstitutionError):
+            s.subst_param_sum(0, 1)
+        return
     r = s.subst_param_sum(0, 1)
     assert no_zero_coefficient(r.terms)
-    pj, pk = s.n, s.n + 1
     want = {}
     for e, c in s.terms.items():
         a = e[pj]

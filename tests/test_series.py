@@ -22,7 +22,7 @@ from forminv.laurent import inverse_power_factors
 from forminv.series import inverse_powers
 from forminv.rat import Rat
 
-from conftest import mono, random_series, series
+from conftest import mono, random_series, series, terms_through
 
 
 class TestConstruction:
@@ -93,7 +93,7 @@ class TestAddMul:
         a = series(1, {(0,): 1, (1,): -1}, trunc=3)
         b = series(1, {(0,): 1, (1,): 1, (2,): 1, (3,): 1}, trunc=3)
         out = a * b
-        assert out._dict_through(3) == {(0,): 1}
+        assert terms_through(out, 3) == {(0,): 1}
 
     def test_mul_by_zero(self):
         s = series(2, {(1, 1): 3})
@@ -130,7 +130,7 @@ class TestCompose:
         f = mono(1, (2,), trunc=4)
         g = PolyMap([series(1, {(1,): 1, (2,): 1})])
         out = compose(f, g, cap=4)
-        assert out._dict_through(4) == {(2,): 1, (3,): 2, (4,): 1}
+        assert terms_through(out, 4) == {(2,): 1, (3,): 2, (4,): 1}
 
     def test_identity_is_neutral(self, rng):
         f = random_series(rng, 2, trunc=5)
@@ -281,6 +281,15 @@ class TestParameters:
         out = s.subst_param_sum(0, 1)
         assert out.terms == {(1, 2, 0): 1, (1, 1, 1): 2, (1, 0, 2): 1}
 
+    def test_subst_param_sum_rejects_negative_power(self):
+        # (t + s)^-1 has no polynomial expansion; the term was dropped before
+        s = MSeries(1, math.inf, {(2, -1, 0): Rat(1)}, 2)
+        with pytest.raises(SubstitutionError):
+            s.subst_param_sum(0, 1)
+        with pytest.raises(SubstitutionError):
+            mono(1, (2,)).with_params(2).shift_param(0, -1).subst_param_sum(0, 1)
+        assert s.subst_param_sum(1, 0).terms == {(2, -1, 0): 1}
+
     def test_pdiff(self):
         s = mono(1, (2,)).with_params(1).shift_param(0, 3)
         assert s.pdiff(0).terms == {(2, 2): 3}
@@ -354,7 +363,7 @@ class TestUnitInverse:
         for _ in range(6):
             s = random_series(rng, 2, max_deg=3) + MSeries.const(2, Rat(3, 2))
             inv = unit_inverse(s, 6)
-            assert s.mul(inv, cap=6)._dict_through(6) == {(0, 0): 1}
+            assert terms_through(s.mul(inv, cap=6), 6) == {(0, 0): 1}
 
     def test_needs_constant_term(self):
         with pytest.raises(SubstitutionError):

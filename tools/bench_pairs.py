@@ -15,8 +15,9 @@ run does not beat every parent run, so that the bound cannot tell; and
 pairs (a tie counts for neither side) and its median gain exceeds the
 parent's quartile spread, the rule a claimed gain must meet.  An
 environment block records the Python version, the rational backend, the
-CPU count and both git revisions (a source digest for a side that is
-not the top of its own git work tree).
+CPU count, both git revisions (a source digest for a side that is not
+the top of its own git work tree) and each side's ``source_lines``, the
+total line count of its ``src/forminv/*.py``.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag packed_kernel \\
         --seconds 30 --seeds deep=301-310 wide=311-316 identities=311-316
@@ -91,6 +92,24 @@ def git_rev(checkout: Path) -> str:
     return source_digest(checkout)
 
 
+def source_lines(checkout: Path) -> int:
+    """The total line count of the checkout's src/forminv/*.py."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "forminv").glob("*.py"))
+
+
+def environment(sides: dict, rational_backend: str) -> dict:
+    """The environment block: the Python version, the rational backend,
+    the CPU count, and each side's revision and source line count."""
+    return {
+        "python": platform.python_version(),
+        "rational_backend": rational_backend,
+        "nproc": len(os.sched_getaffinity(0)),
+        "parent_rev": git_rev(sides["parent"]),
+        "change_rev": git_rev(sides["change"]),
+        "source_lines": {side: source_lines(path) for side, path in sides.items()},
+    }
+
+
 def summarize(values):
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
@@ -151,13 +170,7 @@ def main(argv=None) -> int:
                 "summary": workload_summary(pairs, metrics),
                 "pairs": pairs,
             }
-    result["environment"] = {
-        "python": platform.python_version(),
-        "rational_backend": env["change"]["rational_backend"],
-        "nproc": len(os.sched_getaffinity(0)),
-        "parent_rev": git_rev(sides["parent"]),
-        "change_rev": git_rev(sides["change"]),
-    }
+    result["environment"] = environment(sides, env["change"]["rational_backend"])
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}")
