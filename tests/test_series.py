@@ -289,6 +289,8 @@ class TestParameters:
         with pytest.raises(SubstitutionError):
             mono(1, (2,)).with_params(2).shift_param(0, -1).subst_param_sum(0, 1)
         assert s.subst_param_sum(1, 0).terms == {(2, -1, 0): 1}
+        with pytest.raises(DimensionMismatch):
+            s.subst_param_sum(0, 2)
 
     def test_pdiff(self):
         s = mono(1, (2,)).with_params(1).shift_param(0, 3)
