@@ -588,7 +588,7 @@ def cross_check(
     report = CrossCheckReport(degree=degree)
     results = run_methods(f, degree, names)
     for name, g, (millis,) in results:
-        terms = sum(len(c.terms) for c in g.components)
+        terms = sum(len(c._packed().rows) for c in g.components)
         report.runs.append(MethodRun(name, millis, terms))
     base = results[0][1]
     z = PolyMap.identity(f.n)

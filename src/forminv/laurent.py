@@ -44,6 +44,9 @@ def laurent_inv_power(f: MapF, k: Sequence[int], window: int) -> MSeries:
 
 
 def residue(e: MSeries) -> Rat:
-    """Coefficient of z_1^{-1} ... z_n^{-1}."""
+    """Coefficient of z_1^{-1} ... z_n^{-1}, looked up by its key on the
+    packed rows, so that no other coefficient is built."""
     e._require_precision(-e.n)
-    return e.terms.get((-1,) * e.n, ZERO)
+    v = e._packed()
+    key = v.zero - sum(1 << v.width * i for i in range(e.n))
+    return next((Rat(a, v.den) for _, k, a in v.rows if k == key), ZERO)

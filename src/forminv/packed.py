@@ -78,9 +78,9 @@ def fits(n, width, span) -> bool:
 def normalized(n, nparams, width, rows, den, span) -> View:
     """The view of the rows (z-degree, key, num) at `width`, sorted by
     degree, with coefficients num / den and no |exponent| above `span`:
-    den and the numerators divided by their gcd, taken with den's sign,
-    and packed anew unless they ``fits``."""
-    g = math.gcd(den, *[r[2] for r in rows]) * (-1 if den < 0 else 1)
+    den and the numerators divided by their gcd, taken with den's sign
+    (skipped when den is 1), and packed anew unless they ``fits``."""
+    g = 1 if den == 1 else math.gcd(den, *[r[2] for r in rows]) * (-1 if den < 0 else 1)
     if g != 1:
         den //= g
         rows = [(d, k, a // g) for d, k, a in rows]

@@ -27,29 +27,31 @@ in the outer series, whose powers of the inner map it builds by
 multiplication.
 
 Every product runs ``packed.mac`` on the packed views of its operands
-(see ``packed``).  ``dot``, a sum of products (``mul`` is the dot of one
-pair), and ``compose_map_components`` run it.  Each sum of products is one
-``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``, ``recurrent_layers``
-and the three stages of every tree sum.  A tree sum is a fold, then a
-contraction, then an expansion: ``label_fold`` builds label-multiset
-states, ``trees.TreePolyCache.contract`` pairs them with the mixed
-partials of H, and ``trees.tree_expansion`` sums z + weight(T) q_T over
-the trees.  The multilinear form ``BForm`` is a fold and a contraction,
-``invert_bcw`` the expansion with constant weights 1/aut(T), and
-``formal_flow`` the one with weights in t.  A zero factor is left out of
-a capped sum only when it is ``known_zero`` through the cap.  No product
-asserts its truncation.  ``inverse_powers`` is the one reciprocal: the
-binomial series of (1 - x)^(-a), which its products and sums certify,
-serves ``unit_inverse`` and the factors of ``laurent``.  ``series_sum`` is
-the one way other series are summed, ``+`` included, so no other module
-accumulates terms or restates the truncation rule of a sum.  No stored
-coefficient is ever zero, which ``is_zero`` and ``order`` rely on.
-``first_mismatch`` is the one comparison of series through a degree: both
-``eq_through`` and every method-agreement, fixed-point and identity check
-call it, and it names the first differing coefficient.
-Composition and ``series_sum`` run ``mac`` themselves, a composition
-because routing it through ``dot`` builds one ``MSeries`` per outer term,
-which measured slower.
+(see ``packed``).  ``dot``, a sum of products, runs it after one pass over
+its pairs that reads each view once for the truncation, the orders and
+the live pairs; ``mul`` is the dot of one pair, and a lone pair whose
+views share a width that holds the span runs as it is, with no repacking
+and no lcm.  ``compose_map_components`` and ``series_sum`` run ``mac``
+themselves, a composition because routing it through ``dot`` builds one
+``MSeries`` per outer term, which measured slower.  Each sum of products
+is one ``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``,
+``recurrent_layers`` and the three stages of every tree sum.  A tree sum
+is a fold, then a contraction, then an expansion: ``label_fold`` builds
+label-multiset states, ``trees.TreePolyCache.contract`` pairs them with
+the mixed partials of H, and ``trees.tree_expansion`` sums
+z + weight(T) q_T over the trees.  The multilinear form ``BForm`` is a
+fold and a contraction, ``invert_bcw`` the expansion with constant
+weights 1/aut(T), and ``formal_flow`` the one with weights in t.  A zero
+factor is left out of a capped sum only when it is ``known_zero`` through
+the cap.  No product asserts its truncation.  ``inverse_powers`` is the
+one reciprocal: the binomial series of (1 - x)^(-a), which its products
+and sums certify, serves ``unit_inverse`` and the factors of ``laurent``.
+``series_sum`` is the one way other series are summed, ``+`` included, so
+no other module accumulates terms or restates the truncation rule of a
+sum.  No stored coefficient is ever zero, which ``is_zero`` and ``order``
+rely on.  ``first_mismatch`` is the one comparison of series through a
+degree: both ``eq_through`` and every method-agreement, fixed-point and
+identity check call it, and it names the first differing coefficient.
 
 The packed view is the one stored form: every op reads the views of its
 operands and stores its result as a view only.  That covers products,
@@ -90,15 +92,6 @@ from .rat import ONE, Rat, ZERO, rat_to_str
 INF = math.inf
 
 
-def _collect(pairs) -> dict:
-    """Sum the (exponent, coefficient) pairs by exponent, dropping the
-    exponents whose sum is zero."""
-    out = {}
-    for e, c in pairs:
-        out[e] = out.get(e, ZERO) + c
-    return {e: c for e, c in out.items() if c}
-
-
 def _pack(s: "MSeries") -> View:
     """The packed view of the terms of `s` (see ``packed``)."""
     ratios = [(c.numerator, c.denominator) for c in s.terms.values()]
@@ -112,8 +105,8 @@ def _views(series, span):
     |exponent| of any sum of keys to be formed, so that no field carries:
     the kept views if they share such a width, else wider ones, not kept."""
     views = [s._packed() for s in series]
-    width = min((v.width for v in views), default=WIDTH)
-    if span >= 1 << (width - 1) or any(v.width != width for v in views):
+    width = views[0].width if views else WIDTH
+    if span >= 1 << (width - 1) or len(views) > 1 and any(v.width != width for v in views):
         width = span.bit_length() + 1
         views = [repack(v.rows, v.den, s.n, s.nparams, v.width, width) for s, v in zip(series, views)]
     return width, views
@@ -129,45 +122,42 @@ def _stored(n, trunc, nparams, view: View) -> "MSeries":
 
 def dot(pairs: Iterable, cap=None) -> "MSeries":
     """Sum of a * b over a non-empty iterable of (a, b) pairs of one layout,
-    in one accumulate pass.  Each product is certified through
-    min(Da + o(b), Db + o(a), Da + Db + 1), and the sum through the least
-    of those and `cap`; terms above it are dropped, so terms and truncation
-    are those of ``series_sum`` of the capped ``mul``s.
-
-    Each pair runs ``mac`` once, the shorter operand outside, numerators
-    scaled to the lcm of the pairs' denominator products; the sums are
-    stored as they are, as the result's packed view."""
+    in one pass: each operand's view is read once, the truncation is the
+    least of `cap` and each min(Da + o(b), Db + o(a), Da + Db + 1), and
+    each pair with terms whose orders sum to at most it runs ``mac`` once,
+    shorter view outside, numerators over the lcm of the denominator
+    products; so terms and truncation are those of ``series_sum`` of the
+    capped ``mul``s.  A lone pair at a width holding the span (most
+    ``mul``s) skips ``_views`` and the lcm."""
     pairs = list(pairs)
     first = pairs[0][0]
-    trunc = INF if cap is None else cap
+    trunc, found = INF if cap is None else cap, []
     for a, b in pairs:
         first._check_compat(a)
         a._check_compat(b)
-        ta, tb = a.trunc, b.trunc
-        trunc = min(trunc, ta + b.known_order, tb + a.known_order, ta + tb + 1)
-    live = [
-        (a, b) if len(a._packed().rows) <= len(b._packed().rows) else (b, a)
-        for a, b in pairs
-        if not a.is_zero() and not b.is_zero() and a.order + b.order <= trunc
-    ]
+        va, vb = a._packed(), b._packed()
+        if len(va.degs) > len(vb.degs):
+            a, b, va, vb = b, a, vb, va
+        oa, ob = va.degs[0] if va.degs else INF, vb.degs[0] if vb.degs else INF
+        trunc = min(trunc, a.trunc + ob, b.trunc + oa, a.trunc + b.trunc + 1)
+        if va.degs:  # the shorter view, so both have terms
+            found.append((oa + ob, a, b, va, vb))
+    live = [pair for pair in found if pair[0] <= trunc]
     n, nparams = first.n, first.nparams
     if not live:
         return MSeries.zero(n, trunc, nparams)
-    span = max(a._packed().span + b._packed().span for a, b in live)
-    width, views = _views([s for pair in live for s in pair], span)
-    views = list(zip(views[::2], views[1::2]))
-    den = math.lcm(*[va.den * vb.den for va, vb in views])
+    span = max(va.span + vb.span for _, _, _, va, vb in live)
+    _, _, _, va, vb = live[0]
+    if len(live) == 1 and va.width == vb.width and span < 1 << (va.width - 1):
+        width, views, den = va.width, [(va, vb)], va.den * vb.den
+    else:
+        width, views = _views([s for pair in live for s in pair[1:3]], span)
+        views = list(zip(views[::2], views[1::2]))
+        den = math.lcm(*[va.den * vb.den for va, vb in views])
     acc = {}
     for va, vb in views:
         mac(acc, va.rows, -va.zero, den // (va.den * vb.den), vb, trunc)
     return _stored(n, trunc, nparams, summed(n, nparams, width, acc, den, span))
-
-
-def _grlex_key(n):
-    def key(exp):
-        return (sum(exp[:n]), exp)
-
-    return key
 
 
 class MSeries:
@@ -334,7 +324,7 @@ class MSeries:
     __rmul__ = __mul__
 
     def scale(self, c) -> "MSeries":
-        c = Rat(c)
+        c = c if isinstance(c, int) else Rat(c)
         if not c:
             return MSeries.zero(self.n, INF, self.nparams)
         v, p = self._packed(), c.numerator
@@ -495,8 +485,7 @@ class MSeries:
     # -- presentation ---------------------------------------------------------
 
     def sorted_terms(self):
-        key = _grlex_key(self.n)
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+        return sorted(self.terms.items(), key=lambda item: (self.zdeg(item[0]), item[0]))
 
     def format(self, names=None, param_names=None) -> str:
         if not self.terms:
@@ -547,25 +536,22 @@ def series_from_terms(n, trunc, items: Iterable, nparams=0) -> MSeries:
     """Validating constructor: duplicate exponents are summed, zero
     coefficients dropped.  Rejects negative exponents, wrong exponent
     length, and terms whose z-degree exceeds the truncation bound."""
-    width = n + nparams
-
-    def checked():
-        for exp, coeff in items:
-            exp = tuple(exp)
-            if len(exp) != width:
-                raise DimensionMismatch(
-                    f"exponent {exp} has length {len(exp)}, expected {width}"
-                )
-            if any(k < 0 for k in exp):
-                raise TruncationError(f"negative exponent in {exp}")
-            deg = sum(exp[:n])
-            if deg > trunc:
-                raise TruncationError(
-                    f"term of degree {deg} exceeds truncation bound {trunc}"
-                )
-            yield exp, Rat(coeff)
-
-    return MSeries(n, trunc, _collect(checked()), nparams)
+    width, out = n + nparams, {}
+    for exp, coeff in items:
+        exp = tuple(exp)
+        if len(exp) != width:
+            raise DimensionMismatch(
+                f"exponent {exp} has length {len(exp)}, expected {width}"
+            )
+        if any(k < 0 for k in exp):
+            raise TruncationError(f"negative exponent in {exp}")
+        deg = sum(exp[:n])
+        if deg > trunc:
+            raise TruncationError(
+                f"term of degree {deg} exceeds truncation bound {trunc}"
+            )
+        out[exp] = out.get(exp, ZERO) + Rat(coeff)
+    return MSeries(n, trunc, {e: c for e, c in out.items() if c}, nparams)
 
 
 def series_sum(parts: Iterable[MSeries]) -> MSeries:
@@ -598,18 +584,15 @@ def _power_table(zexps, g: "PolyMap", cap):
     obtained from a predecessor by one series multiplication, filled in
     graded order."""
     n = g.n
-    needed = set()
+    needed = {}
     for a in zexps:
         a = tuple(a)
         while a not in needed and any(a):
-            needed.add(a)
             i = next(j for j, k in enumerate(a) if k)
-            a = a[:i] + (a[i] - 1,) + a[i + 1 :]
-    one = MSeries.const(n, ONE, nparams=g.nparams)
-    table = {(0,) * n: one}
-    for a in sorted(needed, key=lambda e: (sum(e), e)):
-        i = next(j for j, k in enumerate(a) if k)
-        prev = a[:i] + (a[i] - 1,) + a[i + 1 :]
+            needed[a] = i, a[:i] + (a[i] - 1,) + a[i + 1 :]
+            a = needed[a][1]
+    table = {(0,) * n: MSeries.const(n, ONE, nparams=g.nparams)}
+    for a, (i, prev) in sorted(needed.items(), key=lambda item: (sum(item[0]), item[0])):
         table[a] = table[prev].mul(g.components[i], cap=cap)
     return table
 
@@ -800,12 +783,11 @@ class PolyMap:
 
     def max_degree(self):
         """Largest z-degree of a stored term (polynomial degree when exact)."""
-        degs = [c.zdeg(e) for c in self.components for e in c.terms]
-        return max(degs, default=0)
+        return max((d for c in self.components for d in c._packed().degs), default=0)
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if mixed/zero."""
-        degs = {c.zdeg(e) for c in self.components for e in c.terms}
+        degs = {d for c in self.components for d in c._packed().degs}
         return degs.pop() if len(degs) == 1 else None
 
     def format(self, names=None, param_names=None):
@@ -873,9 +855,12 @@ def mat_mul(a, b, cap=None):
 def first_asymmetry(matrix):
     """The first (i, j), i < j, whose entries (i, j) and (j, i) store
     different terms, or None when the square matrix of series is exactly
-    symmetric: the one test of a symmetric Jacobian (a gradient map)."""
+    symmetric: the one test of a symmetric Jacobian (a gradient map).
+    Entries compare as their views' width, den and sorted rows, as equal
+    views may hold the rows of one degree in either order."""
+    views = [[(v.width, v.den, sorted(v.rows)) for v in map(MSeries._packed, row)] for row in matrix]
     pairs = combinations(range(len(matrix)), 2)
-    return next(((i, j) for i, j in pairs if matrix[i][j].terms != matrix[j][i].terms), None)
+    return next(((i, j) for i, j in pairs if views[i][j] != views[j][i]), None)
 
 
 def label_fold(states: dict, vec, cap=None, keys=None) -> dict:
@@ -1007,8 +992,7 @@ def first_mismatch(pairs, through=None):
         if da != db:
             keys = [k for k in da.keys() | db.keys() if da.get(k) != db.get(k)]
             exps = decode(keys, a.n + a.nparams, width)
-            grlex = _grlex_key(a.n)
-            exp, k = min(zip(exps, keys), key=lambda ek: grlex(ek[0]))
+            exp, k = min(zip(exps, keys), key=lambda ek: (a.zdeg(ek[0]), ek[0]))
             den = va.den // g * vb.den
             return i, f"exponent {exp}: {Rat(da.get(k, 0), den)} vs {Rat(db.get(k, 0), den)}"
     return None

@@ -112,3 +112,18 @@ def test_environment_records_each_sides_source_lines(tmp_path):
     assert env["source_lines"] == {"parent": 4, "change": 3}
     assert env["rational_backend"] == "fractions"
     assert env["change_rev"] == bench_pairs.source_digest(sides["change"])
+
+
+def test_environment_records_each_sides_compile_time(tmp_path):
+    sides = {}
+    for name, lines in (("parent", 3000), ("change", 3)):
+        src = tmp_path / name / "src" / "forminv"
+        src.mkdir(parents=True)
+        (src / "series.py").write_text("".join(f"def f{i}(x):\n    return x + {i}\n" for i in range(lines)))
+        sides[name] = tmp_path / name
+    compile_s = bench_pairs.environment(sides, "fractions")["compile_s"]
+    assert set(compile_s) == {"parent", "change"}
+    assert 0 < compile_s["change"] < compile_s["parent"]
+    (sides["change"] / "src" / "forminv" / "bad.py").write_text("def (:\n")
+    with pytest.raises(SyntaxError):
+        bench_pairs.compile_seconds(sides["change"])

@@ -14,7 +14,8 @@ their products in one ``dot`` (or read the parts off the packed rows of
 the products, ``taylor_sums``).  Their references below are the folds
 they replaced: each product taken by ``mul`` and the products summed by
 ``series_sum``, or the chain of unary ops, compared in both terms and
-truncation.
+truncation.  As ``mul`` is itself a ``dot``, the truncation of ``dot``
+is also pinned to its formula, computed from the operands' term dicts.
 
 A computed series is stored as its packed view only, and builds its
 terms on first read.  Every such view must be the one ``_pack`` builds
@@ -360,6 +361,27 @@ def dot_pairs(draw):
     return pairs, draw(st.one_of(st.none(), st.integers(0, 8)))
 
 
+def naive_dot(pairs, trunc):
+    """The terms of the sum of the pairs' products through `trunc`."""
+    naive = {}
+    for a, b in pairs:
+        for e, c in naive_product(a.terms, b.terms, lambda e: True).items():
+            naive[e] = naive.get(e, 0) + c
+    return {e: c for e, c in naive.items() if c and zdeg(e, a.n) <= trunc}
+
+
+def formula_trunc(pairs, cap):
+    """The truncation a dot of `pairs` certifies, from the operands' own
+    term dicts: the least of `cap` and, per pair, Da + ko(b), Db + ko(a)
+    and Da + Db + 1, where ko is the least z-degree of a term, or D + 1
+    when there is none."""
+    def ko(s):
+        return min((zdeg(e, s.n) for e in s.terms), default=s.trunc + 1)
+
+    bounds = [min(a.trunc + ko(b), b.trunc + ko(a), a.trunc + b.trunc + 1) for a, b in pairs]
+    return min(bounds + ([] if cap is None else [cap]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(dot_pairs())
 def test_dot_matches_sum_of_capped_products(data):
@@ -368,13 +390,45 @@ def test_dot_matches_sum_of_capped_products(data):
     r = dot(pairs, cap=cap)
     want = series_sum([a.mul(b, cap=cap) for a, b in pairs])
     assert (r.terms, r.trunc) == (want.terms, want.trunc)
+    assert r.trunc == formula_trunc(pairs, cap)
     assert (r.n, r.nparams) == (pairs[0][0].n, pairs[0][0].nparams)
-    naive = {}
-    for a, b in pairs:
-        for e, c in naive_product(a.terms, b.terms, lambda e: True).items():
-            naive[e] = naive.get(e, 0) + c
-    assert r.terms == {e: c for e, c in naive.items() if c and zdeg(e, r.n) <= r.trunc}
+    assert r.terms == naive_dot(pairs, r.trunc)
     assert [(a.terms, b.terms) for a, b in pairs] == before
+
+
+def _one(trunc, terms):
+    return MSeries(1, trunc, {(e,): Rat(c) for e, c in terms.items()})
+
+
+LOW, SQUARE = _one(2, {1: 1, 2: Rat(1, 3)}), _one(INF, {2: Rat(-2, 7)})
+
+
+@pytest.mark.parametrize("pairs, cap", [
+    # each of the first two bounds binds, on either side of the pair
+    ([(LOW, SQUARE)], None),
+    ([(SQUARE, LOW)], None),
+    ([(LOW, _one(INF, {3: 1, 4: 2, 5: 1}))], None),
+    ([(_one(INF, {3: 1, 4: 2, 5: 1}), LOW)], 9),
+    # truncated zeros: Da + Db + 1 binds when both factors are zero
+    ([(_one(2, {}), _one(3, {}))], None),
+    ([(_one(2, {}), _one(3, {})), (LOW, SQUARE)], None),
+    ([(_one(1, {}), LOW)], None),
+    ([(SQUARE, _one(4, {}))], 5),
+    # an exact zero leaves the sum exact
+    ([(_one(INF, {}), SQUARE)], None),
+    ([(_one(INF, {}), _one(INF, {}))], None),
+    ([(_one(INF, {}), SQUARE), (SQUARE, SQUARE)], None),
+    # one pair whose operands sit at different widths (2^19 needs 21 bits)
+    ([(_one(INF, {2**19: Rat(1, 2), 1: 1}), LOW)], None),
+    ([(LOW, _one(INF, {2**19: Rat(1, 2), 1: 1}))], 2**20),
+    # products whose top terms land exactly on the truncation
+    ([(LOW, LOW)], None),
+    ([(SQUARE, SQUARE)], 4),
+])
+def test_dot_truncation_on_edge_cases(pairs, cap):
+    r = dot(pairs, cap=cap)
+    assert r.trunc == formula_trunc(pairs, cap)
+    assert r.terms == naive_dot(pairs, r.trunc)
 
 
 @pytest.mark.parametrize("layouts", [[(1, 0), (2, 0)], [(2, 0), (2, 1)]])
@@ -760,6 +814,7 @@ def test_comparisons_agree_in_either_form(pair, same, degree):
     }
     assert len(answers) == 1
     assert (a == b) == (a.terms == b.terms)
+    assert (first_asymmetry([[a, b], [a, a]]) is None) == (a.terms == b.terms)
 
 
 def naive_first_mismatch(pairs, through):

@@ -100,6 +100,13 @@ class TestResidue:
         e = MSeries(1, 0, {(-2,): Rat(1), (-1,): Rat(3)})
         assert residue(e) == 3
 
+    def test_two_variables_at_either_width(self):
+        # 2^19 does not fit the default field width, so the keys are wider
+        for far in (3, 2**19):
+            other = {(-far, far - 2): Rat(1)}
+            assert residue(MSeries(2, -2, {(-1, -1): Rat(5, 3), **other})) == Rat(5, 3)
+            assert residue(MSeries(2, -2, other)) == 0
+
     def test_window_guard(self):
         e = MSeries(1, -2, {(-2,): Rat(1)})
         with pytest.raises(TruncationError):

@@ -16,8 +16,11 @@ pairs (a tie counts for neither side) and its median gain exceeds the
 parent's quartile spread, the rule a claimed gain must meet.  An
 environment block records the Python version, the rational backend, the
 CPU count, both git revisions (a source digest for a side that is not
-the top of its own git work tree) and each side's ``source_lines``, the
-total line count of its ``src/forminv/*.py``.
+the top of its own git work tree), each side's ``source_lines``, the
+total line count of its ``src/forminv/*.py``, and each side's
+``compile_s``, the median time of a few ``compile()`` passes over those
+files: the work that a fresh import without cached bytecode adds to
+``setup_s``.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag packed_kernel \\
         --seconds 30 --seeds deep=301-310 wide=311-316 identities=311-316
@@ -36,6 +39,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,9 +101,24 @@ def source_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "forminv").glob("*.py"))
 
 
+def compile_seconds(checkout: Path, passes: int = 5) -> float:
+    """The median time of `passes` passes of ``compile()`` over the
+    checkout's src/forminv/*.py."""
+    paths = sorted((checkout / "src" / "forminv").glob("*.py"))
+    sources = [(path.read_text(), str(path)) for path in paths]
+    times = []
+    for _ in range(passes):
+        start = time.perf_counter()
+        for text, name in sources:
+            compile(text, name, "exec")
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def environment(sides: dict, rational_backend: str) -> dict:
     """The environment block: the Python version, the rational backend,
-    the CPU count, and each side's revision and source line count."""
+    the CPU count, and each side's revision, source line count and
+    compile time."""
     return {
         "python": platform.python_version(),
         "rational_backend": rational_backend,
@@ -107,6 +126,7 @@ def environment(sides: dict, rational_backend: str) -> dict:
         "parent_rev": git_rev(sides["parent"]),
         "change_rev": git_rev(sides["change"]),
         "source_lines": {side: source_lines(path) for side, path in sides.items()},
+        "compile_s": {side: compile_seconds(path) for side, path in sides.items()},
     }
 
 
