@@ -324,7 +324,7 @@ class MSeries:
     __rmul__ = __mul__
 
     def scale(self, c) -> "MSeries":
-        c = c if isinstance(c, int) else Rat(c)
+        c = c if isinstance(c, (int, Rat)) else Rat(c)
         if not c:
             return MSeries.zero(self.n, INF, self.nparams)
         v, p = self._packed(), c.numerator

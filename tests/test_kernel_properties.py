@@ -755,7 +755,7 @@ def unary_ops(draw, s):
     def moved(terms, exp, weight=lambda e: 1):
         return {tuple(x + y for x, y in zip(e, exp)): c * weight(e) for e, c in terms.items() if weight(e)}
 
-    c = draw(KERNEL_COEFFS)
+    c = draw(st.one_of(KERNEL_COEFFS, st.sampled_from([1, -1, 3, -4])))  # int factors too
     exp = draw(st.tuples(*[st.integers(-3, 3)] * size))
     degree = draw(st.integers(-3, 7))
     i = draw(st.integers(0, n - 1))
