@@ -495,13 +495,7 @@ class MSeries:
         allnames = list(names) + list(param_names)
         parts = []
         for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(allnames, e):
-                if k == 1:
-                    factors.append(name)
-                elif k:
-                    factors.append(f"{name}^{k}")
-            mono = "*".join(factors)
+            mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(allnames, e) if k)
             coeff = abs(c)
             if not mono:
                 body = rat_to_str(coeff)
@@ -528,8 +522,7 @@ def default_names(n):
 
 
 def default_param_names(p):
-    base = ["t", "s"]
-    return base[:p] + [f"u{i}" for i in range(max(0, p - 2))]
+    return ["t", "s"][:p] + [f"u{i}" for i in range(max(0, p - 2))]
 
 
 def series_from_terms(n, trunc, items: Iterable, nparams=0) -> MSeries:
@@ -606,7 +599,7 @@ def _compose_trunc(f: MSeries, g: "PolyMap"):
     positive = next((d for d in f._packed().degs if d >= 1), None)
     if gtrunc != INF and positive is not None:
         bounds.append((positive - 1) * og + gtrunc)
-    return min(bounds) if bounds else INF
+    return min(bounds, default=INF)
 
 
 def compose(f: MSeries, g, cap=None) -> MSeries:
@@ -617,7 +610,7 @@ def compose(f: MSeries, g, cap=None) -> MSeries:
     f must have no negative z-exponent.  Parameters of f and g pass
     through untouched.
     """
-    g = g if isinstance(g, PolyMap) else PolyMap(tuple(g))
+    g = g if isinstance(g, PolyMap) else PolyMap(g)
     return compose_map_components([f], g, cap)[0]
 
 
@@ -700,7 +693,7 @@ class PolyMap:
 
     __slots__ = ("n", "components")
 
-    def __init__(self, components: Sequence[MSeries]):
+    def __init__(self, components: Iterable[MSeries]):
         components = tuple(components)
         if not components:
             raise DimensionMismatch("a map needs at least one component")
@@ -718,13 +711,11 @@ class PolyMap:
 
     @classmethod
     def identity(cls, n, trunc=INF, nparams=0):
-        return cls(
-            tuple(MSeries.variable(n, i, trunc, nparams) for i in range(n))
-        )
+        return cls(MSeries.variable(n, i, trunc, nparams) for i in range(n))
 
     @classmethod
     def zero(cls, n, trunc=INF, nparams=0):
-        return cls(tuple(MSeries.zero(n, trunc, nparams) for _ in range(n)))
+        return cls(MSeries.zero(n, trunc, nparams) for _ in range(n))
 
     @property
     def nparams(self):
@@ -745,35 +736,35 @@ class PolyMap:
         return iter(self.components)
 
     def __add__(self, other):
-        return PolyMap(tuple(a + b for a, b in zip(self.components, other.components)))
+        return PolyMap(a + b for a, b in zip(self.components, other.components))
 
     def __sub__(self, other):
-        return PolyMap(tuple(a - b for a, b in zip(self.components, other.components)))
+        return PolyMap(a - b for a, b in zip(self.components, other.components))
 
     def __neg__(self):
-        return PolyMap(tuple(-a for a in self.components))
+        return PolyMap(-a for a in self.components)
 
     def scale(self, c):
-        return PolyMap(tuple(a.scale(c) for a in self.components))
+        return PolyMap(a.scale(c) for a in self.components)
 
     def truncate(self, degree):
-        return PolyMap(tuple(a.truncate(degree) for a in self.components))
+        return PolyMap(a.truncate(degree) for a in self.components)
 
     def with_params(self, extra):
-        return PolyMap(tuple(a.with_params(extra) for a in self.components))
+        return PolyMap(a.with_params(extra) for a in self.components)
 
     def eval_param(self, j, value):
-        return PolyMap(tuple(a.eval_param(j, value) for a in self.components))
+        return PolyMap(a.eval_param(j, value) for a in self.components)
 
     def shift_param(self, j, k=1):
-        return PolyMap(tuple(a.shift_param(j, k) for a in self.components))
+        return PolyMap(a.shift_param(j, k) for a in self.components)
 
     def subst_param_sum(self, j, k):
-        return PolyMap(tuple(a.subst_param_sum(j, k) for a in self.components))
+        return PolyMap(a.subst_param_sum(j, k) for a in self.components)
 
     def compose(self, g: "PolyMap", cap=None) -> "PolyMap":
         """self after g, i.e. z -> self(g(z))."""
-        return PolyMap(tuple(compose_map_components(self.components, g, cap)))
+        return PolyMap(compose_map_components(self.components, g, cap))
 
     def jacobian(self):
         return [[c.diff(j) for j in range(self.n)] for c in self.components]
