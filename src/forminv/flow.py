@@ -440,8 +440,7 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
 
     def weight(tree):
         sign = -1 if tree.size % 2 else 1
-        w_t = order_polynomial(tree).scale(Rat(sign, tree.aut))
-        return MSeries(n, INF, {(0,) * n + e: c for e, c in w_t.terms.items()}, 1)
+        return order_polynomial(tree, n).scale(Rat(sign, tree.aut))
 
     flow_map = tree_expansion(f.h, degree, weight, nparams=1)
     return FlowSeries(flow_map, flow_map.trunc)

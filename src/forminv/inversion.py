@@ -43,7 +43,7 @@ from .errors import (
     MethodDisagreement,
 )
 from .laurent import inverse_power_factors, laurent_inv_power, residue
-from .rat import ONE, Rat, ZERO
+from .rat import ONE, Rat
 from .series import (
     INF,
     MapF,
@@ -443,7 +443,7 @@ def _formula_map(f: MapF, weight: MSeries, c: int, exps, degree: int) -> PolyMap
             degree = sum(k) - 1
             break
         for i, out in enumerate(terms):
-            value = product.terms.get(tuple(x - y for x, y in zip(k, _unit_exp(n, i))))
+            value = product.coefficient(tuple(x - y for x, y in zip(k, _unit_exp(n, i))))
             if value:
                 out[k] = value
     return PolyMap(MSeries(n, INF, t) for t in terms).truncate(degree)
@@ -474,7 +474,7 @@ def lagrange_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:
     weight = _lagrange_weight(f, sum(k) - 1)
     component = _formula_map(f, weight, 0, [k], sum(k))[i]
     component._require_precision(sum(k))
-    return component.terms.get(k, ZERO)
+    return component.coefficient(k)
 
 
 # -- registry and cross-checking -----------------------------------------------------
@@ -588,7 +588,7 @@ def cross_check(
     report = CrossCheckReport(degree=degree)
     results = run_methods(f, degree, names)
     for name, g, (millis,) in results:
-        terms = sum(len(c._packed().rows) for c in g.components)
+        terms = sum(len(c._view.rows) for c in g.components)
         report.runs.append(MethodRun(name, millis, terms))
     base = results[0][1]
     z = PolyMap.identity(f.n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .rat import ONE, Rat, ZERO
+from .rat import ONE, Rat
 from .series import MapF, MSeries, PolyMap, inverse_powers
 
 
@@ -44,9 +44,6 @@ def laurent_inv_power(f: MapF, k: Sequence[int], window: int) -> MSeries:
 
 
 def residue(e: MSeries) -> Rat:
-    """Coefficient of z_1^{-1} ... z_n^{-1}, looked up by its key on the
-    packed rows, so that no other coefficient is built."""
+    """Coefficient of z_1^{-1} ... z_n^{-1}, by ``MSeries.coefficient``."""
     e._require_precision(-e.n)
-    v = e._packed()
-    key = v.zero - sum(1 << v.width * i for i in range(e.n))
-    return next((Rat(a, v.den) for _, k, a in v.rows if k == key), ZERO)
+    return e.coefficient((-1,) * e.n)

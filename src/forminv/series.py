@@ -16,7 +16,7 @@ count toward the truncation degree; coefficients stay plain rationals, so
 identities that are polynomial in the parameters are checked exactly.
 Derivatives with respect to a parameter do not lose precision in z.
 ``n`` may be 0: such a series is a polynomial in the parameters alone
-(``trees.order_polynomial`` returns one in t), with every term of
+(``trees.order_polynomial`` returns one in t by default), with every term of
 z-degree 0.
 
 Exponents may be negative: a Laurent expansion (see ``laurent``) is an
@@ -53,23 +53,20 @@ rely on.  ``first_mismatch`` is the one comparison of series through a
 degree: both ``eq_through`` and every method-agreement, fixed-point and
 identity check call it, and it names the first differing coefficient.
 
-The packed view is the one stored form: every op reads the views of its
-operands and stores its result as a view only.  That covers products,
-sums, compositions and ``taylor_sums``, the unary ops (``scale``, ``-``,
-``mul_monomial``, ``truncate``, ``diff``, ``pdiff``, ``shift_param``),
-the parameter ops (``with_params``, ``eval_param``, ``subst_param_sum``)
-and ``first_mismatch``, which cross-multiplies numerators.  A ``Rat`` is
-built only at the edges: ``series_from_terms`` and the factories take
-them, ``terms`` builds them from the rows on first read (for serializing,
-formatting and callers that read coefficients), and ``first_mismatch``
-builds the two of the pair it names.  A series built from terms keeps
-them and packs its view on first use.  Both forms rely on no ``terms``
-dict or view being changed after construction, and no code does so.
-
-All values are immutable after construction and all operations are pure,
-so the whole module is safe to use from multiple threads: two threads
-that race to build the same view, or the same ``terms`` of a view, build
-two equal ones, and either is kept.
+The packed view is the one stored form: an ``MSeries`` holds its view and
+nothing else.  The constructor packs the terms it is given at once, and
+every op reads the views of its operands and stores its result as a view.
+That covers products, sums, compositions and ``taylor_sums``, the unary
+ops (``scale``, ``-``, ``mul_monomial``, ``truncate``, ``diff``,
+``pdiff``, ``shift_param``), the parameter ops (``with_params``,
+``eval_param``, ``subst_param_sum``) and ``first_mismatch``, which
+cross-multiplies numerators.  A ``Rat`` is built only at the edges:
+``series_from_terms`` and the factories take them, ``terms`` decodes a new
+dict from the rows on every read (for serializing and formatting), with
+no cache, ``coefficient`` builds the one coefficient it looks up, and
+``first_mismatch`` builds the two of the pair it names.  No view is
+changed after construction, so all values are immutable and all
+operations are pure, and the module is safe to use from multiple threads.
 """
 
 from __future__ import annotations
@@ -92,19 +89,19 @@ from .rat import ONE, Rat, ZERO, rat_to_str
 INF = math.inf
 
 
-def _pack(s: "MSeries") -> View:
-    """The packed view of the terms of `s` (see ``packed``)."""
-    ratios = [(c.numerator, c.denominator) for c in s.terms.values()]
-    den = math.lcm(*[q for _, q in ratios])
-    nums = [p * (den // q) for p, q in ratios]
-    return pack(list(s.terms), nums, den, s.n, s.nparams)
+def _pack(terms: dict, n, nparams) -> View:
+    """The packed view of the {exponent: coefficient} `terms` (see
+    ``packed``)."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    nums = [c.numerator * (den // c.denominator) for c in terms.values()]
+    return pack(list(terms), nums, den, n, nparams)
 
 
 def _views(series, span):
     """(width, views of `series`) with a bias above `span`, the largest
     |exponent| of any sum of keys to be formed, so that no field carries:
     the kept views if they share such a width, else wider ones, not kept."""
-    views = [s._packed() for s in series]
+    views = [s._view for s in series]
     width = views[0].width if views else WIDTH
     if span >= 1 << (width - 1) or len(views) > 1 and any(v.width != width for v in views):
         width = span.bit_length() + 1
@@ -113,10 +110,9 @@ def _views(series, span):
 
 
 def _stored(n, trunc, nparams, view: View) -> "MSeries":
-    """The series held only as its packed `view`, which builds its terms
-    on first read."""
-    s = MSeries(n, trunc, None, nparams)
-    s._view = view
+    """The series held as the packed `view`, which is not packed again."""
+    s = MSeries.__new__(MSeries)
+    s.n, s.nparams, s.trunc, s._view = n, nparams, trunc, view
     return s
 
 
@@ -135,7 +131,7 @@ def dot(pairs: Iterable, cap=None) -> "MSeries":
     for a, b in pairs:
         first._check_compat(a)
         a._check_compat(b)
-        va, vb = a._packed(), b._packed()
+        va, vb = a._view, b._view
         if len(va.degs) > len(vb.degs):
             a, b, va, vb = b, a, vb, va
         oa, ob = va.degs[0] if va.degs else INF, vb.degs[0] if vb.degs else INF
@@ -162,23 +158,25 @@ def dot(pairs: Iterable, cap=None) -> "MSeries":
 
 class MSeries:
     """One truncated power series, or a Laurent expansion when some
-    exponents are negative.  Use the factory helpers or
-    :func:`series_from_terms`; the raw constructor trusts its input."""
+    exponents are negative, held as its packed view only: the constructor
+    packs the {exponent: coefficient} dict it is given, ``terms`` decodes
+    a fresh dict from the rows on every read, and ``coefficient`` looks up
+    one.  Use the factory helpers or :func:`series_from_terms`; the raw
+    constructor trusts its input."""
 
-    __slots__ = ("n", "nparams", "trunc", "_terms", "_view")
+    __slots__ = ("n", "nparams", "trunc", "_view")
 
     def __init__(self, n, trunc, terms, nparams=0):
         self.n = n
         self.nparams = nparams
         self.trunc = trunc
-        self._terms = terms
-        self._view = None
+        self._view = _pack(terms, n, nparams)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def zero(cls, n, trunc=INF, nparams=0):
-        return cls(n, trunc, {}, nparams)
+        return _stored(n, trunc, nparams, View(WIDTH, zero_key(WIDTH, n + nparams), [], [], 1, 0))
 
     @classmethod
     def const(cls, n, value, trunc=INF, nparams=0):
@@ -211,36 +209,39 @@ class MSeries:
 
     @property
     def terms(self) -> dict:
-        """{exponent: coefficient}; a series stored as its packed view only
-        builds the dict on first read."""
-        if self._terms is None:
-            v = self._view
-            exps = decode([r[1] for r in v.rows], self.n + self.nparams, v.width)
-            self._terms = {e: Rat(r[2], v.den) for e, r in zip(exps, v.rows)}
-        return self._terms
+        """{exponent: coefficient}, a new dict decoded from the rows on
+        every read: for the edges (serializing, formatting, tests), not for
+        loops."""
+        v = self._view
+        exps = decode([r[1] for r in v.rows], self.n + self.nparams, v.width)
+        return {e: Rat(r[2], v.den) for e, r in zip(exps, v.rows)}
+
+    def coefficient(self, exp) -> Rat:
+        """The coefficient of z^exp, looked up by its key on the rows, so
+        that no other coefficient is built.  An exponent beyond the view's
+        span has no row, and is not packed, as its key could carry."""
+        v = self._view
+        if max(map(abs, exp), default=0) > v.span:
+            return ZERO
+        key = sum(map(lshift, exp, range(0, v.width * len(exp), v.width)), v.zero)
+        return next((Rat(a, v.den) for _, k, a in v.rows if k == key), ZERO)
 
     @property
     def order(self):
         """Minimal total z-degree of a stored term; inf for the zero series."""
-        degs = self._packed().degs
+        degs = self._view.degs
         return degs[0] if degs else INF
-
-    def _packed(self):
-        """The packed view of ``terms`` (see ``_pack``), built on first use."""
-        if self._view is None:
-            self._view = _pack(self)
-        return self._view
 
     def _rows_op(self, trunc, rows, den, width=None, span=None) -> "MSeries":
         """The series of `rows`, formed from the rows of this series' view
         by a unary op, at the view's width and span unless given."""
-        v, n, nparams = self._packed(), self.n, self.nparams
+        v, n, nparams = self._view, self.n, self.nparams
         span = v.span if span is None else span
         return _stored(n, trunc, nparams, normalized(n, nparams, width or v.width, rows, den, span))
 
     def _shifted(self, exp, trunc) -> "MSeries":
         """z^exp times the series: each key moves by exp packed."""
-        span = self._packed().span + max(map(abs, exp), default=0)
+        span = self._view.span + max(map(abs, exp), default=0)
         width, (v,) = _views([self], span)
         shift = sum(map(lshift, exp, range(0, width * len(exp), width)))
         d = sum(exp[: self.n])
@@ -254,7 +255,7 @@ class MSeries:
         return min(self.order, self.trunc + 1)
 
     def is_zero(self) -> bool:
-        return not (self._view.rows if self._terms is None else self._terms)
+        return not self._view.rows
 
     def known_zero(self, degree) -> bool:
         """No terms, certified through `degree`: the test for leaving a
@@ -304,7 +305,7 @@ class MSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        v = self._packed()
+        v = self._view
         rows = [(d, k, -a) for d, k, a in v.rows]
         return _stored(self.n, self.trunc, self.nparams, v._replace(rows=rows))
 
@@ -327,7 +328,7 @@ class MSeries:
         c = c if isinstance(c, (int, Rat)) else Rat(c)
         if not c:
             return MSeries.zero(self.n, INF, self.nparams)
-        v, p = self._packed(), c.numerator
+        v, p = self._view, c.numerator
         rows = [(d, k, a * p) for d, k, a in v.rows]
         return self._rows_op(self.trunc, rows, v.den * c.denominator)
 
@@ -340,9 +341,7 @@ class MSeries:
                 f"monomial exponent length {len(exp)}, expected "
                 f"{self.n + self.nparams}"
             )
-        deg = sum(exp[: self.n])
-        trunc = self.trunc if self.trunc == INF else self.trunc + deg
-        return self._shifted(exp, trunc)
+        return self._shifted(exp, self.trunc + sum(exp[: self.n]))
 
     def mul(self, other: "MSeries", cap=None) -> "MSeries":
         """Product, exact through the largest certifiable degree
@@ -353,12 +352,12 @@ class MSeries:
     def truncate(self, degree) -> "MSeries":
         if degree >= self.trunc:
             return self
-        v = self._packed()
+        v = self._view
         return self._rows_op(degree, v.rows[: bisect_right(v.degs, degree)], v.den)
 
     def as_exact(self) -> "MSeries":
         """The same terms, certified exact (truncation INF)."""
-        return _stored(self.n, INF, self.nparams, self._packed())
+        return _stored(self.n, INF, self.nparams, self._view)
 
     # -- differentiation ------------------------------------------------------
 
@@ -367,7 +366,7 @@ class MSeries:
         certified degree drops by one."""
         if not 0 <= i < self.n:
             raise DimensionMismatch(f"variable index {i} out of range for n={self.n}")
-        return self._diff_at(i, self.trunc if self.trunc == INF else self.trunc - 1)
+        return self._diff_at(i, self.trunc - 1)
 
     def pdiff(self, j: int) -> "MSeries":
         """Derivative in the j-th parameter; z-precision is unchanged."""
@@ -377,7 +376,7 @@ class MSeries:
 
     def _diff_at(self, pos: int, trunc) -> "MSeries":
         """Derivative in exponent position `pos`, certified through `trunc`."""
-        span = self._packed().span + 1
+        span = self._view.span + 1
         width, (v,) = _views([self], span)
         at, mask, bias = width * pos, (1 << width) - 1, 1 << (width - 1)
         d, unit = int(pos < self.n), 1 << width * pos
@@ -396,7 +395,7 @@ class MSeries:
         key gains the bias of the new fields above its top field."""
         if extra == 0:
             return self
-        v, nparams = self._packed(), self.nparams + extra
+        v, nparams = self._view, self.nparams + extra
         zero = zero_key(v.width, self.n + nparams)
         rows = [(d, k + zero - v.zero, a) for d, k, a in v.rows]
         return _stored(self.n, self.trunc, nparams, v._replace(zero=zero, rows=rows))
@@ -419,7 +418,7 @@ class MSeries:
             raise DimensionMismatch(f"parameter index {j} out of range")
         value = Rat(value)
         p, q = value.numerator, value.denominator
-        v, n, nparams = self._packed(), self.n, self.nparams - 1
+        v, n, nparams = self._view, self.n, self.nparams - 1
         width, at = v.width, v.width * (n + j)
         mask, bias, below = (1 << width) - 1, 1 << (width - 1), (1 << at) - 1
         exps = [(k >> at & mask) - bias for _, k, _ in v.rows]
@@ -445,7 +444,7 @@ class MSeries:
         if not (0 <= j < self.nparams and 0 <= k < self.nparams):
             raise DimensionMismatch(f"parameter index {j} or {k} out of range")
         n, nparams = self.n, self.nparams
-        span = 2 * self._packed().span
+        span = 2 * self._view.span
         width, (v,) = _views([self], span)
         at, mask, bias = width * (n + j), (1 << width) - 1, 1 << (width - 1)
         step = (1 << width * (n + k)) - (1 << at)
@@ -488,7 +487,7 @@ class MSeries:
         return sorted(self.terms.items(), key=lambda item: (self.zdeg(item[0]), item[0]))
 
     def format(self, names=None, param_names=None) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
         names = names or default_names(self.n)
         param_names = param_names or default_param_names(self.nparams)
@@ -560,7 +559,7 @@ def series_sum(parts: Iterable[MSeries]) -> MSeries:
         first._check_compat(p)
     parts = [first, *rest]
     n, nparams, trunc = first.n, first.nparams, min(p.trunc for p in parts)
-    span = max(p._packed().span for p in parts)
+    span = max(p._view.span for p in parts)
     width, views = _views(parts, span)
     den = math.lcm(*[v.den for v in views])
     acc = {}
@@ -596,7 +595,7 @@ def _compose_trunc(f: MSeries, g: "PolyMap"):
     bounds = []
     if f.trunc != INF:
         bounds.append((f.trunc + 1) * og - 1)
-    positive = next((d for d in f._packed().degs if d >= 1), None)
+    positive = next((d for d in f._view.degs if d >= 1), None)
     if gtrunc != INF and positive is not None:
         bounds.append((positive - 1) * og + gtrunc)
     return min(bounds, default=INF)
@@ -629,7 +628,7 @@ def compose_map_components(fs: Sequence[MSeries], g: "PolyMap", cap=None):
     if cap is not None:
         trunc = min(trunc, cap)
     n, nparams = f0.n, f0.nparams
-    outer = [f._packed() for f in fs]
+    outer = [f._view for f in fs]
     exps = [decode([r[1] for r in v.rows], n + nparams, v.width) for v in outer]
     zexps = list({e[:n] for es in exps for e in es})
     if any(x < 0 for e in zexps for x in e):
@@ -638,7 +637,7 @@ def compose_map_components(fs: Sequence[MSeries], g: "PolyMap", cap=None):
     # the parameter exponent of a term of f enters as an offset to the keys
     pspan = max((abs(x) for es in exps for e in es for x in e[n:]), default=0)
     entries = [table[a] for a in zexps]
-    span = max((s._packed().span for s in entries), default=0) + pspan
+    span = max((s._view.span for s in entries), default=0) + pspan
     width, views = _views(entries, span)
     views = dict(zip(zexps, views))
     results = []
@@ -664,7 +663,7 @@ def taylor_sums(n, parts, degree) -> list:
     each derivative takes one away; terms above that are dropped."""
     trunc = min([degree] + [q.trunc + 1 - sum(m) for q, m in parts])
     qs = [q for q, _ in parts]
-    span = max((q._packed().span for q in qs), default=0) + 1
+    span = max((q._view.span for q in qs), default=0) + 1
     width, views = _views(qs, span)
     den = math.lcm(*[v.den for v in views])
     shifts = range(0, width * n, width)
@@ -774,11 +773,11 @@ class PolyMap:
 
     def max_degree(self):
         """Largest z-degree of a stored term (polynomial degree when exact)."""
-        return max((d for c in self.components for d in c._packed().degs), default=0)
+        return max((d for c in self.components for d in c._view.degs), default=0)
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if mixed/zero."""
-        degs = {d for c in self.components for d in c._packed().degs}
+        degs = {d for c in self.components for d in c._view.degs}
         return degs.pop() if len(degs) == 1 else None
 
     def format(self, names=None, param_names=None):
@@ -849,7 +848,7 @@ def first_asymmetry(matrix):
     symmetric: the one test of a symmetric Jacobian (a gradient map).
     Entries compare as their views' width, den and sorted rows, as equal
     views may hold the rows of one degree in either order."""
-    views = [[(v.width, v.den, sorted(v.rows)) for v in map(MSeries._packed, row)] for row in matrix]
+    views = [[(s._view.width, s._view.den, sorted(s._view.rows)) for s in row] for row in matrix]
     pairs = combinations(range(len(matrix)), 2)
     return next(((i, j) for i, j in pairs if views[i][j] != views[j][i]), None)
 
@@ -899,11 +898,10 @@ def unit_inverse(s: MSeries, degree) -> MSeries:
     parameter there, as in 1 + t, has no reciprocal polynomial in the
     parameters.  1/s = (1 - u)^(-1) / c0 with u = 1 - s/c0 of z-order
     >= 1, by ``inverse_powers``."""
-    const = (0,) * (s.n + s.nparams)
-    c0 = s.terms.get(const)
+    c0 = s.coefficient((0,) * (s.n + s.nparams))
     if not c0:
         raise SubstitutionError("series has no constant term, not invertible")
-    if any(e != const and s.zdeg(e) <= 0 for e in s.terms):
+    if bisect_right(s._view.degs, 0) > 1:
         raise SubstitutionError(
             "the part of z-degree <= 0 is not a constant, not invertible"
         )
@@ -974,7 +972,7 @@ def first_mismatch(pairs, through=None):
         degree = min(a.trunc, b.trunc) if through is None else through
         a._require_precision(degree)
         b._require_precision(degree)
-        width, (va, vb) = _views([a, b], max(a._packed().span, b._packed().span))
+        width, (va, vb) = _views([a, b], max(a._view.span, b._view.span))
         g = math.gcd(va.den, vb.den)
         da, db = (
             {k: x * (other.den // g) for _, k, x in v.rows[: bisect_right(v.degs, degree)]}

@@ -166,14 +166,14 @@ def strict_order_count(tree: RootedTree, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def order_polynomial(tree: RootedTree) -> MSeries:
+def order_polynomial(tree: RootedTree, n: int = 0) -> MSeries:
     """The unique degree-|T| polynomial in t agreeing with
-    strict_order_count at m = 0..|T|, as a series with no variables and
-    one parameter.  Newton's forward form: the sum over k of the k-th
+    strict_order_count at m = 0..|T|, as a series in `n` variables (none
+    by default) and one parameter.  Newton's forward form: the sum over k of the k-th
     difference of the counts at 0 times the binomial C(t, k).  Takes the
     value 0 at t = 1 for trees with >= 2 vertices and (-1)^{|T|} at -1."""
     diffs = [strict_order_count(tree, m) for m in range(tree.size + 1)]
-    basis = MSeries.const(0, ONE, nparams=1)  # C(t, 0)
+    basis = MSeries.const(n, ONE, nparams=1)  # C(t, 0)
     parts = []
     for k in range(tree.size + 1):
         if k:  # C(t, k) = C(t, k-1) (t - (k-1)) / k

@@ -1,6 +1,7 @@
 """The pair-benchmark tool's seed parsing and per-metric summary."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,20 @@ def test_checkout_without_git_gets_a_source_digest(tmp_path):
     assert one == two
     (tmp_path / "two" / "src" / "forminv" / "laurent.py").write_text("Y = 3\n")
     assert bench_pairs.git_rev(tmp_path / "two") != one
+
+
+def test_edited_checkout_gets_a_source_digest(tmp_path):
+    src = tmp_path / "src" / "forminv"
+    src.mkdir(parents=True)
+    (src / "series.py").write_text("X = 1\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.git_rev(tmp_path) == head
+    (src / "series.py").write_text("X = 2\n")
+    assert bench_pairs.git_rev(tmp_path) == bench_pairs.source_digest(tmp_path) != head
 
 
 def test_environment_records_each_sides_source_lines(tmp_path):

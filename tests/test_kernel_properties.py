@@ -17,11 +17,13 @@ they replaced: each product taken by ``mul`` and the products summed by
 truncation.  As ``mul`` is itself a ``dot``, the truncation of ``dot``
 is also pinned to its formula, computed from the operands' term dicts.
 
-A computed series is stored as its packed view only, and builds its
-terms on first read.  Every such view must be the one ``_pack`` builds
+A series is stored as its packed view only, and decodes its terms on
+every read.  Every view an op stores must be the one ``_pack`` builds
 from those terms, with each row's degree (read off its key) the z-degree
 of its exponent; each unary op must give the same series on an operand
-held as a view only as on one held as terms, and leave both unchanged.
+stored as ``_pack``'s view as on one built from terms by the
+constructor, and leave both unchanged; and ``coefficient`` must read
+what ``terms`` holds, at stored and absent exponents alike.
 The parameter ops, ``series_sum`` and ``first_mismatch`` run on the rows
 too; their references below are the formulas on dicts of ``Rat``s that
 they replaced.
@@ -639,7 +641,7 @@ def assert_view_is_packed_terms(s):
     """The stored view equals ``_pack`` of the series' terms field for
     field, and each row's degree is the z-degree of its exponent."""
     view = s._view
-    want = series._pack(MSeries(s.n, s.trunc, s.terms, s.nparams))
+    want = series._pack(s.terms, s.n, s.nparams)
     assert (view.den, view.rows, view.degs, view.width) == (
         want.den, want.rows, want.degs, want.width
     )
@@ -716,14 +718,12 @@ def test_degree_read_guards_the_widths():
 
 
 def view_only(s):
-    """A series equal to `s`, held only as its packed view."""
-    out = MSeries(s.n, s.trunc, None, s.nparams)
-    out._view = series._pack(s)
-    return out
+    """A series equal to `s`, stored as the view ``_pack`` builds."""
+    return series._stored(s.n, s.trunc, s.nparams, series._pack(s.terms, s.n, s.nparams))
 
 
 def terms_only(s):
-    """A series equal to `s`, held only as terms."""
+    """A series equal to `s`, built by the constructor from its terms."""
     return MSeries(s.n, s.trunc, dict(s.terms), s.nparams)
 
 
@@ -781,12 +781,32 @@ def unary_ops(draw, s):
     return draw(st.sampled_from(ops))
 
 
+def assert_coefficients_are_the_terms(s):
+    """``coefficient`` reads what ``terms`` holds: at every stored exponent,
+    at every exponent one unit moved from it between two z or two
+    parameter positions (the same z-degree), and at one whose key, packed
+    at the view's width, would carry onto a stored key."""
+    terms, n, size, w = s.terms, s.n, s.n + s.nparams, s._view.width
+    near = {
+        tuple(x + (k == i) - (k == j) for k, x in enumerate(e))
+        for e in terms
+        for i in range(size)
+        for j in range(size)
+        if (i < n) == (j < n)
+    }
+    if size >= 3:  # (2^w, -1 - 2^w, 1) packs to the key of 0
+        near |= {(e[0] + 2**w, e[1] - 1 - 2**w, e[2] + 1) + e[3:] for e in terms}
+    for e in near:
+        assert s.coefficient(e) == terms.get(e, 0), e
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_unary_ops_agree_in_either_form(data):
     s = data.draw(unary_operands())
     name, op, reference = data.draw(unary_ops(s))
     want_terms, want_trunc = reference(s.terms)
+    assert_coefficients_are_the_terms(s)
     as_view, as_terms = view_only(s), terms_only(s)
     before = (list(as_view._view.rows), dict(as_terms.terms))
     with stored_views() as stored:

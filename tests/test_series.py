@@ -56,6 +56,16 @@ class TestConstruction:
         s = MSeries.monomial(2, (1, 0), 1) + MSeries.monomial(2, (1, 0), -1)
         assert s.is_zero()
 
+    def test_the_packed_view_is_the_one_stored_form(self):
+        s = series_from_terms(2, 3, [((1, 0), Rat(1, 2)), ((0, 2), 3)])
+        assert MSeries.__slots__ == ("n", "nparams", "trunc", "_view")
+        first, second = s.terms, s.terms
+        assert first == second == {(1, 0): Rat(1, 2), (0, 2): 3}
+        assert first is not second
+        first.clear()
+        assert s.terms == second
+        assert MSeries.zero(2, 3).terms == {} and MSeries.zero(2, 3).trunc == 3
+
     def test_const_stores_no_term_above_its_truncation(self):
         assert MSeries.const(1, 1, trunc=-1).terms == {}
         assert MSeries.const(2, 3, trunc=-2, nparams=1).terms == {}

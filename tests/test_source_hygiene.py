@@ -1,6 +1,7 @@
 """Source hygiene of the library modules: no import that its module never
-uses, no private top-level function or class that nothing calls, and no
-public one that only the tests call.
+uses, no private top-level function or class that nothing calls, no
+public one that only the tests call, and no read of a series' ``terms``
+outside the functions listed with a reason.
 
 Each module of ``src/forminv`` except ``__init__.py`` is parsed with
 ``ast``.  A name counts as referenced where it appears as a name or as an
@@ -126,6 +127,48 @@ def test_every_public_helper_has_a_caller():
             if not any(stmt.name in r for key, r in refs.items() if key != (name, i)):
                 orphans.append(f"{name}:{stmt.name}")
     assert not orphans, f"public helpers that only tests reach: {orphans}"
+
+
+# the functions of the library that read ``.terms``, each with the reason
+# it may: on a series, ``terms`` decodes every row into a new dict on each
+# read, so a read inside a loop redoes the whole decode every time
+TERMS_READERS = {
+    "series.py:MSeries.sorted_terms": "formatting shows every term",
+    "series.py:MSeries.strip_params": "rebuilds the terms without their parameter fields",
+    "series.py:MSeries.param_coefficients": "splits every term by its parameter exponent",
+    "series.py:MapF.__init__": "names the offending terms in its error message",
+    "mapdoc.py:document_from_polymap": "serializing writes every term",
+    "inversion.py:_lagrange_applicable": "reads the exponents of H once per call",
+    "flow.py:_euler_potential": "divides each term by its own z-degree, once",
+    "inversion.py:CrossCheckReport.to_text": "MethodRun.terms, an int, not a series",
+    "bench.py:BenchRecord.row": "BenchRecord.terms, an int, not a series",
+    "bench.py:to_table": "BenchRecord.terms, an int, not a series",
+}
+
+
+def terms_readers():
+    """The top-level functions and methods, as ``module:Class.name``, that
+    read an attribute ``terms``; a nested function counts as the one it is
+    defined in, and other module- or class-level code as ``<module>`` or
+    ``Class.<class>``."""
+    out = set()
+    for name, tree in MODULES.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                units = [(f"{stmt.name}.{getattr(s, 'name', '<class>')}", s) for s in stmt.body]
+            else:
+                units = [(getattr(stmt, "name", "<module>"), stmt)]
+            for label, node in units:
+                if any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "terms"
+                    for sub in ast.walk(node)
+                ):
+                    out.add(f"{name}:{label}")
+    return out
+
+
+def test_only_the_edges_read_terms():
+    assert terms_readers() == set(TERMS_READERS)
 
 
 def test_every_cli_option_is_read():

@@ -16,7 +16,8 @@ pairs (a tie counts for neither side) and its median gain exceeds the
 parent's quartile spread, the rule a claimed gain must meet.  An
 environment block records the Python version, the rational backend, the
 CPU count, both git revisions (a source digest for a side that is not
-the top of its own git work tree), each side's ``source_lines``, the
+the top of its own git work tree, or whose src/forminv has uncommitted
+changes), each side's ``source_lines``, the
 total line count of its ``src/forminv/*.py``, and each side's
 ``compile_s``, the median time of a few ``compile()`` passes over those
 files: the work that a fresh import without cached bytecode adds to
@@ -87,12 +88,16 @@ def source_digest(checkout: Path) -> str:
 
 def git_rev(checkout: Path) -> str:
     """HEAD when `checkout` is the top of its own git work tree (a copy
-    made by ``git archive`` is not), else the digest of its sources."""
+    made by ``git archive`` is not) and ``git status`` finds no change in
+    its src/forminv, else the digest of its sources."""
     proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
     top, _, rev = proc.stdout.strip().partition("\n")
     if proc.returncode == 0 and Path(top).resolve() == checkout.resolve():
-        return rev
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src/forminv"],
+                                cwd=checkout, capture_output=True, text=True)
+        if status.returncode == 0 and not status.stdout.strip():
+            return rev
     return source_digest(checkout)
 
 
