@@ -17,11 +17,10 @@ parent's quartile spread, the rule a claimed gain must meet.  An
 environment block records the Python version, the rational backend, the
 CPU count, both git revisions (a source digest for a side that is not
 the top of its own git work tree, or whose src/forminv has uncommitted
-changes), each side's ``source_lines``, the
-total line count of its ``src/forminv/*.py``, and each side's
-``compile_s``, the median time of a few ``compile()`` passes over those
-files: the work that a fresh import without cached bytecode adds to
-``setup_s``.
+changes), each side's ``source_lines``, the total line count of its
+``src/forminv/*.py``, and each side's ``compile_s``, the median time of
+a few ``compile()`` passes over those files: the work that a fresh
+import without cached bytecode adds to ``setup_s``.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag packed_kernel \\
         --seconds 30 --seeds deep=301-310 wide=311-316 identities=311-316
