@@ -381,13 +381,14 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
 
     report = Report(f"homogeneous Euler identities (d={d}) through degree {degree}")
 
-    inner = ident - n_t.shift_param(0).scale(d - 1)
-    rhs1 = PolyMap(mat_vec(jn, inner.components, cap=degree)).scale(Rat(1, d))
+    # JN_t z and (d-1) t JN_t N_t serve both items:
+    # JN_t (z - (d-1) t N_t) = JN_t z - (d-1) t JN_t N_t
+    lhs2 = PolyMap(mat_vec(jn, ident.components, cap=degree))
+    t_jn_nt = PolyMap(mat_vec(jn, n_t.components, cap=degree)).shift_param(0).scale(d - 1)
+    rhs1 = (lhs2 - t_jn_nt).scale(Rat(1, d))
     report.add_equality("N_t = (1/d) JN_t (z - (d-1) t N_t)", n_t, rhs1, degree)
 
-    lhs2 = PolyMap(mat_vec(jn, ident.components, cap=degree))
-    jn_nt = PolyMap(mat_vec(jn, n_t.components, cap=degree))
-    rhs2 = n_t.scale(d) + jn_nt.shift_param(0).scale(d - 1)
+    rhs2 = n_t.scale(d) + t_jn_nt
     report.add_equality("JN_t z = d(I + ((d-1)t/d) JN_t) N_t", lhs2, rhs2, degree)
 
     # the expansion of N_t in powers of JN_t . z; the k-th term has z-order

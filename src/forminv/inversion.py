@@ -341,16 +341,13 @@ def invert_homogeneous(f: MapF, degree: int) -> GradedInverse:
 
 
 def _graded_exponents(n, max_total):
-    def of_degree(vars_left, total):
-        if vars_left == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in of_degree(vars_left - 1, total - first):
-                yield (first,) + rest
-
-    for total in range(max_total + 1):
-        yield from of_degree(n, total)
+    """The exponents of n variables of total degree <= max_total, by total
+    and then lexicographically."""
+    return [
+        tuple(map(c.count, range(n)))
+        for t in range(max_total + 1)
+        for c in reversed(list(combinations_with_replacement(range(n), t)))
+    ]
 
 
 def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
@@ -360,7 +357,8 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
     so only degrees <= degree + |m| - 1 of j(F) H^m reach the working
     degree; H^m and j(F) H^m are capped there, built incrementally in
     graded order.  Since o(H^m) >= 2|m|, indices with |m| >= degree
-    contribute nothing and the sum stops at |m| = degree - 1.
+    contribute nothing and the sum stops at |m| = degree - 1, and j(F)
+    is needed only through degree - 1.
 
     Every part (D^m / m!) (z_i q), q = j(F) H^m, is read off q's packed
     rows, and each component sums its parts in one integer accumulator
@@ -368,7 +366,7 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
     left out only when ``known_zero`` through its cap.
     """
     n = f.n
-    jf = jacobian_det(f.map)
+    jf = jacobian_det(f.map, cap=degree - 1)
     parts = []
     powers = {(0,) * n: MSeries.const(n, ONE)}
     for m in _graded_exponents(n, degree - 1):
@@ -414,9 +412,11 @@ def _checked_index(f: MapF, i: int, k: Sequence[int]) -> tuple:
 
 
 def jacobi_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:
-    """[z^k] G_i as the formal residue of j(F) F^{-k-1} z_i."""
+    """[z^k] G_i as the formal residue of j(F) F^{-k-1} z_i.  The expansion
+    of F^{-k-1} has z-degree >= -|k| - n, so the residue reads j(F) only
+    through |k| - 1."""
     k = _checked_index(f, i, k)
-    weight = jacobian_det(f.map).mul_monomial(_unit_exp(f.n, i))
+    weight = jacobian_det(f.map, cap=sum(k) - 1).mul_monomial(_unit_exp(f.n, i))
     expansion = laurent_inv_power(f, k, window=-f.n - 1)
     return residue(expansion.mul(weight, cap=-f.n))
 
@@ -430,10 +430,11 @@ def _formula_map(f: MapF, weight: MSeries, c: int, exps, degree: int) -> PolyMap
     w = j(F), c = 1 for the residue formula (``jacobi``), and
     w = det(delta_ij - z_i f_i dh_i/dz_j), c = 0 for the product form
     (``lagrange``; h_i = H_i / z_i, f_i = 1/(1 - h_i)).  One product per k,
-    capped at |k| - 1, serves every i.  Certified through `degree`, or
-    through the last |k| before the first k whose product is not."""
+    capped at |k| - 1, serves every i; the factors are built only for the
+    a = k_j + c that `exps` use.  Certified through `degree`, or through
+    the last |k| before the first k whose product is not."""
     n = f.n
-    factors = inverse_power_factors(f.h, [range(c, degree + c + 1)] * n, degree - 1)
+    factors = inverse_power_factors(f.h, [{k[j] + c for k in exps} for j in range(n)], degree - 1)
     terms = [{} for _ in range(n)]
     for k in exps:
         product = weight

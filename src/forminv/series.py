@@ -471,16 +471,6 @@ class MSeries:
             out[e[:n]] = c
         return MSeries(n, self.trunc, out, 0)
 
-    def param_coefficients(self):
-        """Group terms as {param exponent: MSeries in z only}."""
-        n = self.n
-        groups: dict = {}
-        for e, c in self.terms.items():
-            groups.setdefault(e[n:], {})[e[:n]] = c
-        return {
-            pe: MSeries(n, self.trunc, terms, 0) for pe, terms in sorted(groups.items())
-        }
-
     # -- presentation ---------------------------------------------------------
 
     def sorted_terms(self):

@@ -45,52 +45,6 @@ class RootedTree:
     def leaf(cls) -> "RootedTree":
         return cls(())
 
-    @classmethod
-    def chain(cls, size: int) -> "RootedTree":
-        t = cls.leaf()
-        for _ in range(size - 1):
-            t = cls((t,))
-        return t
-
-    @classmethod
-    def star(cls, leaves: int) -> "RootedTree":
-        return cls(tuple(cls.leaf() for _ in range(leaves)))
-
-    @classmethod
-    def from_key(cls, key: str) -> "RootedTree":
-        pos = 0
-
-        def parse():
-            nonlocal pos
-            if key[pos] != "(":
-                raise ValueError(f"bad tree encoding at {pos}: {key!r}")
-            pos += 1
-            kids = []
-            while key[pos] == "(":
-                kids.append(parse())
-            if key[pos] != ")":
-                raise ValueError(f"bad tree encoding at {pos}: {key!r}")
-            pos += 1
-            return cls(tuple(kids))
-
-        t = parse()
-        if pos != len(key):
-            raise ValueError(f"trailing characters in tree encoding {key!r}")
-        return t
-
-    def vertices(self):
-        """Parent indices in preorder (root = index 0, parent[0] = -1)."""
-        parents = [-1]
-
-        def walk(t, my_index):
-            for c in t.children:
-                idx = len(parents)
-                parents.append(my_index)
-                walk(c, idx)
-
-        walk(self, 0)
-        return parents
-
     def __eq__(self, other):
         return isinstance(other, RootedTree) and self.key == other.key
 

@@ -28,6 +28,20 @@ def terms_through(s, degree):
     return {e: c for e, c in s.terms.items() if s.zdeg(e) <= degree}
 
 
+def parent_list(tree):
+    """The parent of each vertex of a ``RootedTree`` in preorder: the root
+    is vertex 0, with parent -1."""
+    parents = [-1]
+
+    def walk(t, index):
+        for c in t.children:
+            parents.append(index)
+            walk(c, len(parents) - 1)
+
+    walk(tree, 0)
+    return parents
+
+
 @pytest.fixture
 def catalan_map():
     """F = z - z^2; its inverse has Catalan coefficients."""

@@ -35,7 +35,7 @@ from forminv.randmaps import acceptance_corpus, random_divisible_map, random_h
 from forminv.rat import Rat
 from forminv.trees import enumerate_trees, order_polynomial, strict_order_count
 
-from conftest import terms_through
+from conftest import parent_list, terms_through
 
 DEGREE = 8
 CORPUS = acceptance_corpus(50)
@@ -108,7 +108,7 @@ def test_a3_order_polynomials():
             assert omega.eval_param(0, -1).terms.get((), 0) == (-1) ** tree.size
             if tree.size >= 2:
                 assert omega.eval_param(0, 1).terms.get((), 0) == 0
-            parents = tree.vertices()
+            parents = parent_list(tree)
             for m in range(1, 6):
                 counted = increasing_maps(parents, m)
                 value = omega.eval_param(0, m).terms.get((), 0)

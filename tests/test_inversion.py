@@ -1,6 +1,8 @@
 """The five inversion algorithms, the graded-layer invariants, and the
 cross-checking oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -262,6 +264,14 @@ class TestAbhyankarGurjar:
             assert invert_abhyankar_gurjar(f, 6).eq_through(
                 invert_fixed_point(f, 6), 6
             )
+
+    def test_graded_exponents_by_total_then_lexicographic(self):
+        # the order of ag's parts and of the coefficient formulas' rows
+        for n in range(1, 5):
+            for top in range(7):
+                every = [e for e in itertools.product(range(top + 1), repeat=n) if sum(e) <= top]
+                expected = sorted(every, key=lambda e: (sum(e), e))
+                assert inversion._graded_exponents(n, top) == expected
 
 
 class TestBCW:

@@ -313,15 +313,6 @@ class TestParameters:
         with pytest.raises(DimensionMismatch):
             s.shift_param(0).strip_params()
 
-    def test_param_coefficients_view(self):
-        s = (
-            mono(1, (2,)).with_params(1)
-            + mono(1, (3,), 5).with_params(1).shift_param(0, 2)
-        )
-        view = s.param_coefficients()
-        assert view[(0,)].terms == {(2,): 1}
-        assert view[(2,)].terms == {(3,): 5}
-
 
 class TestMapF:
     def test_from_h(self):

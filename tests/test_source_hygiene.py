@@ -1,7 +1,9 @@
 """Source hygiene of the library modules: no import that its module never
 uses, no private top-level function or class that nothing calls, no
-public one that only the tests call, and no read of a series' ``terms``
-outside the functions listed with a reason.
+public one or public method that only the tests call, no read of a
+series' ``terms`` outside the functions listed with a reason, and
+``series.py`` kept below the size at which importing it costs more
+memory.
 
 Each module of ``src/forminv`` except ``__init__.py`` is parsed with
 ``ast``.  A name counts as referenced where it appears as a name or as an
@@ -11,6 +13,7 @@ counts as unreferenced.
 
 import argparse
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,35 @@ def referenced(node):
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
     return out
+
+
+def units(tree):
+    """The parts of a module whose names count apart, as (index of the
+    top-level statement, index in its class body or None, label, nodes):
+    each top-level statement, except that a class is split into its header
+    (bases, keywords and decorators), labelled with the class name, and
+    each statement of its body, labelled ``Class.name`` (``Class.<class>``
+    for class-level code that is not a definition)."""
+    for i, stmt in enumerate(tree.body):
+        if isinstance(stmt, ast.ClassDef):
+            yield i, None, stmt.name, stmt.bases + stmt.keywords + stmt.decorator_list
+            for j, sub in enumerate(stmt.body):
+                yield i, j, f"{stmt.name}.{getattr(sub, 'name', '<class>')}", [sub]
+        else:
+            yield i, None, getattr(stmt, "name", "<module>"), [stmt]
+
+
+# (module, top-level index, class-body index or None) -> the names it refers to
+REFS = {
+    (name, i, j): set().union(*map(referenced, nodes))
+    for name, tree in MODULES.items()
+    for i, j, _, nodes in units(tree)
+}
+
+
+def referenced_outside(helper, own):
+    """Whether a unit whose key does not start with `own` refers to `helper`."""
+    return any(helper in r for key, r in REFS.items() if key[: len(own)] != own)
 
 
 def imported_names(stmt):
@@ -63,22 +95,15 @@ def test_no_unused_import(name):
 
 
 def test_every_private_helper_is_referenced():
-    # (module, top-level statement) -> the names it refers to
-    refs = {
-        (name, i): referenced(stmt)
+    unused = [
+        f"{name}:{stmt.name}"
         for name, tree in MODULES.items()
         for i, stmt in enumerate(tree.body)
-    }
-    unused = []
-    for name, tree in MODULES.items():
-        for i, stmt in enumerate(tree.body):
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            helper = stmt.name
-            if not helper.startswith("_") or helper.startswith("__"):
-                continue
-            if not any(helper in r for key, r in refs.items() if key != (name, i)):
-                unused.append(f"{name}:{helper}")
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not referenced_outside(stmt.name, (name, i))
+    ]
     assert not unused, f"private helpers that nothing references: {unused}"
 
 
@@ -86,46 +111,49 @@ def test_every_private_helper_is_referenced():
 # kept for a reason outside them
 TEST_OR_USER_ONLY = {
     "series.py:series_from_terms": "the validating constructor for library users",
+    "series.py:MSeries.strip_params": "perfbench/tracing.py wraps it by its name, as a string",
     "randmaps.py:acceptance_corpus": "the seeded corpus the tests share",
     "randmaps.py:random_divisible_map": "the seeded divisible maps the tests share",
 }
 
 
+def public_definitions():
+    """Each public top-level function or class, and each public method of
+    a top-level class, as (``module:name`` or ``module:Class.name``, its
+    name, the key prefix of the units that make up its definition)."""
+    for name, tree in MODULES.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            yield f"{name}:{stmt.name}", stmt.name, (name, i)
+            if isinstance(stmt, ast.ClassDef):
+                for j, sub in enumerate(stmt.body):
+                    if isinstance(sub, ast.FunctionDef):
+                        yield f"{name}:{stmt.name}.{sub.name}", sub.name, (name, i, j)
+
+
 def test_every_public_helper_has_a_caller():
-    """Each public top-level function or class of the library is referenced
-    in ``src/forminv`` outside its own definition and ``__init__.py``, in
-    ``demos/`` or in ``perfbench/``, so no public helper is kept for the
-    tests alone."""
+    """Each public top-level function or class of the library, and each
+    public method of its classes, is referenced in ``src/forminv`` outside
+    its own definition and ``__init__.py``, in ``demos/`` or in
+    ``perfbench/``, so no public helper is kept for the tests alone."""
     root = SRC.parent.parent
     outside = [
         ast.parse(path.read_text(), filename=str(path))
         for folder in ("demos", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
     ]
-    refs = {
-        (name, i): referenced(stmt)
-        for name, tree in MODULES.items()
-        for i, stmt in enumerate(tree.body)
-    }
     used = set().union(*map(referenced, outside))
-    defined = {
-        f"{name}:{stmt.name}"
-        for name, tree in MODULES.items()
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-    }
-    assert set(TEST_OR_USER_ONLY) <= defined
-    orphans = []
-    for name, tree in MODULES.items():
-        for i, stmt in enumerate(tree.body):
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if stmt.name.startswith("_") or f"{name}:{stmt.name}" in TEST_OR_USER_ONLY:
-                continue
-            if stmt.name in used:
-                continue
-            if not any(stmt.name in r for key, r in refs.items() if key != (name, i)):
-                orphans.append(f"{name}:{stmt.name}")
+    defined = list(public_definitions())
+    assert set(TEST_OR_USER_ONLY) <= {label for label, _, _ in defined}
+    orphans = [
+        label
+        for label, helper, own in defined
+        if not helper.startswith("_")
+        and label not in TEST_OR_USER_ONLY
+        and helper not in used
+        and not referenced_outside(helper, own)
+    ]
     assert not orphans, f"public helpers that only tests reach: {orphans}"
 
 
@@ -135,7 +163,6 @@ def test_every_public_helper_has_a_caller():
 TERMS_READERS = {
     "series.py:MSeries.sorted_terms": "formatting shows every term",
     "series.py:MSeries.strip_params": "rebuilds the terms without their parameter fields",
-    "series.py:MSeries.param_coefficients": "splits every term by its parameter exponent",
     "series.py:MapF.__init__": "names the offending terms in its error message",
     "mapdoc.py:document_from_polymap": "serializing writes every term",
     "inversion.py:_lagrange_applicable": "reads the exponents of H once per call",
@@ -147,24 +174,18 @@ TERMS_READERS = {
 
 
 def terms_readers():
-    """The top-level functions and methods, as ``module:Class.name``, that
-    read an attribute ``terms``; a nested function counts as the one it is
-    defined in, and other module- or class-level code as ``<module>`` or
-    ``Class.<class>``."""
-    out = set()
-    for name, tree in MODULES.items():
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ClassDef):
-                units = [(f"{stmt.name}.{getattr(s, 'name', '<class>')}", s) for s in stmt.body]
-            else:
-                units = [(getattr(stmt, "name", "<module>"), stmt)]
-            for label, node in units:
-                if any(
-                    isinstance(sub, ast.Attribute) and sub.attr == "terms"
-                    for sub in ast.walk(node)
-                ):
-                    out.add(f"{name}:{label}")
-    return out
+    """The units of ``units``, as ``module:label``, that read an attribute
+    ``terms``; a nested function counts as the one it is defined in."""
+    return {
+        f"{name}:{label}"
+        for name, tree in MODULES.items()
+        for _, _, label, nodes in units(tree)
+        if any(
+            isinstance(sub, ast.Attribute) and sub.attr == "terms"
+            for node in nodes
+            for sub in ast.walk(node)
+        )
+    }
 
 
 def test_only_the_edges_read_terms():
@@ -215,3 +236,20 @@ def test_every_cli_option_is_read():
         ]
     assert len(commands) == 7
     assert not unread, f"options that no handler reads: {unread}"
+
+
+def test_series_stays_below_the_import_memory_step():
+    """``series.py``, the largest module, stays below 8158 code tokens,
+    counted as ROADMAP item 1 counts them: every token but comments and
+    blank lines, a docstring as one.  Importing the module from source
+    raises the peak resident memory once it passes about 8160 tokens:
+    measured on Python 3.11.7, 8158 tokens did not raise the peak and 8162
+    did, which moves the benchmark's ``peak_rss_mb``.  Checked here, a
+    kernel change that crosses the step shows in the tier-1 suite and not
+    only in paired benchmark runs."""
+    with (SRC / "series.py").open() as source:
+        count = sum(
+            tok.type not in (tokenize.COMMENT, tokenize.NL)
+            for tok in tokenize.generate_tokens(source.readline)
+        )
+    assert count < 8158, f"series.py has {count} code tokens"
