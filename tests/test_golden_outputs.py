@@ -15,6 +15,11 @@ when that suite gained the computed item F_t(G_t) = z and began to report
 U(V) = z and V(U) = z as items derived from it and the two factorizations,
 and the transported Cauchy problem and ``verify --suite pde`` entries when
 both suites gained the initial-condition item "N_t at t = 0 equals H".
+The lemma 3.1, Prop. 3.10 and Euler entries were recorded again when
+lemma 3.1 and Prop. 3.10 came to compute only H(G_t) = N_t, as a new first
+item, and to report every other composition identity as derived from it,
+and the Euler suite to derive its second item from its first: the derived
+items name their step and premise in their detail.
 The high-precision entries
 (``HIGH_PRECISION_GOLDEN``: inverses at D = 30 with coefficients of 100+
 bits, a unit inverse whose denominators mix 2, 3, 5 and 7, and a Laurent
@@ -188,29 +193,29 @@ def _report_outputs(tmp_path, capsys):
 
 
 REPORT_GOLDEN = {
-    "lemma31.n2d2": "6a210cac7faca80862a807c022250977e7f25db1762758133092ce3d67ab37ab",
-    "euler.n2d2": "4503d4157a90d6861610973224de6db8768290ac9dccf7a932f18c13bfde6a76",
-    "prop310.n2d2": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
+    "lemma31.n2d2": "823dd1ebc360246c6472d1ebb379e2289b86c06cc16a235ac4dbd529df46eb01",
+    "euler.n2d2": "1ef584aacbe32f541b165c5281c377c1f557f2b9c8dd9f5b8853eeb471100f50",
+    "prop310.n2d2": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n2d2": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n2d2": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
-    "lemma31.n2d3": "e495eda1ba1fc324c5f82fbf731477d46de0ee852bdaa083fd90005db0773c48",
-    "euler.n2d3": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
-    "prop310.n2d3": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
+    "lemma31.n2d3": "4df8f27a5e2dc8589adb3e82635a8c6b758643b20d30b052151a301e28a0e608",
+    "euler.n2d3": "3d7144f5623dabf148a154fdc120e84c053f301245afc75af39e744f0aefef40",
+    "prop310.n2d3": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n2d3": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n2d3": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
-    "lemma31.n3d2": "6a210cac7faca80862a807c022250977e7f25db1762758133092ce3d67ab37ab",
-    "euler.n3d2": "4503d4157a90d6861610973224de6db8768290ac9dccf7a932f18c13bfde6a76",
-    "prop310.n3d2": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
+    "lemma31.n3d2": "823dd1ebc360246c6472d1ebb379e2289b86c06cc16a235ac4dbd529df46eb01",
+    "euler.n3d2": "1ef584aacbe32f541b165c5281c377c1f557f2b9c8dd9f5b8853eeb471100f50",
+    "prop310.n3d2": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n3d2": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n3d2": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
-    "lemma31.n3d3": "97b4fc174581732803f0c7a2dd60115f9bd9cdf2a384b61857d5738db66b7619",
-    "euler.n3d3": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
-    "prop310.n3d3": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
+    "lemma31.n3d3": "cb45aa9ce2290a2763cd74f84dfd77407fbf6dc644344fd384b1f4c1689b0109",
+    "euler.n3d3": "3d7144f5623dabf148a154fdc120e84c053f301245afc75af39e744f0aefef40",
+    "prop310.n3d3": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n3d3": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n3d3": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
-    "lemma31.lemma31_defect": "97b4fc174581732803f0c7a2dd60115f9bd9cdf2a384b61857d5738db66b7619",
-    "euler.lemma31_defect": "f378e05acae902565afa3e6ad78cff41939385c981a473fe1d73e6d72efc09c5",
-    "prop310.lemma31_defect": "5ff490cb03e0632815456f5ade0a384ebfee63a26b4ab7374aa3cef815651efd",
+    "lemma31.lemma31_defect": "cb45aa9ce2290a2763cd74f84dfd77407fbf6dc644344fd384b1f4c1689b0109",
+    "euler.lemma31_defect": "3d7144f5623dabf148a154fdc120e84c053f301245afc75af39e744f0aefef40",
+    "prop310.lemma31_defect": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.lemma31_defect": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.lemma31_defect": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
 }
