@@ -15,6 +15,7 @@ from .errors import (
     MapFormatError,
     MethodDisagreement,
     NilpotencyError,
+    OutputTooLarge,
     SubstitutionError,
     TruncationError,
 )

@@ -22,6 +22,7 @@ aggregation order.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import bench as bench_mod
@@ -272,9 +273,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_fractions(argv) -> list:
+    """``--t -1/2`` as ``--t=-1/2``: argparse reads an argument that starts
+    with "-" as an option unless it is a plain negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--t" and re.fullmatch(r"-[0-9]+/[0-9]+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run_command(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_fractions(argv))
     if args.command == "bench" and not args.input:
         args.input = ["-"]
     try:

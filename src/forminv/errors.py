@@ -47,3 +47,8 @@ class MethodDisagreement(ForminvError):
 
 class MapFormatError(ForminvError):
     """A map document failed to parse or violated a document invariant."""
+
+
+class OutputTooLarge(ForminvError):
+    """A coefficient has more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""

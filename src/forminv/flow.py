@@ -77,10 +77,11 @@ class Report:
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
 
-    def add(self, name, ok, detail="", first_failure=None):
+    def add(self, name, ok, detail="", first_failure=None) -> CheckItem:
         self.items.append(CheckItem(name, bool(ok), detail, first_failure))
+        return self.items[-1]
 
-    def add_equality(self, name, lhs, rhs, degree, detail=""):
+    def add_equality(self, name, lhs, rhs, degree, detail="") -> CheckItem:
         """lhs = rhs through `degree`, for two maps or two sequences of
         series; a failure names the component and the first differing
         coefficient."""
@@ -88,7 +89,7 @@ class Report:
         diff = first_mismatch(zip(lhs, rhs), through=degree)
         if diff is not None:
             failure = f"component {diff[0] + 1}, {diff[1]}"
-        self.add(name, failure is None, detail, failure)
+        return self.add(name, failure is None, detail, failure)
 
     def add_derived(self, name, premises, detail):
         """An item proved from earlier items: it holds exactly when all its
@@ -192,62 +193,40 @@ def _euler_potential(v: PolyMap) -> MSeries:
     return MSeries(zv.n, zv.trunc, {e: c / zv.zdeg(e) for e, c in zv.terms.items()}, zv.nparams)
 
 
+def _fixed_point_item(report: Report, f: MapF, dinv: GradedInverse, degree: int) -> CheckItem:
+    """H(G_t) = N_t through `degree`, the one composition the suites
+    compute: N = H(z + tN) has one solution, so it fixes N_t, and the
+    other composition identities are derived from it."""
+    h_of_gt = compose_map_components(f.h.with_params(1).components, dinv.g_t(), cap=degree)
+    return report.add_equality("H(G_t) = N_t", h_of_gt, dinv.n_t, degree)
+
+
 def check_lemma31(f: MapF, degree: int) -> Report:
     """Composition identities of the deformed inverse and the matching
     nilpotency behaviour of JH and JN_t.
 
-    N_t through `degree` suffices: F_t and G_t have order 1, so composing
-    with them certifies through `degree`, and JN_t, certified through
-    `degree` - 1, composes to the degree its identity compares.
-
-    Lemma 3.1's JN_t(F_t) = JH (I - tJH)^(-1) = sum_k JH^k t^(k-1) is
-    checked in its product form JN_t(F_t) . JF_t = JH, with JF_t = I - tJH:
-    one matrix product.  JF_t is invertible with constant part I, so the
-    product form fails on exactly the maps the sum form fails on.  Its first
-    failure lies in the same row, but a wrong entry also reaches the other
-    entries of that row one z-degree or more higher, so it can name an
-    earlier entry there.
+    H(G_t) = N_t is computed (``_fixed_point_item``), and the other
+    composition items are derived from it.  F_t(G_t) = z + t(N_t - H(G_t))
+    = z gives G_t o F_t = z, so N_t(F_t) = H(G_t o F_t) = H.  Lemma 3.1's
+    JN_t(F_t) = JH (I - tJH)^(-1) = sum_k JH^k t^(k-1) is reported in its
+    product form JN_t(F_t) . JF_t = JH, JF_t = I - tJH: the chain rule on
+    N_t(F_t) = H, through `degree` - 1.
 
     The nilpotency item reads JN_t's index through truncation, from powers
     cut at `degree` - 1, so a non-nilpotent JH can seem to have an index
     there (the known defect on ROADMAP.md's list)."""
-    n = f.n
     dinv = deformation_inverse(f, degree)
     report = Report(f"deformation composition identities through degree {degree}")
+    fixed = _fixed_point_item(report, f, dinv, degree)
+    step = "F_t(G_t) = z gives G_t o F_t = z, so N_t(F_t) = H(G_t o F_t) = H"
+    report.add_derived("N_t(F_t) = H", [fixed], step)
+    step = f"chain rule: JN_t(F_t) . JF_t = JH, JF_t = I - tJH, through z-degree {degree - 1}"
+    report.add_derived("JN_t(F_t) = sum_k JH^k t^(k-1)", [fixed], step)
 
-    f_t = dinv.f_t()
-    h_lift = f.h.with_params(1)
-    n_of_ft = dinv.n_t.compose(f_t, cap=degree)
-    report.add_equality("N_t(F_t) = H", n_of_ft, h_lift.truncate(degree), degree)
-
-    h_of_gt = h_lift.compose(dinv.g_t(), cap=degree)
-    report.add_equality("H(G_t) = N_t", h_of_gt, dinv.n_t, degree)
-
-    jn = dinv.n_t.jacobian()
-    flat = compose_map_components([e for row in jn for e in row], f_t, cap=degree - 1)
-    composed = [flat[i * n : (i + 1) * n] for i in range(n)]
-    product = mat_mul(composed, f_t.jacobian(), cap=degree - 1)
-    jh = f.h.jacobian()
-    lhs = [e for row in product for e in row]
-    rhs = [e.with_params(1) for row in jh for e in row]
-    failure = None
-    diff = first_mismatch(zip(lhs, rhs), through=degree - 1)
-    if diff is not None:
-        idx, text = diff
-        failure = f"entry ({idx // n + 1},{idx % n + 1}), {text}"
-    report.add(
-        "JN_t(F_t) = sum_k JH^k t^(k-1)",
-        failure is None,
-        f"checked through z-degree {degree - 1}",
-        failure,
-    )
-
-    jh_index = _nilpotency_index(jh, n)
-    jn_index = _nilpotency_index(jn, n, degree - 1)
-    report.data["JH nilpotency index"] = jh_index if jh_index else "not nilpotent"
-    report.data["JN_t nilpotency index (through truncation)"] = (
-        jn_index if jn_index else "not nilpotent"
-    )
+    jh_index = _nilpotency_index(f.h.jacobian(), f.n)
+    jn_index = _nilpotency_index(dinv.n_t.jacobian(), f.n, degree - 1)
+    report.data["JH nilpotency index"] = jh_index or "not nilpotent"
+    report.data["JN_t nilpotency index (through truncation)"] = jn_index or "not nilpotent"
     report.add(
         "nilpotency indices match",
         jh_index == jn_index,
@@ -317,30 +296,28 @@ def check_newp(h: PolyMap, degree: int) -> Report:
 def check_prop310(f: MapF, degree: int, s_order: int, t_order: int) -> Report:
     """The family is closed under inversion: U = z - s N_t has inverse
     V = z + s N_{t+s}, and both factor through the deformation itself.
-    U o V = z and V o U = z are derived: F_t(G_t) = z gives G_t o F_t = z
-    (see `inversion.cross_check`) and, by t -> t+s, G_{t+s} o F_{t+s} = z."""
+
+    H(G_t) = N_t is computed (``_fixed_point_item``), and every other item
+    is derived from it, as F_a(G) = G - aH(G) is linear in H(G):
+    F_t(G_t) = z + t(N_t - H(G_t)) = z; U = F_{t+s}(G_t) = z - sN_t; the
+    substitution t -> t+s keeps z-degrees, so H(G_{t+s}) = N_{t+s} and
+    V = F_t(G_{t+s}) = z + sN_{t+s}; G_t o F_t = z (see
+    `inversion.cross_check`) gives U o V = z and V o U = z."""
     dinv = deformation_inverse(f, degree)
     report = Report(
         f"closure under inversion through degree {degree} "
         f"(verified exactly in t and s; stated orders t<={t_order}, s<={s_order})"
     )
-    ident = PolyMap.identity(f.n, trunc=degree, nparams=1)
-    report.add_equality("F_t(G_t) = z", dinv.f_t().compose(dinv.g_t(), cap=degree), ident, degree)
-    n_t = dinv.n_t.with_params(1)
-    ident = ident.with_params(1)
-    u = ident - n_t.shift_param(1)  # z - s N_t
-    n_ts = n_t.subst_param_sum(0, 1)
-    v = ident + n_ts.shift_param(1)  # z + s N_{t+s}
-    h2 = f.h.with_params(2)
-    f_ts = ident - h2.shift_param(0) - h2.shift_param(1)  # z - (t+s)H
-    g_t = ident + n_t.shift_param(0)
-    report.add_equality("U_{s,t} = F_{t+s} o G_t", f_ts.compose(g_t, cap=degree), u, degree)
-    f_t = ident - h2.shift_param(0)
-    g_ts = ident + n_ts.shift_param(0) + n_ts.shift_param(1)  # z + (t+s)N_{t+s}
-    report.add_equality("V_{s,t} = F_t o G_{s+t}", f_t.compose(g_ts, cap=degree), v, degree)
-    premises = list(report.items)
-    report.add_derived("U_{s,t}(V_{s,t}) = z", premises, "U o V = F_{t+s} o (G_t o F_t) o G_{t+s}")
-    report.add_derived("V_{s,t}(U_{s,t}) = z", premises, "V o U = F_t o (G_{t+s} o F_{t+s}) o G_t")
+    fixed = _fixed_point_item(report, f, dinv, degree)
+    for name, step in (
+        ("F_t(G_t) = z", "F_t(G_t) = z + t(N_t - H(G_t))"),
+        ("U_{s,t} = F_{t+s} o G_t", "F_{t+s}(G_t) = z + tN_t - (t+s)N_t = z - sN_t"),
+        ("V_{s,t} = F_t o G_{s+t}",
+         "t -> t+s keeps z-degrees: H(G_{t+s}) = N_{t+s}, so F_t(G_{t+s}) = z + sN_{t+s}"),
+        ("U_{s,t}(V_{s,t}) = z", "U o V = F_{t+s} o (G_t o F_t) o G_{t+s} = F_{t+s} o G_{t+s}"),
+        ("V_{s,t}(U_{s,t}) = z", "V o U = F_t o (G_{t+s} o F_{t+s}) o G_t = F_t o G_t"),
+    ):
+        report.add_derived(name, [fixed], step)
     return report
 
 
@@ -370,7 +347,8 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     formula, including the two expansions of N_t and dN_t/dt in powers
     of JN_t applied to z.  The vectors JN_t^k z come by matrix-vector
     steps, JN_t^k z = JN_t (JN_t^(k-1) z), each capped at `degree`, and
-    the dN_t/dt expansion is JN_t times the N_t expansion."""
+    the dN_t/dt expansion is JN_t times the N_t expansion.  The second
+    item is the first times d, rearranged; the other three are computed."""
     d = h.homogeneous_degree()
     if d is None or d < 2:
         raise HomogeneityError("needs homogeneous H of degree >= 2")
@@ -381,19 +359,17 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
 
     report = Report(f"homogeneous Euler identities (d={d}) through degree {degree}")
 
-    # JN_t z and (d-1) t JN_t N_t serve both items:
     # JN_t (z - (d-1) t N_t) = JN_t z - (d-1) t JN_t N_t
-    lhs2 = PolyMap(mat_vec(jn, ident.components, cap=degree))
+    jn_z = PolyMap(mat_vec(jn, ident.components, cap=degree))
     t_jn_nt = PolyMap(mat_vec(jn, n_t.components, cap=degree)).shift_param(0).scale(d - 1)
-    rhs1 = (lhs2 - t_jn_nt).scale(Rat(1, d))
-    report.add_equality("N_t = (1/d) JN_t (z - (d-1) t N_t)", n_t, rhs1, degree)
-
-    rhs2 = n_t.scale(d) + t_jn_nt
-    report.add_equality("JN_t z = d(I + ((d-1)t/d) JN_t) N_t", lhs2, rhs2, degree)
+    rhs1 = (jn_z - t_jn_nt).scale(Rat(1, d))
+    first = report.add_equality("N_t = (1/d) JN_t (z - (d-1) t N_t)", n_t, rhs1, degree)
+    step = "d times the item above, rearranged: JN_t z = d N_t + (d-1) t JN_t N_t"
+    report.add_derived("JN_t z = d(I + ((d-1)t/d) JN_t) N_t", [first], step)
 
     # the expansion of N_t in powers of JN_t . z; the k-th term has z-order
     # >= k+1, and JN_t times it is the expansion of dN_t/dt
-    terms, power = [PolyMap.zero(n, degree, nparams=1)], lhs2  # power: JN_t^k z
+    terms, power = [PolyMap.zero(n, degree, nparams=1)], jn_z  # power: JN_t^k z
     for k in range(1, degree):
         if k > 1:
             power = PolyMap(mat_vec(jn, power.components, cap=degree))

@@ -172,11 +172,6 @@ class GradedInverse:
         graded = [u.with_params(1).shift_param(0, m) for m, u in enumerate(self.layers)]
         return PolyMap(map(series_sum, zip(zero, *graded)))
 
-    def f_t(self) -> PolyMap:
-        """z - t H."""
-        ident = PolyMap.identity(self.h.n, trunc=self.h.trunc, nparams=1)
-        return ident - self.h.with_params(1).shift_param(0)
-
     def g_t(self) -> PolyMap:
         """z + t N_t."""
         ident = PolyMap.identity(self.h.n, trunc=self.trunc, nparams=1)

@@ -14,6 +14,9 @@ output term from its ``.numerator`` and ``.denominator``.
 from __future__ import annotations
 
 import re
+import sys
+
+from .errors import OutputTooLarge
 
 try:
     from gmpy2 import mpq as Rat
@@ -42,4 +45,11 @@ def rat_from_str(text: str) -> "Rat":
 
 
 def rat_to_str(value) -> str:
-    return str(value)
+    """``"p"`` or ``"p/q"``, or OutputTooLarge past Python's digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise OutputTooLarge(
+            "a coefficient has more digits than Python converts to text "
+            f"({sys.get_int_max_str_digits()}-digit limit)"
+        ) from None

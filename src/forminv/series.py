@@ -748,9 +748,6 @@ class PolyMap:
     def shift_param(self, j, k=1):
         return PolyMap(a.shift_param(j, k) for a in self.components)
 
-    def subst_param_sum(self, j, k):
-        return PolyMap(a.subst_param_sum(j, k) for a in self.components)
-
     def compose(self, g: "PolyMap", cap=None) -> "PolyMap":
         """self after g, i.e. z -> self(g(z))."""
         return PolyMap(compose_map_components(self.components, g, cap))

@@ -178,6 +178,29 @@ def test_flow_invalid_rational(capsys, catalan_path, t):
     assert f"error: invalid rational literal '{t}'" in capsys.readouterr().err
 
 
+def test_flow_negative_fraction_as_a_separate_argument(capsys, catalan_path):
+    outputs = []
+    for argv in (["--t", "-1/2"], ["--t=-1/2"]):
+        assert run_command(["flow", *argv, "--deg", "4", "--input", catalan_path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "z -> z + 1/2*z^2 + 3/4*z^3 + 3/2*z^4\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [["invert"], ["flow", "--t", "2"], ["power", "--m", "2"]])
+def test_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, argv, fmt):
+    """F = z - c z^2 with a 3001-digit c: the inverse's z^3 coefficient
+    2c^2 has 6001 digits, more than Python converts to text."""
+    p = tmp_path / "big.json"
+    c = "7" * 3001
+    p.write_text('{"n":1,"D":4,"components":[[{"exp":[1],"c":"1"},{"exp":[2],"c":"-%s"}]]}' % c)
+    assert run_command([*argv, "--format", fmt, "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "error: a coefficient has more digits than Python converts to text" in captured.err
+    assert "(4300-digit limit)" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

@@ -6,6 +6,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forminv import (
     HomogeneityError,
@@ -34,6 +36,7 @@ from forminv.inversion import GradedInverse
 from forminv.mapdoc import document_from_polymap, serialize_map
 from forminv.randmaps import random_h, random_map
 from forminv.rat import Rat
+from forminv.series import compose_map_components, first_mismatch, mat_mul
 
 from conftest import mono
 
@@ -69,8 +72,9 @@ class TestDeformation:
             f = random_map(rng, rng.choice((1, 2)))
             dinv = deformation_inverse(f, 6)
             ident = PolyMap.identity(f.n, nparams=1)
-            assert dinv.g_t().compose(dinv.f_t(), cap=6).eq_through(ident, 6)
-            assert dinv.f_t().compose(dinv.g_t(), cap=6).eq_through(ident, 6)
+            f_t = ident - f.h.with_params(1).shift_param(0)
+            assert dinv.g_t().compose(f_t, cap=6).eq_through(ident, 6)
+            assert f_t.compose(dinv.g_t(), cap=6).eq_through(ident, 6)
 
 
 class TestPdeResidual:
@@ -172,9 +176,8 @@ class TestProp310:
         assert check_prop310(f, 4, 3, 3).ok
 
     def test_failed_premise_fails_the_derived_items(self, monkeypatch, catalan_map):
-        """A fault in G_t alone reaches only the computed F_t(G_t) = z (the
-        factorizations build G_t from N_t); both derived items must fail
-        and name that premise."""
+        """A fault in G_t alone reaches only the computed H(G_t) = N_t;
+        every derived item must fail and name that premise."""
         real = GradedInverse.g_t
 
         def corrupted(dinv):
@@ -187,12 +190,68 @@ class TestProp310:
         monkeypatch.setattr(GradedInverse, "g_t", corrupted)
         report = check_prop310(catalan_map, 5, 2, 2)
         failures = {item.name: item.first_failure for item in report.items if not item.ok}
-        assert failures.pop("F_t(G_t) = z").startswith("component 1, exponent (2, 1):")
-        assert failures == {
-            "U_{s,t}(V_{s,t}) = z": "premise failed: F_t(G_t) = z",
-            "V_{s,t}(U_{s,t}) = z": "premise failed: F_t(G_t) = z",
-        }
+        assert failures.pop("H(G_t) = N_t").startswith("component 1, exponent (3, 1):")
+        derived = [
+            "F_t(G_t) = z",
+            "U_{s,t} = F_{t+s} o G_t",
+            "V_{s,t} = F_t o G_{s+t}",
+            "U_{s,t}(V_{s,t}) = z",
+            "V_{s,t}(U_{s,t}) = z",
+        ]
+        assert failures == {name: "premise failed: H(G_t) = N_t" for name in derived}
         assert not report.ok
+
+
+COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-1, 2)])
+
+
+@st.composite
+def small_maps(draw):
+    """F = z - H with n in {1, 2} and the monomials of H of degree 2 or 3;
+    H may be zero."""
+    n = draw(st.integers(1, 2))
+    exps = st.lists(st.integers(0, n - 1), min_size=2, max_size=3).map(
+        lambda ks: tuple(ks.count(k) for k in range(n))
+    )
+    return MapF(PolyMap([MSeries(n, math.inf, draw(st.dictionaries(exps, COEFFS, max_size=3)))
+                         for _ in range(n)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_maps(), st.integers(1, 5))
+def test_derived_items_match_the_compositions(f, degree):
+    """Each composition identity that lemma 3.1 and Prop. 3.10 derive from
+    H(G_t) = N_t, composed directly: F_t(G_t) = z, N_t(F_t) = H,
+    JN_t(F_t) . JF_t = JH through degree - 1, and in the two parameters
+    t and s, U = F_{t+s}(G_t) = z - sN_t, V = F_t(G_{t+s}) = z + sN_{t+s}
+    and U o V = V o U = z.  The suites' items pass on the same map."""
+    n, dinv = f.n, deformation_inverse(f, degree)
+    n_t, g_t = dinv.n_t, dinv.g_t()
+    ident = PolyMap.identity(n, nparams=1)
+    h_t = f.h.with_params(1)
+    f_t = ident - h_t.shift_param(0)
+    assert f_t.compose(g_t, cap=degree).eq_through(ident, degree)
+    assert n_t.compose(f_t, cap=degree).eq_through(h_t, degree)
+    flat = compose_map_components([e for row in n_t.jacobian() for e in row], f_t, cap=degree - 1)
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    product = mat_mul(rows, f_t.jacobian(), cap=degree - 1)
+    jh = h_t.jacobian()
+    assert all(first_mismatch(zip(a, b), degree - 1) is None for a, b in zip(product, jh))
+
+    ident2, h2, n2 = ident.with_params(1), f.h.with_params(2), n_t.with_params(1)
+    n_ts = PolyMap(c.subst_param_sum(0, 1) for c in n2)  # N_{t+s}
+    f_t2 = ident2 - h2.shift_param(0)
+    u, v = ident2 - n2.shift_param(1), ident2 + n_ts.shift_param(1)
+    u_composed = (f_t2 - h2.shift_param(1)).compose(ident2 + n2.shift_param(0), cap=degree)
+    v_composed = f_t2.compose(ident2 + n_ts.shift_param(0) + n_ts.shift_param(1), cap=degree)
+    assert u_composed.eq_through(u, degree)
+    assert v_composed.eq_through(v, degree)
+    assert u.compose(v, cap=degree).eq_through(ident2, degree)
+    assert v.compose(u, cap=degree).eq_through(ident2, degree)
+
+    assert check_prop310(f, degree, 2, 2).ok
+    # the nilpotency item reads a truncation and can fail on its own
+    assert all(item.ok for item in check_lemma31(f, degree).items[:3])
 
 
 class TestGpde:
@@ -499,8 +558,8 @@ class TestTopDegreeFault:
     def test_every_suite_fails(self, faulty, tmp_path, capsys):
         d = self.DEGREE
         assert failing(check_lemma31(faulty, d)) == [
-            "N_t(F_t) = H",
             "H(G_t) = N_t",
+            "N_t(F_t) = H",
             "JN_t(F_t) = sum_k JH^k t^(k-1)",
         ]
         assert failing(check_euler_identities(faulty.h, d)) == [
@@ -510,6 +569,7 @@ class TestTopDegreeFault:
             "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
         ]
         assert failing(check_prop310(faulty, d, 2, 2)) == [
+            "H(G_t) = N_t",
             "F_t(G_t) = z",
             "U_{s,t} = F_{t+s} o G_t",
             "V_{s,t} = F_t o G_{s+t}",

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from forminv import packed, series
 from forminv.errors import DimensionMismatch, SubstitutionError
-from forminv.flow import check_prop310
+from forminv.flow import deformation_inverse
 from forminv.inversion import jacobi_coefficient
 from forminv.laurent import laurent_inv_power
 from forminv.rat import ONE, Rat
@@ -687,12 +687,22 @@ def _catalan2():
     return MapF(h)
 
 
+def _t_and_s_compose():
+    """V = F_t o G_{t+s} of Prop. 3.10, composed in the parameters t, s."""
+    f = _catalan2()
+    n_t = deformation_inverse(f, 4).n_t.with_params(1)
+    n_ts = PolyMap(c.subst_param_sum(0, 1) for c in n_t)  # N_{t+s}
+    ident = PolyMap.identity(f.n, nparams=2)
+    f_t = ident - f.h.with_params(2).shift_param(0)
+    return f_t.compose(ident + n_ts.shift_param(0) + n_ts.shift_param(1), cap=4)
+
+
 @pytest.mark.parametrize("run", [
     # Laurent expansions: negative exponents and negative degrees
     lambda: laurent_inv_power(_catalan2(), (2, 1), 3),
     lambda: jacobi_coefficient(_catalan2(), 1, (2, 2)),
     # one- and two-parameter series of the t and s family
-    lambda: check_prop310(_catalan2(), 4, 2, 2),
+    _t_and_s_compose,
 ], ids=["laurent_inv_power", "jacobi_coefficient", "prop310"])
 def test_degrees_read_off_keys_are_the_exponents(run):
     with stored_views() as stored:

@@ -112,6 +112,7 @@ def test_every_private_helper_is_referenced():
 TEST_OR_USER_ONLY = {
     "series.py:series_from_terms": "the validating constructor for library users",
     "series.py:MSeries.strip_params": "perfbench/tracing.py wraps it by its name, as a string",
+    "series.py:MSeries.subst_param_sum": "perfbench/tracing.py wraps it by its name, as a string",
     "randmaps.py:acceptance_corpus": "the seeded corpus the tests share",
     "randmaps.py:random_divisible_map": "the seeded divisible maps the tests share",
 }
