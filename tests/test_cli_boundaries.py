@@ -189,8 +189,8 @@ def test_flow_negative_fraction_as_a_separate_argument(capsys, catalan_path):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv", [["invert"], ["flow", "--t", "2"], ["power", "--m", "2"]])
 def test_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, argv, fmt):
-    """F = z - c z^2 with a 3001-digit c: the inverse's z^3 coefficient
-    2c^2 has 6001 digits, more than Python converts to text."""
+    """F = z - c z^2 with a 3001-digit c: each output has a coefficient
+    2c^2 of 6001 digits, more than Python converts to text."""
     p = tmp_path / "big.json"
     c = "7" * 3001
     p.write_text('{"n":1,"D":4,"components":[[{"exp":[1],"c":"1"},{"exp":[2],"c":"-%s"}]]}' % c)
