@@ -130,7 +130,8 @@ class Report:
 def deformation_inverse(f: MapF, degree: int) -> GradedInverse:
     """The recurrent layers of `invert_recurrent`, read through their
     t-graded view:  G_t = z + t N_t inverts z - tH through `degree` for
-    symbolic t."""
+    symbolic t.  Built once per H object and degree and shared by every
+    suite here, so G_t, N_t and JN_t of one map are computed once."""
     return invert_recurrent(f, degree)
 
 
@@ -138,7 +139,7 @@ def pde_residual(dinv: GradedInverse) -> PolyMap:
     """dN/dt - JN . N, symbolic in t; identically zero for any genuine
     deformed inverse, and sensitive to any corrupted layer."""
     lhs = PolyMap(tuple(c.pdiff(0) for c in dinv.n_t.components))
-    rhs = PolyMap(mat_vec(dinv.n_t.jacobian(), dinv.n_t.components))
+    rhs = PolyMap(mat_vec(dinv.jn_t, dinv.n_t.components))
     return lhs - rhs
 
 
@@ -224,7 +225,7 @@ def check_lemma31(f: MapF, degree: int) -> Report:
     report.add_derived("JN_t(F_t) = sum_k JH^k t^(k-1)", [fixed], step)
 
     jh_index = _nilpotency_index(f.h.jacobian(), f.n)
-    jn_index = _nilpotency_index(dinv.n_t.jacobian(), f.n, degree - 1)
+    jn_index = _nilpotency_index(dinv.jn_t, f.n, degree - 1)
     report.data["JH nilpotency index"] = jh_index or "not nilpotent"
     report.data["JN_t nilpotency index (through truncation)"] = jn_index or "not nilpotent"
     report.add(
@@ -353,8 +354,8 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     if d is None or d < 2:
         raise HomogeneityError("needs homogeneous H of degree >= 2")
     n = h.n
-    n_t = deformation_inverse(MapF(h), degree).n_t
-    jn = n_t.jacobian()
+    dinv = deformation_inverse(MapF(h), degree)
+    n_t, jn = dinv.n_t, dinv.jn_t
     ident = PolyMap.identity(n, trunc=INF, nparams=1)
 
     report = Report(f"homogeneous Euler identities (d={d}) through degree {degree}")

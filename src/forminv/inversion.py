@@ -144,10 +144,14 @@ class GradedInverse:
 
     The same layers, t-graded, give the inverse family of the deformation
     F_t = z - tH: G_t = z + t N_t with N_t = sum_m t^{m-1} N_[m], carried
-    as one series with the parameter t in its exponents (`n_t`, built on
-    first use)."""
+    as one series with the parameter t in its exponents (`n_t`), and JN_t,
+    its Jacobian in z (`jn_t`), each built on first use.
 
-    h: PolyMap
+    It holds the dimension `n`, not H: ``invert_recurrent`` keeps its
+    result on H, and a reference back to H would make a cycle that only
+    the cyclic garbage collector frees."""
+
+    n: int
     layers: tuple
     trunc: float
 
@@ -158,23 +162,29 @@ class GradedInverse:
             raise IndexError("layers are indexed from 1")
         if m <= len(self.layers):
             return self.layers[m - 1]
-        return PolyMap.zero(self.h.n, self.trunc)
+        return PolyMap.zero(self.n, self.trunc)
 
     def inverse_map(self) -> PolyMap:
-        ident = PolyMap.identity(self.h.n, trunc=self.trunc)
+        ident = PolyMap.identity(self.n, trunc=self.trunc)
         return PolyMap(map(series_sum, zip(ident, *self.layers))).truncate(self.trunc)
 
     @cached_property
     def n_t(self) -> PolyMap:
         """sum_m t^{m-1} N_[m], with one parameter (t)."""
         trunc = min((layer.trunc for layer in self.layers), default=self.trunc)
-        zero = PolyMap.zero(self.h.n, trunc, nparams=1)
+        zero = PolyMap.zero(self.n, trunc, nparams=1)
         graded = [u.with_params(1).shift_param(0, m) for m, u in enumerate(self.layers)]
         return PolyMap(map(series_sum, zip(zero, *graded)))
 
+    @cached_property
+    def jn_t(self) -> tuple:
+        """JN_t, the Jacobian of `n_t` in z, as rows of entries: a tuple of
+        tuples, since every suite on the map reads this one matrix."""
+        return tuple(map(tuple, self.n_t.jacobian()))
+
     def g_t(self) -> PolyMap:
         """z + t N_t."""
-        ident = PolyMap.identity(self.h.n, trunc=self.trunc, nparams=1)
+        ident = PolyMap.identity(self.n, trunc=self.trunc, nparams=1)
         return ident + self.n_t.shift_param(0)
 
     def at(self, t_value) -> PolyMap:
@@ -234,9 +244,20 @@ def _potential_layers(h: PolyMap, count: int, cap) -> list[PolyMap]:
 
 def invert_recurrent(f: MapF, degree: int) -> GradedInverse:
     """Layers m <= degree-1 suffice: o(N_[m]) >= m+1, so later layers sit
-    entirely above the working degree."""
-    layers = recurrent_layers(f.h, degree - 1, cap=degree)
-    return GradedInverse(f.h, tuple(layers), degree)
+    entirely above the working degree.
+
+    Built once per H object and degree, and shared by every caller: the
+    result is kept on H itself, keyed by object identity and never by
+    content, so the suites on one map read one G_t, N_t and JN_t, while
+    two parses of one document still compute twice."""
+    h = f.h
+    memo = getattr(h, "_graded", None)
+    if memo is None:
+        memo = h._graded = {}
+    if degree not in memo:
+        layers = recurrent_layers(h, degree - 1, cap=degree)
+        memo[degree] = GradedInverse(h.n, tuple(layers), degree)
+    return memo[degree]
 
 
 # -- homogeneous recurrence via the symmetric multilinear form ------------------
@@ -329,7 +350,7 @@ def invert_homogeneous(f: MapF, degree: int) -> GradedInverse:
             mult = math.factorial(d) // math.prod(map(math.factorial, runs))
             vals.append(form.apply([by_index[k] for k in multiset]).scale(mult))
         by_index.append(PolyMap(map(series_sum, zip(*vals))))
-    return GradedInverse(f.h, tuple(by_index[1:]), degree)
+    return GradedInverse(f.n, tuple(by_index[1:]), degree)
 
 
 # -- derivative expansion --------------------------------------------------------
@@ -552,13 +573,17 @@ def run_methods(f: MapF, degree: int, names: Sequence[str], runs: int = 1):
     checks each inverse against the first method's as soon as it exists:
     the first disagreement raises MethodDisagreement naming both methods
     and the first differing coefficient, before any later method runs.
+    Each run gets a new H object holding the same series, so no run reads
+    a deformation that ``invert_recurrent`` kept on H: every timing covers
+    the whole computation, and every method computes its own inverse.
     Returns one (name, inverse, times_ms) per method, in `names` order."""
     out = []
     for name in names:
         times = []
         for _ in range(runs):
+            fresh = MapF(PolyMap(f.h))
             start = time.perf_counter()
-            g = METHODS[name](f, degree).truncate(degree)
+            g = METHODS[name](fresh, degree).truncate(degree)
             times.append((time.perf_counter() - start) * 1000.0)
         if out:
             what = f"methods {out[0][0]!r} and {name!r} disagree at"

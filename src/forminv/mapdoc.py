@@ -19,6 +19,7 @@ serialize(parse(serialize(x))) is byte-identical to serialize(x).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,6 +73,11 @@ def parse_map(text: str) -> MapDocument:
         raise MapFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError:  # an integer literal past Python's digit limit
+        raise MapFormatError(
+            "a JSON integer has more digits than Python converts "
+            f"({sys.get_int_max_str_digits()}-digit limit)"
+        ) from None
     if not isinstance(raw, dict):
         raise MapFormatError("document must be a JSON object")
     try:

@@ -680,7 +680,9 @@ class PolyMap:
     """A formal self-map of affine n-space: an n-tuple of series sharing the
     same variable and parameter layout."""
 
-    __slots__ = ("n", "components")
+    # _graded: the deformations built with this map as H, unset until
+    # ``inversion.invert_recurrent`` builds one
+    __slots__ = ("n", "components", "_graded")
 
     def __init__(self, components: Iterable[MSeries]):
         components = tuple(components)

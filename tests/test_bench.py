@@ -4,7 +4,8 @@ import pytest
 
 from forminv import MapF, MethodDisagreement, MSeries, PolyMap
 from forminv.bench import run_bench, to_csv, to_table
-from forminv.inversion import METHODS, invert_fixed_point
+from forminv import inversion
+from forminv.inversion import METHODS, invert_fixed_point, invert_recurrent
 
 
 @pytest.fixture
@@ -59,3 +60,20 @@ def test_disagreement_stops_at_the_first_cell(shear, monkeypatch):
     assert "methods 'fixed' and 'recurrent'" in message
     assert "component 1, exponent (1, 1): 0 vs 1" in message
     assert called == [4]
+
+
+def test_every_timed_run_builds_the_layers(monkeypatch, shear):
+    """The deformation that ``invert_recurrent`` keeps on H is not reused
+    by a timed run: each of the runs builds the layers again, even after
+    the same map was inverted before the benchmark."""
+    builds = []
+    real = inversion.recurrent_layers
+
+    def counted(h, count, cap=None):
+        builds.append(cap)
+        return real(h, count, cap)
+
+    monkeypatch.setattr(inversion, "recurrent_layers", counted)
+    invert_recurrent(shear, 6)
+    run_bench([("shear", shear)], ("recurrent",), (6,), runs=3)
+    assert builds == [6] * 4

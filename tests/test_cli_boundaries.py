@@ -219,3 +219,17 @@ def test_malformed_document_is_an_input_error(capsys, tmp_path, doc, message):
     assert f"error: {message}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_input_integer_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    """A JSON integer coefficient of 4400 digits: ``json.loads`` cannot
+    convert it, and the document is refused before any work starts."""
+    p = tmp_path / "big.json"
+    c = "7" * 4400
+    p.write_text('{"n":1,"D":4,"components":[[{"exp":[1],"c":1},{"exp":[2],"c":-%s}]]}' % c)
+    assert run_command(["invert", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "error: a JSON integer has more digits than Python converts" in captured.err
+    assert "(4300-digit limit)" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -2,8 +2,10 @@
 flow, integer powers, the layer-vanishing probe, and symmetry detection."""
 
 import dataclasses
+import gc
 import math
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +32,10 @@ from forminv import (
     power_map,
     symmetry_detector,
 )
-from forminv import flow
+from forminv import flow, inversion
 from forminv.cli import run_command
 from forminv.inversion import GradedInverse
-from forminv.mapdoc import document_from_polymap, serialize_map
+from forminv.mapdoc import document_from_polymap, parse_map, serialize_map, serialize_polymap
 from forminv.randmaps import random_h, random_map
 from forminv.rat import Rat
 from forminv.series import compose_map_components, first_mismatch, mat_mul
@@ -75,6 +77,64 @@ class TestDeformation:
             f_t = ident - f.h.with_params(1).shift_param(0)
             assert dinv.g_t().compose(f_t, cap=6).eq_through(ident, 6)
             assert f_t.compose(dinv.g_t(), cap=6).eq_through(ident, 6)
+
+
+def quadratic_n2():
+    """F = z - H with H = (z1 z2 + z2^2, -z1^2), homogeneous of degree 2."""
+    return MapF(PolyMap([mono(2, (1, 1)) + mono(2, (0, 2)), mono(2, (2, 0), -1)]))
+
+
+class TestSharedDeformation:
+    """The deformation is built once per H object and degree: every suite
+    on one map reads the same G_t, N_t and JN_t, and nothing is shared
+    between two H objects, however equal."""
+
+    def test_one_object_per_map_and_degree(self, catalan_map):
+        dinv = deformation_inverse(catalan_map, 6)
+        assert dinv is invert_recurrent(catalan_map, 6)
+        assert deformation_inverse(catalan_map, 5) is not dinv
+
+    def test_two_parses_build_two_deformations(self):
+        text = serialize_map(document_from_polymap(quadratic_n2().map, 6))
+        a, b = parse_map(text).to_mapf(), parse_map(text).to_mapf()
+        assert a.h is not b.h
+        da, db = deformation_inverse(a, 6), deformation_inverse(b, 6)
+        assert da is not db
+        assert serialize_polymap(da.n_t, 6) == serialize_polymap(db.n_t, 6)
+
+    def test_memo_makes_no_reference_cycle(self):
+        """The deformation kept on H dies with H by reference counting
+        alone, cached views included."""
+        gc.disable()
+        try:
+            f = quadratic_n2()
+            dinv = deformation_inverse(f, 5)
+            assert dinv.jn_t is dinv.jn_t  # built once, then held by dinv
+            ref = weakref.ref(dinv)
+            del f, dinv
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_every_suite_reads_one_build(self, monkeypatch):
+        builds = []
+        real = inversion.recurrent_layers
+
+        def counted(h, count, cap=None):
+            builds.append(cap)
+            return real(h, count, cap)
+
+        monkeypatch.setattr(inversion, "recurrent_layers", counted)
+        f = quadratic_n2()
+        for degree in (5, 4):
+            check_pde(f, degree)
+            check_lemma31(f, degree)
+            check_euler_identities(f.h, degree)
+            check_prop310(f, degree, 2, 2)
+            check_gpde(PolyMap.identity(f.n), f.h, degree)
+            pde_residual(deformation_inverse(f, degree))
+            power_map(f, -1, degree)
+        assert builds == [5, 4]
 
 
 class TestPdeResidual:
