@@ -585,6 +585,7 @@ def run_methods(f: MapF, degree: int, names: Sequence[str], runs: int = 1):
             start = time.perf_counter()
             g = METHODS[name](fresh, degree).truncate(degree)
             times.append((time.perf_counter() - start) * 1000.0)
+            del fresh  # and the deformation kept on it, before the next run
         if out:
             what = f"methods {out[0][0]!r} and {name!r} disagree at"
             _require_equal(out[0][1], g, degree, what)
