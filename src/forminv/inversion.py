@@ -575,17 +575,17 @@ def run_methods(f: MapF, degree: int, names: Sequence[str], runs: int = 1):
     and the first differing coefficient, before any later method runs.
     Each run gets a new H object holding the same series, so no run reads
     a deformation that ``invert_recurrent`` kept on H: every timing covers
-    the whole computation, and every method computes its own inverse.
+    the whole computation, and every method computes its own inverse.  The
+    copy is made inside the timed call, so what a method keeps on it is
+    freed as soon as the call returns.
     Returns one (name, inverse, times_ms) per method, in `names` order."""
     out = []
     for name in names:
         times = []
         for _ in range(runs):
-            fresh = MapF(PolyMap(f.h))
             start = time.perf_counter()
-            g = METHODS[name](fresh, degree).truncate(degree)
+            g = METHODS[name](MapF(PolyMap(f.h)), degree).truncate(degree)
             times.append((time.perf_counter() - start) * 1000.0)
-            del fresh  # and the deformation kept on it, before the next run
         if out:
             what = f"methods {out[0][0]!r} and {name!r} disagree at"
             _require_equal(out[0][1], g, degree, what)
