@@ -45,7 +45,7 @@ from .series import (
     mat_vec,
     series_sum,
 )
-from .trees import order_polynomial, tree_expansion
+from .trees import graded_cutoff, order_polynomial, tree_expansion
 
 
 # -- reports -----------------------------------------------------------------
@@ -347,8 +347,10 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     """The homogeneous-H identities tying N_t to JN_t through Euler's
     formula, including the two expansions of N_t and dN_t/dt in powers
     of JN_t applied to z.  The vectors JN_t^k z come by matrix-vector
-    steps, JN_t^k z = JN_t (JN_t^(k-1) z), each capped at `degree`, and
-    the dN_t/dt expansion is JN_t times the N_t expansion.  The second
+    steps, JN_t^k z = JN_t (JN_t^(k-1) z), each capped at `degree`, for
+    k <= ``graded_cutoff(H, degree)``: o(JN_t^k z) >= k(d-1) + 1, so later
+    ones are zero through `degree`.  The dN_t/dt expansion is JN_t times
+    the N_t expansion.  The second
     item is the first times d, rearranged; the other three are computed."""
     d = h.homogeneous_degree()
     if d is None or d < 2:
@@ -368,10 +370,10 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     step = "d times the item above, rearranged: JN_t z = d N_t + (d-1) t JN_t N_t"
     report.add_derived("JN_t z = d(I + ((d-1)t/d) JN_t) N_t", [first], step)
 
-    # the expansion of N_t in powers of JN_t . z; the k-th term has z-order
-    # >= k+1, and JN_t times it is the expansion of dN_t/dt
+    # the expansion of N_t in powers of JN_t . z; JN_t times it is the
+    # expansion of dN_t/dt
     terms, power = [PolyMap.zero(n, degree, nparams=1)], jn_z  # power: JN_t^k z
-    for k in range(1, degree):
+    for k in range(1, graded_cutoff(h, degree) + 1):
         if k > 1:
             power = PolyMap(mat_vec(jn, power.components, cap=degree))
         terms.append(power.shift_param(0, k - 1).scale(Rat(1 - d, d) ** (k - 1)))

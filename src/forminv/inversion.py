@@ -22,8 +22,11 @@ Seven methods compute the two-sided inverse G (F(G) = G(F) = z):
                   exponent; ``lagrange`` needs z_i | H_i.
 
 Truncation cutoffs are finite consequences of the order estimates
-o(N_[m]) >= m+1, o(P_T) >= |T|+1 and o(H^m) >= 2|m|; each method states its
-cutoff next to the loop that applies it.
+o(N_[m]) >= (o-1)m + 1, o(P_T) >= (o-1)|T| + 1 and o(H^m) >= o|m|, where
+o = o(H) >= 2: through degree D each graded loop stops at the largest m
+with (o-1)m + 1 <= D (``trees.graded_cutoff``), where everything past it
+is zero through D.  For quadratic H that is m = D - 1; for cubic H about
+half of it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .series import (
     taylor_sums,
     unit_inverse,
 )
-from .trees import TreePolyCache, tree_expansion
+from .trees import TreePolyCache, graded_cutoff, tree_expansion
 
 
 # -- fixed-point oracle --------------------------------------------------------
@@ -138,9 +141,9 @@ def invert_fixed_point(f: MapF, degree: int) -> PolyMap:
 
 @dataclass(frozen=True)
 class GradedInverse:
-    """Layers N_[1], ..., N_[M] with o(N_[m]) >= m+1 and, for polynomial H,
-    deg N_[m] <= (deg H - 1)m + 1.  Summing the layers on top of z gives the
-    inverse.
+    """Layers N_[1], ..., N_[M] with o(N_[m]) >= (o(H) - 1)m + 1 and, for
+    polynomial H, deg N_[m] <= (deg H - 1)m + 1.  Summing the layers on top
+    of z gives the inverse.
 
     The same layers, t-graded, give the inverse family of the deformation
     F_t = z - tH: G_t = z + t N_t with N_t = sum_m t^{m-1} N_[m], carried
@@ -243,8 +246,10 @@ def _potential_layers(h: PolyMap, count: int, cap) -> list[PolyMap]:
 
 
 def invert_recurrent(f: MapF, degree: int) -> GradedInverse:
-    """Layers m <= degree-1 suffice: o(N_[m]) >= m+1, so later layers sit
-    entirely above the working degree.
+    """Layers m <= ``graded_cutoff(H, degree)`` suffice: o(N_[m]) >=
+    (o-1)m + 1 with o = o(H), so later layers sit entirely above the
+    working degree, and the deformation G_t, N_t and JN_t carries only
+    the layers that reach it.
 
     Built once per H object and degree, and shared by every caller: the
     result is kept on H itself, keyed by object identity and never by
@@ -255,7 +260,7 @@ def invert_recurrent(f: MapF, degree: int) -> GradedInverse:
     if memo is None:
         memo = h._graded = {}
     if degree not in memo:
-        layers = recurrent_layers(h, degree - 1, cap=degree)
+        layers = recurrent_layers(h, graded_cutoff(h, degree), cap=degree)
         memo[degree] = GradedInverse(h.n, tuple(layers), degree)
     return memo[degree]
 
@@ -335,8 +340,12 @@ def invert_homogeneous(f: MapF, degree: int) -> GradedInverse:
     N_[m+1] = sum over d-tuples k_1 + ... + k_d = m of B(N_[k_1], ..., N_[k_d]).
 
     Layer m is homogeneous of degree (d-1)m + 1, so for a working degree D
-    only layers with (d-1)m + 1 <= D are needed.  Tuples are grouped by
-    sorted multiset (the form is symmetric) with multinomial multiplicity.
+    only layers with (d-1)m + 1 <= D are needed.  That is
+    ``graded_cutoff`` with o = d in place of H's certified order, which a
+    component cut below degree d would lower: the terms of every layer lie
+    in the one degree (d-1)m + 1, and each layer claims the truncation
+    its form certifies.  Tuples are grouped by sorted multiset (the form
+    is symmetric) with multinomial multiplicity.
     """
     form = BForm(f.h)
     d = form.d
@@ -372,9 +381,9 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
     Multiplying by z_i and taking |m| derivatives lowers degree by |m| - 1,
     so only degrees <= degree + |m| - 1 of j(F) H^m reach the working
     degree; H^m and j(F) H^m are capped there, built incrementally in
-    graded order.  Since o(H^m) >= 2|m|, indices with |m| >= degree
-    contribute nothing and the sum stops at |m| = degree - 1, and j(F)
-    is needed only through degree - 1.
+    graded order.  Since o(H^m) >= o|m| with o = o(H), a part has order
+    >= (o-1)|m| + 1, so the sum stops at |m| = ``graded_cutoff(H,
+    degree)``, and j(F) is needed only through degree - 1.
 
     Every part (D^m / m!) (z_i q), q = j(F) H^m, is read off q's packed
     rows, and each component sums its parts in one integer accumulator
@@ -385,7 +394,7 @@ def invert_abhyankar_gurjar(f: MapF, degree: int) -> PolyMap:
     jf = jacobian_det(f.map, cap=degree - 1)
     parts = []
     powers = {(0,) * n: MSeries.const(n, ONE)}
-    for m in _graded_exponents(n, degree - 1):
+    for m in _graded_exponents(n, graded_cutoff(f.h, degree)):
         total = sum(m)
         cap = degree + total - 1
         if total:
@@ -409,9 +418,10 @@ def _unit_exp(n, i):
 
 
 def invert_bcw(f: MapF, degree: int) -> PolyMap:
-    """G = z + sum over trees of P_T = q_T / aut(T); since o(P_T) >= |T| + 1,
-    only trees with at most degree-1 vertices contribute.  Isomorphic
-    subtrees share their labeled sums through a common cache."""
+    """G = z + sum over trees of P_T = q_T / aut(T); since o(P_T) >=
+    (o-1)|T| + 1 with o = o(H), only trees with at most
+    ``graded_cutoff(H, degree)`` vertices contribute.  Isomorphic subtrees
+    share their labeled sums through a common cache."""
     return tree_expansion(f.h, degree, lambda tree: MSeries.const(f.n, Rat(1, tree.aut)))
 
 

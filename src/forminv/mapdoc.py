@@ -78,6 +78,10 @@ def parse_map(text: str) -> MapDocument:
             "a JSON integer has more digits than Python converts "
             f"({sys.get_int_max_str_digits()}-digit limit)"
         ) from None
+    except RecursionError:
+        raise MapFormatError(
+            f"JSON nested past Python's recursion limit ({sys.getrecursionlimit()})"
+        ) from None
     if not isinstance(raw, dict):
         raise MapFormatError("document must be a JSON object")
     try:

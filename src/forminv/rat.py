@@ -34,14 +34,27 @@ ONE = Rat(1)
 def rat_from_str(text: str) -> "Rat":
     """Parse an exact rational from ``"p"`` or ``"p/q"`` (signed, ASCII
     digits), checked before any number is built, so ``"1e100000000"``
-    fails at once instead of building 10^(10^8)."""
+    fails at once instead of building 10^(10^8).  An error echoes at most
+    a short prefix of `text`."""
     stripped = text.strip()
     if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", stripped):
-        raise ValueError(f"invalid rational literal {text!r}")
+        raise ValueError(f"invalid rational literal {_excerpt(text)}")
     try:
         return Rat(stripped)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational literal {text!r}") from exc
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational literal {_excerpt(text)}") from None
+    except ValueError:  # a numerator or denominator past the digit limit
+        raise ValueError(
+            f"rational literal {_excerpt(text)} has more digits than Python "
+            f"converts ({sys.get_int_max_str_digits()}-digit limit)"
+        ) from None
+
+
+def _excerpt(text: str, limit: int = 40) -> str:
+    """`text` quoted, or its first `limit` characters and its length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def rat_to_str(value) -> str:

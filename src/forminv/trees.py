@@ -64,26 +64,26 @@ def enumerate_trees(max_size: int) -> dict[int, list[RootedTree]]:
         raise ValueError("max_size must be >= 1")
     by_size: dict[int, list[RootedTree]] = {1: [RootedTree.leaf()]}
     for s in range(2, max_size + 1):
-        found: list[RootedTree] = []
-        acc: list[RootedTree] = []
-
-        # children chosen with non-increasing (size, index) keys, so every
-        # multiset of smaller trees is produced exactly once
-        def rec(remaining, size_cap, idx_cap):
-            if remaining == 0:
-                found.append(RootedTree(tuple(acc)))
-                return
-            for sz in range(min(remaining, size_cap), 0, -1):
-                pool = by_size[sz]
-                top = idx_cap if sz == size_cap else len(pool) - 1
-                for idx in range(min(top, len(pool) - 1), -1, -1):
-                    acc.append(pool[idx])
-                    rec(remaining - sz, sz, idx)
-                    acc.pop()
-
-        rec(s - 1, s - 1, len(by_size[s - 1]) - 1)
-        by_size[s] = sorted(found, key=lambda t: t.key)
+        found = _child_multisets(by_size, s - 1, s - 1, len(by_size[s - 1]) - 1)
+        by_size[s] = sorted(map(RootedTree, found), key=lambda t: t.key)
     return by_size
+
+
+def _child_multisets(by_size, remaining, size_cap, idx_cap):
+    """Every multiset of the trees in `by_size` with `remaining` vertices
+    in all, as a tuple with non-increasing (size, index) keys no larger
+    than (size_cap, idx_cap), so each multiset is produced exactly once.
+    Module-level, not a closure that calls itself: such a closure is a
+    reference cycle that only the cyclic garbage collector frees."""
+    if remaining == 0:
+        yield ()
+        return
+    for sz in range(min(remaining, size_cap), 0, -1):
+        pool = by_size[sz]
+        top = idx_cap if sz == size_cap else len(pool) - 1
+        for idx in range(min(top, len(pool) - 1), -1, -1):
+            for rest in _child_multisets(by_size, remaining - sz, sz, idx):
+                yield (pool[idx],) + rest
 
 
 # -- strict order polynomials -----------------------------------------------
@@ -100,23 +100,23 @@ def strict_order_count(tree: RootedTree, m: int) -> int:
         raise ValueError("m must be >= 0")
     if m == 0:
         return 0
+    return sum(_strict_counts(tree, m))
 
-    def vec(t: RootedTree):
-        if not t.children:
-            return [1] * m
-        out = [1] * m
-        for c in t.children:
-            child = vec(c)
-            # suffix[r] = number of child maps with sigma(child root) > r+1
-            suffix = [0] * m
-            acc = 0
-            for r in range(m - 1, -1, -1):
-                suffix[r] = acc
-                acc += child[r]
-            out = [a * b for a, b in zip(out, suffix)]
-        return out
 
-    return sum(vec(tree))
+def _strict_counts(t: RootedTree, m: int) -> list:
+    """For each value r in 1..m, the number of strict maps on the subtree
+    `t` that send its root to r; children combined by suffix sums."""
+    out = [1] * m
+    for c in t.children:
+        child = _strict_counts(c, m)
+        # suffix[r] = number of child maps with sigma(child root) > r+1
+        suffix = [0] * m
+        acc = 0
+        for r in range(m - 1, -1, -1):
+            suffix[r] = acc
+            acc += child[r]
+        out = [a * b for a, b in zip(out, suffix)]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -222,17 +222,36 @@ def tree_poly(tree: RootedTree, h: PolyMap, i: int, cap=None) -> MSeries:
     return TreePolyCache(h, cap=cap).labeled_root_sum(tree, i).scale(Rat(1, tree.aut))
 
 
+def graded_cutoff(h: PolyMap, degree: int) -> int:
+    """The largest m with (o - 1)m + 1 <= degree, at most degree - 1 and at
+    least 0, where o = o(H) is the least ``known_order`` of H's components.
+
+    A graded quantity of grade m built from m factors of H, each
+    differentiated as often as the others are multiplied in, has order
+    >= (o - 1)m + 1: the layer N_[m], the tree term P_T with |T| = m, the
+    part of H^m that reaches z-degree after |m| derivatives, and JN_t^m z.
+    Past the cutoff each is zero through `degree`, certified so by the ops
+    that would build it.  An exact zero H (o = INF) has cutoff 0; an H
+    certified only through degree 0 (o <= 1) is bounded as if o = 2."""
+    order = min(c.known_order for c in h.components)
+    if order == INF:
+        return 0
+    return max(0, min(degree - 1, (degree - 1) // (max(order, 2) - 1)))
+
+
 def tree_sums(h: PolyMap, degree: int):
     """Yield (tree, [labeled_root_sum(tree, i) for each root label i]) for
-    every tree with at most degree - 1 vertices, by size and then encoding.
-    Larger trees only reach degrees above `degree`.  All sums come from one
-    cache capped at `degree`, so subtrees and child-prefix states are
-    computed once for the whole pass."""
-    if degree < 2:
+    every tree with at most ``graded_cutoff(h, degree)`` vertices, by size
+    and then encoding.  o(P_T) >= (o - 1)|T| + 1 with o = o(H), so larger
+    trees only reach degrees above `degree`.  All sums come from one cache
+    capped at `degree`, so subtrees and child-prefix states are computed
+    once for the whole pass."""
+    top = graded_cutoff(h, degree)
+    if top < 1:
         return
     cache = TreePolyCache(h, cap=degree)
-    by_size = enumerate_trees(degree - 1)
-    for size in range(1, degree):
+    by_size = enumerate_trees(top)
+    for size in range(1, top + 1):
         for tree in by_size[size]:
             yield tree, [cache.labeled_root_sum(tree, i) for i in range(h.n)]
 

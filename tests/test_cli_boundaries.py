@@ -233,3 +233,31 @@ def test_input_integer_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
     assert "(4300-digit limit)" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_input_string_past_the_digit_limit_is_a_short_error(capsys, tmp_path):
+    """A string coefficient of 5000 digits is refused with exit 2 and one
+    short line that names the digit limit, not one that echoes every
+    digit."""
+    p = tmp_path / "big.json"
+    c = "7" * 5000
+    p.write_text('{"n":1,"D":4,"components":[[{"exp":[1],"c":"1"},{"exp":[2],"c":"-%s"}]]}' % c)
+    assert run_command(["invert", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "has more digits than Python converts (4300-digit limit)" in captured.err
+    assert "(5001 characters)" in captured.err
+    assert len(captured.err) < 300
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_document_nested_past_the_recursion_limit_is_an_input_error(capsys, tmp_path):
+    """A coefficient of 100 000 nested arrays: ``json.loads`` runs out of
+    recursion depth, and the document is refused with exit 2."""
+    p = tmp_path / "deep.json"
+    p.write_text('{"n":1,"D":4,"components":[[{"exp":[2],"c":%s}]]}' % ("[" * 100000))
+    assert run_command(["invert", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "error: JSON nested past Python's recursion limit" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

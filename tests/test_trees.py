@@ -2,6 +2,7 @@
 tree polynomials, each validated against an independent brute-force
 oracle."""
 
+import gc
 import itertools
 import math
 
@@ -128,6 +129,20 @@ class TestEnumeration:
         for s, trees in by_size.items():
             total = sum(Rat(math.factorial(s), t.aut) for t in trees)
             assert total == s ** (s - 1)
+
+
+    def test_calls_leave_no_reference_cycle(self):
+        """Enumerating trees and counting strict maps, then dropping the
+        results, leaves nothing for the cyclic garbage collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            by_size = enumerate_trees(6)
+            counts = [strict_order_count(t, 4) for s in by_size for t in by_size[s]]
+            del by_size, counts
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAut:
