@@ -350,8 +350,8 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     steps, JN_t^k z = JN_t (JN_t^(k-1) z), each capped at `degree`, for
     k <= ``graded_cutoff(H, degree)``: o(JN_t^k z) >= k(d-1) + 1, so later
     ones are zero through `degree`.  The dN_t/dt expansion is JN_t times
-    the N_t expansion.  The second
-    item is the first times d, rearranged; the other three are computed."""
+    the N_t expansion.  The second item is the first times d, rearranged;
+    the other three are computed."""
     d = h.homogeneous_degree()
     if d is None or d < 2:
         raise HomogeneityError("needs homogeneous H of degree >= 2")
