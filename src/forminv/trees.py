@@ -223,20 +223,19 @@ def tree_poly(tree: RootedTree, h: PolyMap, i: int, cap=None) -> MSeries:
 
 
 def graded_cutoff(h: PolyMap, degree: int) -> int:
-    """The largest m with (o - 1)m + 1 <= degree, at most degree - 1 and at
-    least 0, where o = o(H) is the least ``known_order`` of H's components.
+    """The largest m >= 0 with (o - 1)m + 1 <= degree, where o = o(H) is
+    the least ``known_order`` of H's components; at most degree - 1.
 
-    A graded quantity of grade m built from m factors of H, each
-    differentiated as often as the others are multiplied in, has order
-    >= (o - 1)m + 1: the layer N_[m], the tree term P_T with |T| = m, the
-    part of H^m that reaches z-degree after |m| derivatives, and JN_t^m z.
-    Past the cutoff each is zero through `degree`, certified so by the ops
-    that would build it.  An exact zero H (o = INF) has cutoff 0; an H
-    certified only through degree 0 (o <= 1) is bounded as if o = 2."""
+    Each graded quantity of grade m built from H has order >= (o - 1)m + 1:
+    the layer N_[m], the tree term P_T with |T| = m, ag's part
+    (D^m / m!)(z_i j(F) H^m) with |m| = m, and JN_t^m z.  Past the cutoff
+    each is zero through `degree`, certified so by the ops that would
+    build it.  An exact zero H (o = INF) has cutoff 0; an H certified only
+    through degree 0 (o <= 1) is bounded as if o = 2."""
     order = min(c.known_order for c in h.components)
     if order == INF:
         return 0
-    return max(0, min(degree - 1, (degree - 1) // (max(order, 2) - 1)))
+    return max(0, (degree - 1) // (max(order, 2) - 1))
 
 
 def tree_sums(h: PolyMap, degree: int):
