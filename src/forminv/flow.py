@@ -401,11 +401,10 @@ class FlowSeries:
     a map whose coefficients are exact polynomials in t."""
 
     map: PolyMap  # one parameter (t)
-    trunc: float
 
     @property
-    def n(self):
-        return self.map.n
+    def trunc(self):
+        return self.map.trunc
 
     def at(self, t_value) -> PolyMap:
         return self.map.eval_param(0, t_value)
@@ -423,7 +422,7 @@ def formal_flow(f: MapF, degree: int) -> FlowSeries:
         return order_polynomial(tree, n).scale(Rat(sign, tree.aut))
 
     flow_map = tree_expansion(f.h, degree, weight, nparams=1)
-    return FlowSeries(flow_map, flow_map.trunc)
+    return FlowSeries(flow_map)
 
 
 def power_map(f: MapF, m: int, degree: int) -> PolyMap:

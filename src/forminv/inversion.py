@@ -339,18 +339,15 @@ def invert_homogeneous(f: MapF, degree: int) -> GradedInverse:
     N_[0] = z, N_[1] = H,
     N_[m+1] = sum over d-tuples k_1 + ... + k_d = m of B(N_[k_1], ..., N_[k_d]).
 
-    Layer m is homogeneous of degree (d-1)m + 1, so for a working degree D
-    only layers with (d-1)m + 1 <= D are needed.  That is
-    ``graded_cutoff`` with o = d in place of H's certified order, which a
-    component cut below degree d would lower: the terms of every layer lie
-    in the one degree (d-1)m + 1, and each layer claims the truncation
-    its form certifies.  Tuples are grouped by sorted multiset (the form
-    is symmetric) with multinomial multiplicity.
+    Layer m has order >= (o-1)m + 1, o = d for an exact H, so the layers
+    stop at ``graded_cutoff(H, D)`` as every graded loop does.  Tuples are
+    grouped by sorted multiset (the form is symmetric) with multinomial
+    multiplicity.
     """
     form = BForm(f.h)
     d = form.d
     by_index = [PolyMap.identity(f.n, trunc=INF), f.h]  # N_[0], N_[1]
-    for m in range(1, max((degree - 1) // (d - 1), 1)):
+    for m in range(1, max(graded_cutoff(f.h, degree), 1)):
         vals = []
         for multiset in combinations_with_replacement(range(m + 1), d):
             if sum(multiset) != m:

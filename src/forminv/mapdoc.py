@@ -11,9 +11,15 @@ One document describes one self-map as exact data:
 Coefficients are rational strings ("p/q" or "p"), never floats; exponents
 are integer arrays.  The listed terms are the whole polynomial; ``D`` is
 the document's default working degree for inversion commands and an upper
-bound on the degree of the listed terms.  Serialization is canonical
-(fixed key order, graded-lexicographic term order, compact separators), so
-serialize(parse(serialize(x))) is byte-identical to serialize(x).
+bound on the degree of the listed terms.  ``parse_map`` checks the JSON
+shape of each term (an object, a list of integers, a coefficient literal)
+and hands each component's terms to ``series.series_from_terms``, the one
+validation of outside terms: it rejects a wrong exponent length, a
+negative exponent and a term above D, sums duplicate exponents and drops
+zero coefficients.  A ``MapDocument`` holds the resulting map itself.
+Serialization is canonical (fixed key order, graded-lexicographic term
+order, compact separators), so serialize(parse(serialize(x))) is
+byte-identical to serialize(x).
 """
 
 from __future__ import annotations
@@ -25,14 +31,13 @@ from typing import Optional
 
 from .errors import ForminvError, MapFormatError
 from .rat import rat_from_str, rat_to_str
-from .series import INF, MapF, MSeries, PolyMap, default_names
+from .series import MapF, PolyMap, default_names, series_from_terms
 
 
 @dataclass
 class MapDocument:
-    n: int
+    map: PolyMap  # exact (truncation INF) when parsed
     degree: int
-    components: list  # list (per component) of list of (exp tuple, Rat)
     names: list[str] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -40,16 +45,17 @@ class MapDocument:
         if not self.names:
             self.names = default_names(self.n)
 
+    @property
+    def n(self) -> int:
+        return self.map.n
+
     def to_polymap(self) -> PolyMap:
-        """The exact polynomial map described by the document."""
-        comps = []
-        for terms in self.components:
-            comps.append(MSeries(self.n, INF, {e: c for e, c in terms}))
-        return PolyMap(comps)
+        """The map the document holds."""
+        return self.map
 
     def to_mapf(self) -> MapF:
         try:
-            return MapF.from_map(self.to_polymap())
+            return MapF.from_map(self.map)
         except ForminvError as exc:
             raise MapFormatError(f"document is not a canonical map: {exc}") from exc
 
@@ -117,7 +123,7 @@ def parse_map(text: str) -> MapDocument:
     for ci, terms_raw in enumerate(comps_raw):
         if not isinstance(terms_raw, list):
             raise MapFormatError(f"component {ci + 1} must be a list of terms")
-        seen = {}
+        items = []
         for ti, term in enumerate(terms_raw):
             where = f"component {ci + 1}, term {ti + 1}"
             if not isinstance(term, dict):
@@ -136,28 +142,16 @@ def parse_map(text: str) -> MapDocument:
                     f"got {json.dumps(c)}"
                 )
             try:
-                coeff = rat_from_str(str(c))
+                items.append((exp, rat_from_str(str(c))))
             except ValueError as exc:
                 raise MapFormatError(f"{where}: {exc}") from exc
-            exp = tuple(exp)
-            if len(exp) != n:
-                raise MapFormatError(
-                    f"{where}: exponent has {len(exp)} entries, expected {n}"
-                )
-            if any(k < 0 for k in exp):
-                raise MapFormatError(f"{where}: negative exponent {exp}")
-            if sum(exp) > degree:
-                raise MapFormatError(
-                    f"{where}: degree {sum(exp)} exceeds document bound D={degree}"
-                )
-            prev = seen.get(exp)
-            coeff = coeff if prev is None else prev + coeff
-            seen[exp] = coeff
-        components.append([(e, c) for e, c in seen.items() if c])
+        try:
+            components.append(series_from_terms(n, degree, items).as_exact())
+        except ForminvError as exc:
+            raise MapFormatError(f"component {ci + 1}: {exc}") from exc
     return MapDocument(
-        n=n,
+        map=PolyMap(components),
         degree=degree,
-        components=components,
         names=list(names),
         metadata=dict(metadata),
     )
@@ -166,13 +160,7 @@ def parse_map(text: str) -> MapDocument:
 def document_from_polymap(
     m: PolyMap, degree: int, names: Optional[list] = None
 ) -> MapDocument:
-    comps = [list(c.terms.items()) for c in m.components]
-    return MapDocument(
-        n=m.n,
-        degree=degree,
-        components=comps,
-        names=list(names) if names else [],
-    )
+    return MapDocument(map=m, degree=degree, names=list(names) if names else [])
 
 
 def serialize_map(doc: MapDocument) -> str:
@@ -184,9 +172,9 @@ def serialize_map(doc: MapDocument) -> str:
         "components": [
             [
                 {"exp": list(e), "c": rat_to_str(c)}
-                for e, c in sorted(terms, key=lambda t: (sum(t[0]), t[0]))
+                for e, c in sorted(comp.terms.items(), key=lambda t: (sum(t[0]), t[0]))
             ]
-            for terms in doc.components
+            for comp in doc.map
         ],
     }
     if doc.metadata:

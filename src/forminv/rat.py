@@ -20,12 +20,8 @@ from .errors import OutputTooLarge
 
 try:
     from gmpy2 import mpq as Rat
-
-    _BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
-
-    _BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -530,7 +530,7 @@ def series_from_terms(n, trunc, items: Iterable, nparams=0) -> MSeries:
         deg = sum(exp[:n])
         if deg > trunc:
             raise TruncationError(
-                f"term of degree {deg} exceeds truncation bound {trunc}"
+                f"term {exp} of degree {deg} exceeds truncation bound {trunc}"
             )
         out[exp] = out.get(exp, ZERO) + Rat(coeff)
     return MSeries(n, trunc, {e: c for e, c in out.items() if c}, nparams)
@@ -832,14 +832,13 @@ def mat_mul(a, b, cap=None):
 
 
 def first_asymmetry(matrix):
-    """The first (i, j), i < j, whose entries (i, j) and (j, i) store
-    different terms, or None when the square matrix of series is exactly
-    symmetric: the one test of a symmetric Jacobian (a gradient map).
-    Entries compare as their views' width, den and sorted rows, as equal
-    views may hold the rows of one degree in either order."""
-    views = [[(s._view.width, s._view.den, sorted(s._view.rows)) for s in row] for row in matrix]
-    pairs = combinations(range(len(matrix)), 2)
-    return next(((i, j) for i, j in pairs if views[i][j] != views[j][i]), None)
+    """The first (i, j), i < j, whose entries (i, j) and (j, i) differ,
+    compared by ``first_mismatch``, or None when the square matrix of
+    series is symmetric: the one test of a symmetric Jacobian (a gradient
+    map)."""
+    pairs = list(combinations(range(len(matrix)), 2))
+    found = first_mismatch((matrix[i][j], matrix[j][i]) for i, j in pairs)
+    return None if found is None else pairs[found[0]]
 
 
 def label_fold(states: dict, vec, cap=None, keys=None) -> dict:

@@ -209,6 +209,15 @@ def test_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, argv, f
         ('{"n":1,"D":3,"components":[5]}', "component 1 must be a list"),
         ('{"n":1,"D":1e400,"components":[[]]}', "D must be an integer"),
         ('{"n":1,"D":3,"components":[[7]]}', "component 1, term 1: a term must be an object"),
+        ('{"n":1,"D":3,"components":[[{"exp":[-1],"c":"1"}]]}', "component 1: negative exponent"),
+        (
+            '{"n":1,"D":3,"components":[[{"exp":[1,1],"c":"1"}]]}',
+            "component 1: exponent (1, 1) has length 2, expected 1",
+        ),
+        (
+            '{"n":1,"D":3,"components":[[{"exp":[4],"c":"1"}]]}',
+            "component 1: term (4,) of degree 4 exceeds truncation bound 3",
+        ),
     ],
 )
 def test_malformed_document_is_an_input_error(capsys, tmp_path, doc, message):

@@ -1,7 +1,8 @@
 """Source hygiene of the library modules: no import that its module never
 uses, no private top-level function or class that nothing calls, no
 public one or public method that only the tests call, no read of a
-series' ``terms`` outside the functions listed with a reason, and
+series' ``terms`` outside the functions listed with a reason, no
+``MSeries`` built in ``mapdoc.py`` but through ``series_from_terms``, and
 ``series.py`` kept below the size at which importing it costs more
 memory.
 
@@ -110,7 +111,6 @@ def test_every_private_helper_is_referenced():
 # public names that nothing in the library, demos or perfbench calls, each
 # kept for a reason outside them
 TEST_OR_USER_ONLY = {
-    "series.py:series_from_terms": "the validating constructor for library users",
     "series.py:MSeries.strip_params": "perfbench/tracing.py wraps it by its name, as a string",
     "series.py:MSeries.subst_param_sum": "perfbench/tracing.py wraps it by its name, as a string",
     "randmaps.py:acceptance_corpus": "the seeded corpus the tests share",
@@ -165,7 +165,7 @@ TERMS_READERS = {
     "series.py:MSeries.sorted_terms": "formatting shows every term",
     "series.py:MSeries.strip_params": "rebuilds the terms without their parameter fields",
     "series.py:MapF.__init__": "names the offending terms in its error message",
-    "mapdoc.py:document_from_polymap": "serializing writes every term",
+    "mapdoc.py:serialize_map": "serializing writes every term",
     "inversion.py:_lagrange_applicable": "reads the exponents of H once per call",
     "flow.py:_euler_potential": "divides each term by its own z-degree, once",
     "inversion.py:CrossCheckReport.to_text": "MethodRun.terms, an int, not a series",
@@ -191,6 +191,15 @@ def terms_readers():
 
 def test_only_the_edges_read_terms():
     assert terms_readers() == set(TERMS_READERS)
+
+
+def test_outside_terms_enter_through_the_validating_constructor():
+    """``mapdoc.py`` neither imports nor names ``MSeries``: the terms of a
+    map document become series only through ``series_from_terms``, which
+    checks them."""
+    tree = MODULES["mapdoc.py"]
+    imported = {alias for stmt in tree.body for alias in imported_names(stmt)}
+    assert "MSeries" not in referenced(tree) | imported
 
 
 def test_every_cli_option_is_read():

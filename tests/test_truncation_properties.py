@@ -218,6 +218,17 @@ def test_zero_h_known_through_two():
     assert formal_flow(f, 4).trunc == formal_flow(f, 4).map.trunc == 2
 
 
+def test_homog_on_a_component_cut_below_its_degree():
+    """H = (-2 z1^3 z2, 0 known through degree 0): H_2 is unknown from
+    degree 1 on, which reaches the first component, through G_2 in
+    -2 G_1^3 G_2, from degree 4 on.  ``homog`` claims what ``recurrent``
+    and ``bcw`` claim, z1 through 3, not z1 - 2 z1^3 z2 through 4."""
+    f = MapF(PolyMap([MSeries(2, INF, {(3, 1): -2}), MSeries(2, 0, {})]))
+    for name in ("homog", "recurrent", "bcw"):
+        first = METHODS[name](f, 4)[0]
+        assert (first.terms, first.trunc) == ({(1, 0): 1}, 3), name
+
+
 def plain_pass_fixed_point(f, degree):
     """The oracle for ``invert_fixed_point``: graded passes G <- z + H(G),
     capped at `degree`, from G = z through o(H) - 1, each certifying
