@@ -94,7 +94,7 @@ def _cmd_verify(args) -> int:
         t_order = _at_least("--t-order", args.t_order, 0)
         report = flow_mod.check_prop310(f, degree, s_order, t_order)
     elif args.suite == "gpde":
-        u0 = _read_document(args.u0).to_polymap() if args.u0 else PolyMap.identity(f.n)
+        u0 = _read_document(args.u0).map if args.u0 else PolyMap.identity(f.n)
         report = flow_mod.check_gpde(u0, f.h, degree)
     elif args.suite == "euler":
         report = flow_mod.check_euler_identities(f.h, degree)

@@ -49,10 +49,6 @@ class MapDocument:
     def n(self) -> int:
         return self.map.n
 
-    def to_polymap(self) -> PolyMap:
-        """The map the document holds."""
-        return self.map
-
     def to_mapf(self) -> MapF:
         try:
             return MapF.from_map(self.map)

@@ -517,23 +517,30 @@ def default_param_names(p):
 def series_from_terms(n, trunc, items: Iterable, nparams=0) -> MSeries:
     """Validating constructor: duplicate exponents are summed, zero
     coefficients dropped.  Rejects negative exponents, wrong exponent
-    length, and terms whose z-degree exceeds the truncation bound."""
+    length, and terms whose z-degree exceeds the truncation bound; an
+    error names the exponent by ``_clipped``, so its line stays short."""
     width, out = n + nparams, {}
     for exp, coeff in items:
         exp = tuple(exp)
         if len(exp) != width:
-            raise DimensionMismatch(
-                f"exponent {exp} has length {len(exp)}, expected {width}"
-            )
+            raise DimensionMismatch(f"exponent has {len(exp)} entries, expected {width}")
         if any(k < 0 for k in exp):
-            raise TruncationError(f"negative exponent in {exp}")
-        deg = sum(exp[:n])
-        if deg > trunc:
-            raise TruncationError(
-                f"term {exp} of degree {deg} exceeds truncation bound {trunc}"
-            )
-        out[exp] = out.get(exp, ZERO) + Rat(coeff)
+            raise TruncationError(f"negative exponent {_clipped(exp)}")
+        if sum(exp[:n]) > trunc:
+            raise TruncationError(f"term {_clipped(exp)} exceeds truncation bound {trunc}")
+        coeff = coeff if type(coeff) is Rat else Rat(coeff)
+        prev = out.get(exp)
+        out[exp] = coeff if prev is None else prev + coeff
     return MSeries(n, trunc, {e: c for e, c in out.items() if c}, nparams)
+
+
+def _clipped(exp, limit=40) -> str:
+    """The exponent as text, or its first `limit` characters and its
+    number of entries."""
+    text = str(exp[:limit])
+    if len(exp) <= limit and len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(exp)} entries)"
 
 
 def series_sum(parts: Iterable[MSeries]) -> MSeries:
@@ -832,13 +839,14 @@ def mat_mul(a, b, cap=None):
 
 
 def first_asymmetry(matrix):
-    """The first (i, j), i < j, whose entries (i, j) and (j, i) differ,
-    compared by ``first_mismatch``, or None when the square matrix of
-    series is symmetric: the one test of a symmetric Jacobian (a gradient
-    map)."""
-    pairs = list(combinations(range(len(matrix)), 2))
-    found = first_mismatch((matrix[i][j], matrix[j][i]) for i, j in pairs)
-    return None if found is None else pairs[found[0]]
+    """The first (i, j), i < j, whose entries (i, j) and (j, i) store
+    different terms, or None when the square matrix of series is exactly
+    symmetric: the one test of a symmetric Jacobian (a gradient map).
+    Entries compare as their views' width, den and sorted rows, as equal
+    views may hold the rows of one degree in either order."""
+    views = [[(s._view.width, s._view.den, sorted(s._view.rows)) for s in row] for row in matrix]
+    pairs = combinations(range(len(matrix)), 2)
+    return next(((i, j) for i, j in pairs if views[i][j] != views[j][i]), None)
 
 
 def label_fold(states: dict, vec, cap=None, keys=None) -> dict:

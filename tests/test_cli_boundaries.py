@@ -212,20 +212,34 @@ def test_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path, argv, f
         ('{"n":1,"D":3,"components":[[{"exp":[-1],"c":"1"}]]}', "component 1: negative exponent"),
         (
             '{"n":1,"D":3,"components":[[{"exp":[1,1],"c":"1"}]]}',
-            "component 1: exponent (1, 1) has length 2, expected 1",
+            "component 1: exponent has 2 entries, expected 1",
         ),
         (
             '{"n":1,"D":3,"components":[[{"exp":[4],"c":"1"}]]}',
-            "component 1: term (4,) of degree 4 exceeds truncation bound 3",
+            "component 1: term (4,) exceeds truncation bound 3",
+        ),
+        pytest.param(
+            '{"n":1,"D":3,"components":[[{"exp":[%s],"c":"1"}]]}' % ",".join(["0"] * 10**6),
+            "component 1: exponent has 1000000 entries, expected 1",
+            id="exponent_of_a_million_entries",
+        ),
+        pytest.param(
+            '{"n":2,"D":3,"components":[[{"exp":[%s,%s],"c":"1"}],[]]}' % ("9" * 4300, "9" * 4300),
+            "component 1: term (99999999",
+            id="degree_past_the_digit_limit",
         ),
     ],
 )
 def test_malformed_document_is_an_input_error(capsys, tmp_path, doc, message):
+    """Exit 2 and one short error line, also for an exponent of a million
+    entries and one whose degree has more digits than Python converts to
+    text: the message names no more than a prefix of the exponent."""
     p = tmp_path / "bad.json"
     p.write_text(doc)
     assert run_command(["invert", "--input", str(p)]) == 2
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
+    assert len(captured.err) < 200
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

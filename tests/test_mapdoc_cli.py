@@ -42,7 +42,7 @@ class TestParse:
         doc = parse_map(
             '{"n":1,"D":4,"components":[[{"exp":[1],"c":"1"},{"exp":[2],"c":"2/3"}]]}'
         )
-        m = doc.to_polymap()
+        m = doc.map
         from forminv.rat import Rat
 
         assert m.components[0].terms[(2,)] == Rat(2, 3)
@@ -93,13 +93,13 @@ class TestParse:
 
     def test_integer_coefficient_accepted(self):
         doc = parse_map('{"n":1,"D":4,"components":[[{"exp":[2],"c":-3}]]}')
-        assert doc.to_polymap().components[0].terms == {(2,): -3}
+        assert doc.map.components[0].terms == {(2,): -3}
 
     def test_duplicate_exponents_summed(self):
         doc = parse_map(
             '{"n":1,"D":4,"components":[[{"exp":[2],"c":"1"},{"exp":[2],"c":"-1"}]]}'
         )
-        assert doc.to_polymap().components[0].is_zero()
+        assert doc.map.components[0].is_zero()
 
 
 class TestRoundTrip:
@@ -110,7 +110,7 @@ class TestRoundTrip:
     def test_roundtrip_preserves_values(self):
         text = serialize_map(parse_map(CATALAN_DOC))
         doc = parse_map(text)
-        assert doc.to_polymap().components[0].terms == {(1,): 1, (2,): -1}
+        assert doc.map.components[0].terms == {(1,): 1, (2,): -1}
 
     def test_metadata_preserved(self):
         doc = parse_map(

@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from forminv.errors import SubstitutionError, TruncationError
-from forminv.flow import formal_flow
+from forminv.flow import formal_flow, symmetry_detector
 from forminv.inversion import METHODS, applicable_methods, invert_bcw, invert_fixed_point
 from forminv.laurent import laurent_inv_power
 from forminv.rat import Rat
@@ -227,6 +227,14 @@ def test_homog_on_a_component_cut_below_its_degree():
     for name in ("homog", "recurrent", "bcw"):
         first = METHODS[name](f, 4)[0]
         assert (first.terms, first.trunc) == ({(1, 0): 1}, 3), name
+
+
+def test_symmetry_on_a_component_cut_below_its_degree():
+    """The same H: its Jacobian's stored entries (0, 1) and (1, 0) differ,
+    -2 z1^3 against a zero known through no degree, and JH is reported
+    not symmetric; the unknown terms are not taken to match."""
+    h = PolyMap([MSeries(2, INF, {(3, 1): -2}), MSeries(2, 0, {})])
+    assert symmetry_detector(h) == (False, "JH is not symmetric: entries (0, 1) differ")
 
 
 def plain_pass_fixed_point(f, degree):
