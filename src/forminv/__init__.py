@@ -77,7 +77,6 @@ from .flow import (
 )
 from .mapdoc import (
     MapDocument,
-    document_from_polymap,
     parse_map,
     serialize_map,
     serialize_polymap,

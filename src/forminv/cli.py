@@ -28,8 +28,8 @@ import sys
 from . import bench as bench_mod
 from . import flow as flow_mod
 from .errors import ForminvError, MethodDisagreement
-from .inversion import MAP_METHODS, METHODS, applicable_methods, cross_check
-from .mapdoc import document_from_polymap, parse_map, serialize_map
+from .inversion import MAP_METHODS, METHODS, cross_check
+from .mapdoc import MapDocument, parse_map, serialize_map
 from .rat import rat_from_str
 from .series import PolyMap
 from .trees import enumerate_trees, order_polynomial
@@ -46,16 +46,20 @@ def _read_document(path: str):
         return parse_map(fh.read())
 
 
-def _print_map(m: PolyMap, degree: int, fmt: str, names=None):
+def _print_map(m: PolyMap, degree: int, fmt: str, names):
     if fmt == "json":
-        print(serialize_map(document_from_polymap(m, degree, names=names)))
+        print(serialize_map(MapDocument(m, degree, names)))
     else:
         print(m.format(names=names))
 
 
-def _degree(args, doc) -> int:
-    """The working degree: --deg, or the document's D when it is absent."""
-    return doc.degree if args.deg is None else _at_least("--deg", args.deg)
+def _load(args):
+    """The document at --input, its canonical map and the working degree
+    (--deg, or the document's D when it is absent), checked in that order."""
+    doc = _read_document(args.input)
+    f = doc.to_mapf()
+    degree = doc.degree if args.deg is None else _at_least("--deg", args.deg)
+    return doc, f, degree
 
 
 def _at_least(option: str, value: int, low: int = 1) -> int:
@@ -66,12 +70,9 @@ def _at_least(option: str, value: int, low: int = 1) -> int:
 
 
 def _cmd_invert(args) -> int:
-    doc = _read_document(args.input)
-    f = doc.to_mapf()
-    degree = _degree(args, doc)
+    doc, f, degree = _load(args)
     if args.method == "all":
-        names = applicable_methods(f, list(METHODS))
-        report = cross_check(f, degree, names)
+        report = cross_check(f, degree, list(METHODS))
         _print_map(report.inverse, degree, args.format, doc.names)
         if args.format == "text":
             print(f"all methods agree: {', '.join(report.method_names())}")
@@ -82,9 +83,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = _read_document(args.input)
-    f = doc.to_mapf()
-    degree = _degree(args, doc)
+    doc, f, degree = _load(args)
     if args.suite == "lemma31":
         report = flow_mod.check_lemma31(f, degree)
     elif args.suite == "newp":
@@ -109,9 +108,7 @@ def _cmd_flow(args) -> int:
         raise ForminvError(
             "--t t prints the symbolic flow only as text; use --format text"
         )
-    doc = _read_document(args.input)
-    f = doc.to_mapf()
-    degree = _degree(args, doc)
+    doc, f, degree = _load(args)
     if args.t != "t":
         try:
             value = rat_from_str(args.t)
@@ -126,9 +123,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    doc = _read_document(args.input)
-    f = doc.to_mapf()
-    degree = _degree(args, doc)
+    doc, f, degree = _load(args)
     _print_map(flow_mod.power_map(f, args.m, degree), degree, args.format, doc.names)
     return EXIT_OK
 
@@ -167,8 +162,6 @@ def _cmd_bench(args) -> int:
     if not methods:
         raise ForminvError(f"--methods {args.methods!r} names no method")
     for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise ForminvError(f"unknown method {m!r}")
         if m in methods[:i]:
             raise ForminvError(f"--methods names {m!r} twice")
     records, skips = bench_mod.run_bench(inputs, methods, degrees, runs=args.runs)

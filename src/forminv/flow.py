@@ -402,10 +402,6 @@ class FlowSeries:
 
     map: PolyMap  # one parameter (t)
 
-    @property
-    def trunc(self):
-        return self.map.trunc
-
     def at(self, t_value) -> PolyMap:
         return self.map.eval_param(0, t_value)
 

@@ -42,6 +42,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     DimensionMismatch,
     DivisibilityError,
+    ForminvError,
     HomogeneityError,
     MethodDisagreement,
 )
@@ -189,10 +190,6 @@ class GradedInverse:
         """z + t N_t."""
         ident = PolyMap.identity(self.n, trunc=self.trunc, nparams=1)
         return ident + self.n_t.shift_param(0)
-
-    def at(self, t_value) -> PolyMap:
-        """G_t for a concrete rational t."""
-        return self.g_t().eval_param(0, t_value)
 
 
 def recurrent_layers(h: PolyMap, count: int, cap=None) -> list[PolyMap]:
@@ -525,13 +522,14 @@ MAP_METHODS = ("fixed", "recurrent", "homog", "ag", "bcw")
 
 def applicable_methods(f: MapF, names: Optional[Sequence[str]] = None) -> list[str]:
     """Filter a requested method list down to those whose preconditions the
-    map satisfies (homogeneity for `homog`, divisibility for `lagrange`)."""
+    map satisfies (homogeneity for `homog`, divisibility for `lagrange`).
+    A name that is not in METHODS is a ForminvError."""
     names = list(names) if names is not None else list(MAP_METHODS)
     out = []
     d = f.h.homogeneous_degree()
     for name in names:
         if name not in METHODS:
-            raise KeyError(f"unknown method {name!r}")
+            raise ForminvError(f"unknown method {name!r}")
         if name == "homog" and (d is None or d < 2):
             continue
         if name == "lagrange" and not _lagrange_applicable(f):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ForminvError, MapFormatError
 from .rat import rat_from_str, rat_to_str
@@ -153,12 +152,6 @@ def parse_map(text: str) -> MapDocument:
     )
 
 
-def document_from_polymap(
-    m: PolyMap, degree: int, names: Optional[list] = None
-) -> MapDocument:
-    return MapDocument(map=m, degree=degree, names=list(names) if names else [])
-
-
 def serialize_map(doc: MapDocument) -> str:
     """Canonical single-line JSON: fixed key order, graded-lex terms."""
     payload = {
@@ -179,4 +172,4 @@ def serialize_map(doc: MapDocument) -> str:
 
 
 def serialize_polymap(m: PolyMap, degree: int) -> str:
-    return serialize_map(document_from_polymap(m, degree))
+    return serialize_map(MapDocument(m, degree))

@@ -1,33 +1,29 @@
 """Exact rational scalars.
 
 All coefficients in this package are arbitrary-precision rationals; no
-floating point is used anywhere.  ``gmpy2.mpq`` is used when available,
-with ``fractions.Fraction`` as a drop-in fallback; only the fallback has
-been measured and tested.  Both normalize to lowest terms with a positive
-denominator and print as ``"p/q"`` (or ``"p"`` for integers), which is the
-wire format used by the map-document serializer.  Products and
-compositions of series accumulate Python ints (numerators over a common
-denominator) whichever backend is in use, and build one rational per
-output term from its ``.numerator`` and ``.denominator``.
+floating point is used anywhere.  ``Rat`` is ``fractions.Fraction``: it
+normalizes to lowest terms with a positive denominator and prints as
+``"p/q"`` (or ``"p"`` for integers), which is the wire format used by the
+map-document serializer.  Products and compositions of series accumulate
+Python ints (numerators over a common denominator) and build a rational
+only where a coefficient is read (see ``series``).  The two text
+conversions below turn the ``ValueError`` of Python's int-string digit
+limit into a short error that names the limit.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction as Rat
 
 from .errors import OutputTooLarge
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat_from_str(text: str) -> "Rat":
+def rat_from_str(text: str) -> Rat:
     """Parse an exact rational from ``"p"`` or ``"p/q"`` (signed, ASCII
     digits), checked before any number is built, so ``"1e100000000"``
     fails at once instead of building 10^(10^8).  An error echoes at most

@@ -35,7 +35,7 @@ from forminv.randmaps import acceptance_corpus, random_divisible_map, random_h
 from forminv.rat import Rat
 from forminv.trees import enumerate_trees, order_polynomial, strict_order_count
 
-from conftest import parent_list, terms_through
+from forminv_testing import parent_list, terms_through
 
 DEGREE = 8
 CORPUS = acceptance_corpus(50)

@@ -18,11 +18,26 @@ def catalan_path(tmp_path):
     return str(p)
 
 
-def test_noncanonical_document_is_an_input_error(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert"],
+        ["verify", "--suite", "pde"],
+        ["flow", "--t", "1"],
+        ["power", "--m", "2"],
+        ["probe", "--layers", "3"],
+        ["bench", "--deg-range", "3"],
+        ["invert", "--deg", "0"],  # the document error comes first
+    ],
+    ids=["invert", "verify", "flow", "power", "probe", "bench", "invert-deg0"],
+)
+def test_noncanonical_document_is_an_input_error(capsys, tmp_path, argv):
     p = tmp_path / "noncanon.json"
     p.write_text('{"n":1,"D":4,"components":[[{"exp":[1],"c":"2"}]]}')
-    assert run_command(["invert", "--input", str(p)]) == 2
-    assert "error: document is not a canonical map:" in capsys.readouterr().err
+    assert run_command(argv + ["--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "error: document is not a canonical map:" in captured.err
+    assert captured.out == ""
 
 
 def test_programming_error_is_not_reported_as_bad_input(monkeypatch, catalan_path):
@@ -154,6 +169,14 @@ def test_bench_repeated_method(capsys, catalan_path):
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert "error: --methods names 'fixed' twice" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_unknown_method(capsys, catalan_path):
+    argv = ["bench", "--deg-range", "3", "--methods", "fixed,nope", "--input", catalan_path]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown method 'nope'" in captured.err
     assert captured.out == ""
 
 

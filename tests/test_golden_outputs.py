@@ -49,7 +49,7 @@ from forminv import (
     unit_inverse,
 )
 from forminv.cli import run_command
-from forminv.mapdoc import document_from_polymap, serialize_map, serialize_polymap
+from forminv.mapdoc import serialize_polymap
 from forminv.randmaps import CORPUS_SEED, acceptance_corpus, random_map
 from forminv.rat import Rat, rat_to_str
 from forminv.series import INF
@@ -174,7 +174,7 @@ def _report_outputs(tmp_path, capsys):
     per degree; for ``verify``, its exit code and output."""
     for name, f in _report_maps():
         doc = tmp_path / f"{name}.json"
-        doc.write_text(serialize_map(document_from_polymap(f.map, 6)))
+        doc.write_text(serialize_polymap(f.map, 6))
         suites = {
             "lemma31": lambda d: check_lemma31(f, d).to_json(),
             "euler": lambda d: check_euler_identities(f.h, d).to_json(),

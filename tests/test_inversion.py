@@ -11,6 +11,7 @@ from forminv import (
     BForm,
     DimensionMismatch,
     DivisibilityError,
+    ForminvError,
     HomogeneityError,
     MapF,
     MethodDisagreement,
@@ -32,7 +33,7 @@ from forminv.randmaps import random_divisible_map, random_h, random_map
 from forminv.rat import Rat
 from forminv.series import INF, series_sum
 
-from conftest import mono
+from forminv_testing import mono
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
 
@@ -347,6 +348,12 @@ class TestCrossCheck:
         assert "lagrange" not in applicable_methods(
             shear_map, ["lagrange"]
         )
+
+    def test_unknown_method_is_a_library_error(self, catalan_map):
+        with pytest.raises(ForminvError, match="unknown method 'nope'"):
+            applicable_methods(catalan_map, ["fixed", "nope"])
+        with pytest.raises(ForminvError, match="unknown method 'nope'"):
+            cross_check(catalan_map, 4, ["nope"])
 
     def test_disagreement_diagnostic(self, catalan_map, monkeypatch):
         def corrupt(f, degree):

@@ -17,7 +17,7 @@ from forminv import (
 )
 from forminv.rat import Rat
 
-from conftest import mono, random_series
+from forminv_testing import mono, random_series
 
 
 def naive_inv_power(h_components, k, depth):

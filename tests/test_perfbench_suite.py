@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` and ``perfbench/workloads.py`` look library
 functions and methods up by name, so a refactor that drops or renames one
 of them breaks the benchmark; its tests catch that.  They run in a child
-process because the ``conftest`` modules of ``tests/`` and
-``perfbench/tests/`` collide when one pytest process collects both.
+process because ``run.import_forminv`` re-imports the package, which the
+separate process keeps apart from the modules these tests hold.
 """
 
 import subprocess

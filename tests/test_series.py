@@ -22,7 +22,7 @@ from forminv.laurent import inverse_power_factors
 from forminv.series import inverse_powers
 from forminv.rat import Rat
 
-from conftest import mono, random_series, series, terms_through
+from forminv_testing import mono, random_series, series, terms_through
 
 
 class TestConstruction:

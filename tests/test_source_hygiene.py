@@ -205,8 +205,8 @@ def test_outside_terms_enter_through_the_validating_constructor():
 def test_every_cli_option_is_read():
     """Each option a ``forminv`` subcommand defines is read as
     ``args.<dest>`` by the subcommand's handler or by a ``cli`` function
-    the handler calls (``_degree`` reads ``--deg``), so no option is
-    accepted and then ignored."""
+    the handler calls (``_load`` reads ``--input`` and ``--deg``), so no
+    option is accepted and then ignored."""
     from forminv.cli import build_parser
 
     functions = {

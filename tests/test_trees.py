@@ -19,7 +19,7 @@ from forminv.inversion import recurrent_layers
 from forminv.rat import Rat
 from forminv.trees import tree_sums
 
-from conftest import mono, parent_list, random_series
+from forminv_testing import mono, parent_list, random_series
 
 LEAF = RootedTree.leaf()
 CHAIN2 = RootedTree((LEAF,))  # a root with one child

@@ -180,7 +180,7 @@ def test_tree_expansions_truncated_h(f, cut, degree):
     bcw, exact = invert_bcw(g, degree), invert_bcw(f, degree)
     flow, exact_flow = formal_flow(g, degree), formal_flow(f, degree)
     assert bcw.trunc <= fixed
-    assert flow.trunc == flow.map.trunc <= fixed
+    assert flow.map.trunc <= fixed
     for got, want in [*zip(bcw, exact), *zip(flow.map, exact_flow.map)]:
         assert got.terms == through(want.terms, got.trunc, f.n)
 
@@ -215,7 +215,7 @@ def test_zero_h_known_through_two():
     f = MapF(PolyMap([MSeries(1, 2, {})]))
     assert invert_fixed_point(f, 4).trunc == 2
     assert invert_bcw(f, 4).trunc == 2
-    assert formal_flow(f, 4).trunc == formal_flow(f, 4).map.trunc == 2
+    assert formal_flow(f, 4).map.trunc == 2
 
 
 def test_homog_on_a_component_cut_below_its_degree():
