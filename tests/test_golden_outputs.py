@@ -19,7 +19,11 @@ The lemma 3.1, Prop. 3.10 and Euler entries were recorded again when
 lemma 3.1 and Prop. 3.10 came to compute only H(G_t) = N_t, as a new first
 item, and to report every other composition identity as derived from it,
 and the Euler suite to derive its second item from its first: the derived
-items name their step and premise in their detail.
+items name their step and premise in their detail.  The Euler entries
+were recorded again when that suite came to compute the transport item
+dN_t/dt = JN_t . N_t and to derive both expansions in powers of JN_t
+applied to z, the N_t expansion from its first item and the dN_t/dt
+expansion from that and the transport item, in place of summing them.
 The high-precision entries
 (``HIGH_PRECISION_GOLDEN``: inverses at D = 30 with coefficients of 100+
 bits, a unit inverse whose denominators mix 2, 3, 5 and 7, and a Laurent
@@ -194,27 +198,27 @@ def _report_outputs(tmp_path, capsys):
 
 REPORT_GOLDEN = {
     "lemma31.n2d2": "823dd1ebc360246c6472d1ebb379e2289b86c06cc16a235ac4dbd529df46eb01",
-    "euler.n2d2": "1ef584aacbe32f541b165c5281c377c1f557f2b9c8dd9f5b8853eeb471100f50",
+    "euler.n2d2": "acf21650aeaf33e84effb3aad82397d93c9797040363d70b1a02549fdfc90e3e",
     "prop310.n2d2": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n2d2": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n2d2": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.n2d3": "4df8f27a5e2dc8589adb3e82635a8c6b758643b20d30b052151a301e28a0e608",
-    "euler.n2d3": "3d7144f5623dabf148a154fdc120e84c053f301245afc75af39e744f0aefef40",
+    "euler.n2d3": "821f81453d114f879e3b6cfcc764b4b3c5efb1bd318042e1c00404df2f169ceb",
     "prop310.n2d3": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n2d3": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n2d3": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.n3d2": "823dd1ebc360246c6472d1ebb379e2289b86c06cc16a235ac4dbd529df46eb01",
-    "euler.n3d2": "1ef584aacbe32f541b165c5281c377c1f557f2b9c8dd9f5b8853eeb471100f50",
+    "euler.n3d2": "acf21650aeaf33e84effb3aad82397d93c9797040363d70b1a02549fdfc90e3e",
     "prop310.n3d2": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n3d2": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n3d2": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.n3d3": "cb45aa9ce2290a2763cd74f84dfd77407fbf6dc644344fd384b1f4c1689b0109",
-    "euler.n3d3": "3d7144f5623dabf148a154fdc120e84c053f301245afc75af39e744f0aefef40",
+    "euler.n3d3": "821f81453d114f879e3b6cfcc764b4b3c5efb1bd318042e1c00404df2f169ceb",
     "prop310.n3d3": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.n3d3": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.n3d3": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
     "lemma31.lemma31_defect": "cb45aa9ce2290a2763cd74f84dfd77407fbf6dc644344fd384b1f4c1689b0109",
-    "euler.lemma31_defect": "3d7144f5623dabf148a154fdc120e84c053f301245afc75af39e744f0aefef40",
+    "euler.lemma31_defect": "821f81453d114f879e3b6cfcc764b4b3c5efb1bd318042e1c00404df2f169ceb",
     "prop310.lemma31_defect": "d41ecedb7aad75eb26658ad0cb2ca1fd6867f3de1dd513d0638d12082c8c53b8",
     "gpde.lemma31_defect": "d3974f5599c42cdb420f1e1aa374f3d647e889aeb8a6fdce113adaa9d9125e7b",
     "verify_pde.lemma31_defect": "2bfb7e5f69eb332786080e5a55e762b4b3b0b78978d5eb0572f230ebecc16370",
