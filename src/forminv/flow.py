@@ -15,7 +15,8 @@ potential, and ``check_pde`` checks that potential's Burgers equation).
 
 Parameters t and s are exact polynomial variables carried in the series
 exponents, so every identity here is checked exactly, coefficient by
-coefficient, through the stated z-degree.
+coefficient, through the stated z-degree.  A suite computes a few items
+and derives the rest, naming each step.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .series import (
     mat_vec,
     series_sum,
 )
-from .trees import graded_cutoff, order_polynomial, tree_expansion
+from .trees import order_polynomial, tree_expansion
 
 
 # -- reports -----------------------------------------------------------------
@@ -91,12 +92,12 @@ class Report:
             failure = f"component {diff[0] + 1}, {diff[1]}"
         return self.add(name, failure is None, detail, failure)
 
-    def add_derived(self, name, premises, detail):
+    def add_derived(self, name, premises, detail) -> CheckItem:
         """An item proved from earlier items: it holds exactly when all its
         premises hold, and a failure names the premises that failed."""
         failed = "; ".join(p.name for p in premises if not p.ok)
         detail += "; derived from " + "; ".join(p.name for p in premises)
-        self.add(name, not failed, detail, f"premise failed: {failed}" if failed else None)
+        return self.add(name, not failed, detail, f"premise failed: {failed}" if failed else None)
 
     def to_dict(self):
         return {
@@ -137,10 +138,10 @@ def deformation_inverse(f: MapF, degree: int) -> GradedInverse:
 
 def pde_residual(dinv: GradedInverse) -> PolyMap:
     """dN/dt - JN . N, symbolic in t; identically zero for any genuine
-    deformed inverse, and sensitive to any corrupted layer."""
+    deformed inverse, and sensitive to any corrupted layer.  JN . N is
+    ``jn_n_t``, formed once per deformation and capped at its degree."""
     lhs = PolyMap(tuple(c.pdiff(0) for c in dinv.n_t.components))
-    rhs = PolyMap(mat_vec(dinv.jn_t, dinv.n_t.components))
-    return lhs - rhs
+    return lhs - dinv.jn_n_t
 
 
 # -- identity checks -----------------------------------------------------------
@@ -330,7 +331,7 @@ def check_gpde(u0: PolyMap, h: PolyMap, degree: int) -> Report:
     dinv = deformation_inverse(MapF(h), degree)
     u_t = u0.with_params(1).compose(dinv.g_t(), cap=degree)
     lhs = PolyMap(tuple(c.pdiff(0) for c in u_t.components))
-    rhs = PolyMap(mat_vec(u_t.jacobian(), dinv.n_t.components))
+    rhs = PolyMap(mat_vec(u_t.jacobian(), dinv.n_t.components, cap=degree))
     report = Report(f"transported Cauchy problem through degree {degree}")
     report.add_equality("dU_t/dt = JU_t . N_t", lhs, rhs, degree)
     report.add_equality(
@@ -345,48 +346,37 @@ def check_gpde(u0: PolyMap, h: PolyMap, degree: int) -> Report:
 
 def check_euler_identities(h: PolyMap, degree: int) -> Report:
     """The homogeneous-H identities tying N_t to JN_t through Euler's
-    formula, including the two expansions of N_t and dN_t/dt in powers
-    of JN_t applied to z.  The vectors JN_t^k z come by matrix-vector
-    steps, JN_t^k z = JN_t (JN_t^(k-1) z), each capped at `degree`, for
-    k <= ``graded_cutoff(H, degree)``: o(JN_t^k z) >= k(d-1) + 1, so later
-    ones are zero through `degree`.  The dN_t/dt expansion is JN_t times
-    the N_t expansion.  The second item is the first times d, rearranged;
-    the other three are computed."""
+    formula.  Two items are computed: N_t = (1/d) JN_t (z - (d-1) t N_t)
+    and the transport equation dN_t/dt = JN_t . N_t, both reading the one
+    product ``jn_n_t``.  The other three are derived from them, each
+    naming its step."""
     d = h.homogeneous_degree()
     if d is None or d < 2:
         raise HomogeneityError("needs homogeneous H of degree >= 2")
-    n = h.n
     dinv = deformation_inverse(MapF(h), degree)
-    n_t, jn = dinv.n_t, dinv.jn_t
-    ident = PolyMap.identity(n, trunc=INF, nparams=1)
-
+    n_t, jn_n_t = dinv.n_t, dinv.jn_n_t
     report = Report(f"homogeneous Euler identities (d={d}) through degree {degree}")
 
     # JN_t (z - (d-1) t N_t) = JN_t z - (d-1) t JN_t N_t
-    jn_z = PolyMap(mat_vec(jn, ident.components, cap=degree))
-    t_jn_nt = PolyMap(mat_vec(jn, n_t.components, cap=degree)).shift_param(0).scale(d - 1)
-    rhs1 = (jn_z - t_jn_nt).scale(Rat(1, d))
+    ident = PolyMap.identity(h.n, nparams=1)
+    jn_z = PolyMap(mat_vec(dinv.jn_t, ident.components, cap=degree))
+    rhs1 = (jn_z - jn_n_t.shift_param(0).scale(d - 1)).scale(Rat(1, d))
     first = report.add_equality("N_t = (1/d) JN_t (z - (d-1) t N_t)", n_t, rhs1, degree)
     step = "d times the item above, rearranged: JN_t z = d N_t + (d-1) t JN_t N_t"
     report.add_derived("JN_t z = d(I + ((d-1)t/d) JN_t) N_t", [first], step)
-
-    # the expansion of N_t in powers of JN_t . z; JN_t times it is the
-    # expansion of dN_t/dt
-    terms, power = [PolyMap.zero(n, degree, nparams=1)], jn_z  # power: JN_t^k z
-    for k in range(1, graded_cutoff(h, degree) + 1):
-        if k > 1:
-            power = PolyMap(mat_vec(jn, power.components, cap=degree))
-        terms.append(power.shift_param(0, k - 1).scale(Rat(1 - d, d) ** (k - 1)))
-    expansion = PolyMap(map(series_sum, zip(*terms))).scale(Rat(1, d))
-    report.add_equality(
-        "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z", n_t, expansion, degree
+    step = (
+        "the inverse of I + ((d-1)t/d) JN_t is sum_j (-(d-1)t/d)^j JN_t^j, and JN_t^k z "
+        f"has z-order >= k(d-1) + 1, so the sum is exact through degree {degree}"
+    )
+    expansion = report.add_derived(
+        "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z", [first], step
     )
     dn_dt = PolyMap(tuple(c.pdiff(0) for c in n_t.components))
-    report.add_equality(
+    transport = report.add_equality("dN_t/dt = JN_t . N_t", dn_dt, jn_n_t, degree)
+    report.add_derived(
         "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
-        dn_dt,
-        PolyMap(mat_vec(jn, expansion.components, cap=degree)),
-        degree,
+        [expansion, transport],
+        "JN_t times the N_t expansion",
     )
     return report
 

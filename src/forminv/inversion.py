@@ -148,8 +148,9 @@ class GradedInverse:
 
     The same layers, t-graded, give the inverse family of the deformation
     F_t = z - tH: G_t = z + t N_t with N_t = sum_m t^{m-1} N_[m], carried
-    as one series with the parameter t in its exponents (`n_t`), and JN_t,
-    its Jacobian in z (`jn_t`), each built on first use.
+    as one series with the parameter t in its exponents (`n_t`), JN_t,
+    its Jacobian in z (`jn_t`), and JN_t . N_t (`jn_n_t`), each built on
+    first use.
 
     It holds the dimension `n`, not H: ``invert_recurrent`` keeps its
     result on H, and a reference back to H would make a cycle that only
@@ -185,6 +186,12 @@ class GradedInverse:
         """JN_t, the Jacobian of `n_t` in z, as rows of entries: a tuple of
         tuples, since every suite on the map reads this one matrix."""
         return tuple(map(tuple, self.n_t.jacobian()))
+
+    @cached_property
+    def jn_n_t(self) -> PolyMap:
+        """JN_t . N_t, the right side of the transport equation, capped at
+        the working degree: formed once for every suite on the map."""
+        return PolyMap(mat_vec(self.jn_t, self.n_t.components, cap=self.trunc))
 
     def g_t(self) -> PolyMap:
         """z + t N_t."""
@@ -611,7 +618,7 @@ def cross_check(
     `degree` and G(F) = G*(F) = z through `degree`."""
     names = applicable_methods(f, methods)
     if not names:
-        raise ValueError("no applicable methods selected")
+        raise ForminvError("no applicable methods selected")
     report = CrossCheckReport(degree=degree)
     results = run_methods(f, degree, names)
     for name, g, (millis,) in results:

@@ -227,8 +227,8 @@ def graded_cutoff(h: PolyMap, degree: int) -> int:
     the least ``known_order`` of H's components; at most degree - 1.
 
     Each graded quantity of grade m built from H has order >= (o - 1)m + 1:
-    the layer N_[m], the tree term P_T with |T| = m, ag's part
-    (D^m / m!)(z_i j(F) H^m) with |m| = m, and JN_t^m z.  Past the cutoff
+    the layer N_[m], the tree term P_T with |T| = m, and ag's part
+    (D^m / m!)(z_i j(F) H^m) with |m| = m.  Past the cutoff
     each is zero through `degree`, certified so by the ops that would
     build it.  An exact zero H (o = INF) has cutoff 0; an H certified only
     through degree 0 (o <= 1) is bounded as if o = 2."""

@@ -142,3 +142,24 @@ def test_environment_records_each_sides_compile_time(tmp_path):
     (sides["change"] / "src" / "forminv" / "bad.py").write_text("def (:\n")
     with pytest.raises(SyntaxError):
         bench_pairs.compile_seconds(sides["change"])
+
+
+def test_harness_digest_covers_the_benchmark_and_not_the_library(tmp_path):
+    sides = {}
+    for name in ("parent", "change"):
+        root = tmp_path / name
+        (root / "perfbench" / "tests").mkdir(parents=True)
+        (root / "src" / "forminv").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text('{"workloads": []}\n')
+        (root / "perfbench" / "run.py").write_text("RUN = 1\n")
+        (root / "perfbench" / "tests" / "test_run.py").write_text("T = 1\n")
+        (root / "src" / "forminv" / "series.py").write_text("X = 1\n")
+        sides[name] = root
+    digests = bench_pairs.environment(sides, "fractions")["harness_digest"]
+    assert digests["parent"] == digests["change"]
+    assert digests["change"].startswith("sha256:") and len(digests["change"]) == len("sha256:") + 64
+    change = sides["change"]
+    (change / "src" / "forminv" / "series.py").write_text("X = 2\n")
+    assert bench_pairs.harness_digest(change) == digests["parent"]
+    (change / "perfbench" / "tests" / "test_run.py").write_text("T = 2\n")
+    assert bench_pairs.harness_digest(change) != digests["parent"]

@@ -38,7 +38,8 @@ from forminv.inversion import GradedInverse
 from forminv.mapdoc import parse_map, serialize_polymap
 from forminv.randmaps import random_h, random_map
 from forminv.rat import Rat
-from forminv.series import compose_map_components, first_mismatch, mat_mul
+from forminv.series import compose_map_components, first_mismatch, mat_mul, mat_vec, series_sum
+from forminv.trees import graded_cutoff
 
 from forminv_testing import mono
 
@@ -312,6 +313,43 @@ def test_derived_items_match_the_compositions(f, degree):
     assert check_prop310(f, degree, 2, 2).ok
     # the nilpotency item reads a truncation and can fail on its own
     assert all(item.ok for item in check_lemma31(f, degree).items[:3])
+
+
+@st.composite
+def homogeneous_maps(draw):
+    """Homogeneous H of degree d in {2, 3} with n <= 3; its first component
+    is nonzero."""
+    n, d = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    exps = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
+        lambda ks: tuple(ks.count(k) for k in range(n))
+    )
+    comps = [draw(st.dictionaries(exps, COEFFS, min_size=int(i == 0), max_size=3)) for i in range(n)]
+    return PolyMap([MSeries(n, math.inf, terms) for terms in comps])
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_maps(), st.integers(1, 6))
+def test_derived_euler_items_match_the_expansions(h, degree):
+    """The two expansions that the Euler suite derives, summed directly:
+    JN_t^k z by matrix-vector steps capped at the degree, for k up to the
+    graded cutoff, and JN_t times their sum.  N_t and dN_t/dt equal them
+    through the degree and the suite passes.  The residual, which reads the
+    capped product JN_t . N_t, equals the uncapped dN_t/dt - JN_t . N_t in
+    terms and truncation."""
+    d, dinv = h.homogeneous_degree(), deformation_inverse(MapF(h), degree)
+    n_t, jn = dinv.n_t, dinv.jn_t
+    power, terms = PolyMap.identity(h.n, nparams=1), [PolyMap.zero(h.n, degree, nparams=1)]
+    for k in range(1, graded_cutoff(h, degree) + 1):
+        power = PolyMap(mat_vec(jn, power.components, cap=degree))  # JN_t^k z
+        terms.append(power.shift_param(0, k - 1).scale(Rat(1 - d, d) ** (k - 1)))
+    expansion = PolyMap(map(series_sum, zip(*terms))).scale(Rat(1, d))
+    dn_dt = PolyMap(tuple(c.pdiff(0) for c in n_t.components))
+    assert n_t.eq_through(expansion, degree)
+    assert dn_dt.eq_through(PolyMap(mat_vec(jn, expansion.components, cap=degree)), degree)
+    assert check_euler_identities(h, degree).ok
+    uncapped = dn_dt - PolyMap(mat_vec(jn, n_t.components))
+    residual = pde_residual(dinv)
+    assert [(c.trunc, c.terms) for c in residual] == [(c.trunc, c.terms) for c in uncapped]
 
 
 class TestGpde:
@@ -626,6 +664,7 @@ class TestTopDegreeFault:
             "N_t = (1/d) JN_t (z - (d-1) t N_t)",
             "JN_t z = d(I + ((d-1)t/d) JN_t) N_t",
             "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z",
+            "dN_t/dt = JN_t . N_t",
             "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
         ]
         assert failing(check_prop310(faulty, d, 2, 2)) == [

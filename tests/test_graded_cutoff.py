@@ -50,7 +50,7 @@ def graded_maps(draw):
 def full_loops():
     """Every graded loop run to degree - 1, the cutoff for o(H) = 2."""
     stack = ExitStack()
-    for module in (trees, inversion, flow):
+    for module in (trees, inversion):
         stack.enter_context(
             mock.patch.object(module, "graded_cutoff", lambda h, degree: max(degree - 1, 0))
         )

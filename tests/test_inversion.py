@@ -355,6 +355,11 @@ class TestCrossCheck:
         with pytest.raises(ForminvError, match="unknown method 'nope'"):
             cross_check(catalan_map, 4, ["nope"])
 
+    def test_no_applicable_method_is_a_library_error(self):
+        mixed = MapF(PolyMap([mono(1, (2,)) + mono(1, (3,))]))
+        with pytest.raises(ForminvError, match="no applicable methods selected"):
+            cross_check(mixed, 4, ["homog"])
+
     def test_disagreement_diagnostic(self, catalan_map, monkeypatch):
         def corrupt(f, degree):
             g = invert_fixed_point(f, degree)

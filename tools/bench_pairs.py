@@ -20,7 +20,10 @@ the top of its own git work tree, or whose src/forminv has uncommitted
 changes), each side's ``source_lines``, the total line count of its
 ``src/forminv/*.py``, and each side's ``compile_s``, the median time of
 a few ``compile()`` passes over those files: the work that a fresh
-import without cached bytecode adds to ``setup_s``.
+import without cached bytecode adds to ``setup_s``; and each side's
+``harness_digest``, a sha256 over the relative paths and bytes of its
+``BENCHMARK.json`` and ``perfbench/**/*.py``, equal on the two sides when
+both ran the same benchmark.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag packed_kernel \\
         --seconds 30 --seeds deep=301-310 wide=311-316 identities=311-316
@@ -100,6 +103,16 @@ def git_rev(checkout: Path) -> str:
     return source_digest(checkout)
 
 
+def harness_digest(checkout: Path) -> str:
+    """sha256 over the relative paths and bytes of the checkout's
+    BENCHMARK.json and perfbench/**/*.py."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*.py")]
+    h = hashlib.sha256()
+    for rel in sorted(path.relative_to(checkout).as_posix() for path in paths if path.is_file()):
+        h.update(rel.encode() + b"\0" + (checkout / rel).read_bytes() + b"\0")
+    return "sha256:" + h.hexdigest()
+
+
 def source_lines(checkout: Path) -> int:
     """The total line count of the checkout's src/forminv/*.py."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "forminv").glob("*.py"))
@@ -121,8 +134,8 @@ def compile_seconds(checkout: Path, passes: int = 5) -> float:
 
 def environment(sides: dict, rational_backend: str) -> dict:
     """The environment block: the Python version, the rational backend,
-    the CPU count, and each side's revision, source line count and
-    compile time."""
+    the CPU count, and each side's revision, source line count, compile
+    time and harness digest."""
     return {
         "python": platform.python_version(),
         "rational_backend": rational_backend,
@@ -131,6 +144,7 @@ def environment(sides: dict, rational_backend: str) -> dict:
         "change_rev": git_rev(sides["change"]),
         "source_lines": {side: source_lines(path) for side, path in sides.items()},
         "compile_s": {side: compile_seconds(path) for side, path in sides.items()},
+        "harness_digest": {side: harness_digest(path) for side, path in sides.items()},
     }
 
 
