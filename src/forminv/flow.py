@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import HomogeneityError, NilpotencyError
@@ -46,7 +47,7 @@ from .series import (
     mat_vec,
     series_sum,
 )
-from .trees import order_polynomial, tree_expansion
+from .trees import order_polynomial, tree_expansion, tree_sums
 
 
 # -- reports -----------------------------------------------------------------
@@ -214,9 +215,10 @@ def check_lemma31(f: MapF, degree: int) -> Report:
     product form JN_t(F_t) . JF_t = JH, JF_t = I - tJH: the chain rule on
     N_t(F_t) = H, through `degree` - 1.
 
-    The nilpotency item reads JN_t's index through truncation, from powers
-    cut at `degree` - 1, so a non-nilpotent JH can seem to have an index
-    there (the known defect on ROADMAP.md's list)."""
+    The nilpotency item reads JN_t's index through truncation, from the
+    columns JN_t^k e_c cut at `degree` - 1 (``_nilpotency_index``), so a
+    non-nilpotent JH can seem to have an index there (the known defect on
+    ROADMAP.md's list)."""
     dinv = deformation_inverse(f, degree)
     report = Report(f"deformation composition identities through degree {degree}")
     fixed = _fixed_point_item(report, f, dinv, degree)
@@ -240,15 +242,22 @@ def check_lemma31(f: MapF, degree: int) -> Report:
 def _nilpotency_index(mat, n, degree=INF) -> Optional[int]:
     """Index of a matrix whose powers vanish through z-degree `degree`
     (all of it for an exact polynomial matrix), or None.  Over the integral
-    domain Q[z] a nilpotent matrix has index at most n, so only the powers
-    up to the n-th are built."""
-    power = mat
-    for k in range(1, n + 1):
-        if all(entry.is_zero_through(degree) for row in power for entry in row):
-            return k
-        if k < n:
-            power = mat_mul(power, mat, cap=degree)
-    return None
+    domain Q[z] a nilpotent matrix has index at most n.  Found column by
+    column: the least k with M^k e_c zero through `degree`, built by
+    ``mat_vec`` capped there and never past k = n; the index is the
+    largest of these, and a column still nonzero at k = n gives None."""
+    index = None
+    for c in range(n):
+        column = [row[c] for row in mat]
+        for k in range(1, n + 1):
+            if all(entry.is_zero_through(degree) for entry in column):
+                index = max(index or 0, k)
+                break
+            if k < n:
+                column = mat_vec(mat, column, cap=degree)
+        else:
+            return None
+    return index
 
 
 def check_newp(h: PolyMap, degree: int) -> Report:
@@ -384,31 +393,54 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
 # -- formal flow and powers ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowSeries:
     """The one-parameter group through F: at t = 1 it is F itself, at
-    t = -1 the inverse, at integer t the corresponding iterate.  Stored as
-    a map whose coefficients are exact polynomials in t."""
+    t = -1 the inverse, at integer t the corresponding iterate.
 
-    map: PolyMap  # one parameter (t)
+    Holds the labeled tree sums q_T of ``trees.tree_sums``, and the flow is
+    z + sum over trees T of (-1)^|T| W_T(t) q_T / aut(T).  ``at(c)`` runs
+    ``tree_expansion`` with the constant weights (-1)^|T| W_T(c) / aut(T),
+    so ``at(-1)`` is ``invert_bcw``'s expansion; ``map`` runs it with the
+    weights in t, on first use.  A weight W_T(c) = 0 cancels the unknown
+    tail of its term, so on a truncated H ``at(c)`` can certify more than
+    ``map.eval_param(0, c)``, and never less."""
 
-    def at(self, t_value) -> PolyMap:
-        return self.map.eval_param(0, t_value)
+    n: int
+    degree: int
+    sums: tuple  # (tree, [q_T for each root label]) pairs of ``tree_sums``
+
+    def at(self, c) -> PolyMap:
+        c = Rat(c)
+
+        def weight(tree):
+            value = order_polynomial(tree).eval_param(0, c).coefficient(())
+            return MSeries.const(self.n, _sign_over_aut(tree) * value)
+
+        return tree_expansion(self.sums, self.n, self.degree, weight)
+
+    @cached_property
+    def map(self) -> PolyMap:
+        """The flow with t symbolic: coefficients are exact polynomials in
+        the one parameter t."""
+
+        def weight(tree):
+            return order_polynomial(tree, self.n).scale(_sign_over_aut(tree))
+
+        return tree_expansion(self.sums, self.n, self.degree, weight, nparams=1)
+
+
+def _sign_over_aut(tree) -> Rat:
+    return Rat(-1 if tree.size % 2 else 1, tree.aut)
 
 
 def formal_flow(f: MapF, degree: int) -> FlowSeries:
     """F(z; t) = z + sum over trees T of (-1)^|T| W_T(t) P_T(z), where W_T
     is the strict order polynomial of T.  W_T(1) = 0 for |T| >= 2 collapses
     the sum to F at t = 1; W_T(-1) = (-1)^|T| recovers the tree-expansion
-    inverse at t = -1."""
-    n = f.n
-
-    def weight(tree):
-        sign = -1 if tree.size % 2 else 1
-        return order_polynomial(tree, n).scale(Rat(sign, tree.aut))
-
-    flow_map = tree_expansion(f.h, degree, weight, nparams=1)
-    return FlowSeries(flow_map)
+    inverse at t = -1.  The tree sums are built here, once; the weights
+    are applied by ``FlowSeries.at`` and ``FlowSeries.map``."""
+    return FlowSeries(f.n, degree, tuple(tree_sums(f.h, degree)))
 
 
 def power_map(f: MapF, m: int, degree: int) -> PolyMap:

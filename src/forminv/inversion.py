@@ -66,7 +66,7 @@ from .series import (
     taylor_sums,
     unit_inverse,
 )
-from .trees import TreePolyCache, graded_cutoff, tree_expansion
+from .trees import TreePolyCache, graded_cutoff, tree_expansion, tree_sums
 
 
 # -- fixed-point oracle --------------------------------------------------------
@@ -284,10 +284,11 @@ class BForm:
     where alpha runs over sorted tuples of d variable indices and S(alpha)
     is 1/d! times the sum of U^1_{a_1} ... U^d_{a_d} over the orderings a
     of alpha.  ``series.label_fold`` builds S from {(): 1/d!} one argument
-    at a time, the last one only into the multisets whose partial is not
-    known to vanish, and ``TreePolyCache.contract`` pairs S with the
-    partials of H in one ``dot`` per component: the fold and contraction
-    of the tree sums, with no composition.
+    at a time, only into the multisets of ``TreePolyCache.live`` (those
+    with a partial of H that is not exactly zero), and
+    ``TreePolyCache.contract`` pairs S with the partials of H in one
+    ``dot`` per component: the fold and contraction of the tree sums, with
+    no composition.
 
     Because B is multilinear, the sum is finite for any arguments;
     arguments with a constant term are accepted.  Each output component
@@ -321,16 +322,9 @@ class BForm:
                     f"form on n={self.n} applied to a map with n={u.n}, "
                     f"{u.nparams} parameters"
                 )
-        limit = INF if cap is None else cap
-        live = {
-            a
-            for a in combinations_with_replacement(range(self.n), self.d)
-            if any(not self.partials.deriv(i, a).known_zero(limit) for i in range(self.n))
-        }
         states = {(): MSeries.const(self.n, Rat(1, math.factorial(self.d)))}
-        for u in args[:-1]:
-            states = label_fold(states, u.components, cap)
-        states = label_fold(states, args[-1].components, cap, keys=live)
+        for size, u in enumerate(args, 1):
+            states = label_fold(states, u.components, cap, keys=self.partials.live(size))
         return PolyMap([self.partials.contract(states, i, cap) for i in range(self.n)])
 
 
@@ -423,7 +417,8 @@ def invert_bcw(f: MapF, degree: int) -> PolyMap:
     (o-1)|T| + 1 with o = o(H), only trees with at most
     ``graded_cutoff(H, degree)`` vertices contribute.  Isomorphic subtrees
     share their labeled sums through a common cache."""
-    return tree_expansion(f.h, degree, lambda tree: MSeries.const(f.n, Rat(1, tree.aut)))
+    sums = tree_sums(f.h, degree)
+    return tree_expansion(sums, f.n, degree, lambda tree: MSeries.const(f.n, Rat(1, tree.aut)))
 
 
 # -- coefficient formulas -----------------------------------------------------------

@@ -37,11 +37,14 @@ themselves, a composition because routing it through ``dot`` builds one
 is one ``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``,
 ``recurrent_layers`` and the three stages of every tree sum.  A tree sum
 is a fold, then a contraction, then an expansion: ``label_fold`` builds
-label-multiset states, ``trees.TreePolyCache.contract`` pairs them with
-the mixed partials of H, and ``trees.tree_expansion`` sums
-z + weight(T) q_T over the trees.  The multilinear form ``BForm`` is a
-fold and a contraction, ``invert_bcw`` the expansion with constant
-weights 1/aut(T), and ``formal_flow`` the one with weights in t.  A zero
+label-multiset states, only for the multisets whose partials of H are not
+all exactly zero, ``trees.TreePolyCache.contract`` pairs them with the
+mixed partials of H, and ``trees.tree_expansion`` sums z + weight(T) q_T
+over the trees.  The multilinear form ``BForm`` is a fold and a
+contraction, ``invert_bcw`` the expansion with constant weights
+1/aut(T), and the formal flow the one with weights in t (``map``) or
+with the numbers they take at a point (``at``), on one pass of tree
+sums.  A zero
 factor is left out of a capped sum only when it is ``known_zero`` through
 the cap.  No product asserts its truncation.  ``inverse_powers`` is the
 one reciprocal: the binomial series of (1 - x)^(-a), which its products

@@ -161,6 +161,12 @@ class TreePolyCache:
     contraction.  A factor or a state is left out only when zero through
     the cap, so sums and truncations equal those of ``series_sum`` over the
     capped ``mul``s of the same pairs.
+
+    Every fold builds only the multisets of ``live``, those alpha with some
+    d^alpha H_i not exactly zero (no terms and truncation INF); every
+    extension of such a dead alpha is dead too, so no contraction reads
+    its state.  A partial zero only through the cap keeps its state: that
+    state's order bounds the certified truncation of a later contraction.
     """
 
     def __init__(self, h: PolyMap, cap=None):
@@ -170,6 +176,7 @@ class TreePolyCache:
         self._q: dict = {}
         self._deriv: dict = {}
         self._states: dict = {(): {(): MSeries.const(self.n, ONE)}}
+        self._live: dict = {0: {()}}
 
     def deriv(self, i: int, alpha: tuple) -> MSeries:
         """Mixed partial of H_i by the (sorted) tuple of variable indices."""
@@ -180,6 +187,19 @@ class TreePolyCache:
         if hit is None:
             hit = self.deriv(i, alpha[:-1]).diff(alpha[-1])
             self._deriv[key] = hit
+        return hit
+
+    def live(self, size: int) -> set:
+        """The sorted label tuples alpha of length `size` with some
+        d^alpha H_i not exactly zero, memoized per size; each extends one
+        of size - 1, since a dead alpha has only dead extensions."""
+        hit = self._live.get(size)
+        if hit is None:
+            ends = {tuple(sorted(a + (k,))) for a in self.live(size - 1) for k in range(self.n)}
+            hit = self._live[size] = {
+                a for a in ends
+                if any(not self.deriv(i, a).known_zero(INF) for i in range(self.n))
+            }
         return hit
 
     def contract(self, states: dict, i: int, cap=None) -> MSeries:
@@ -201,7 +221,8 @@ class TreePolyCache:
         prev = self._child_states(children[:-1])
         child = children[-1]
         vec = [self.labeled_root_sum(child, k) for k in range(self.n)] if prev else []
-        states = self._states[key] = label_fold(prev, vec, self.cap)
+        live = self.live(len(children))
+        states = self._states[key] = label_fold(prev, vec, self.cap, keys=live)
         return states
 
     def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:
@@ -255,18 +276,20 @@ def tree_sums(h: PolyMap, degree: int):
             yield tree, [cache.labeled_root_sum(tree, i) for i in range(h.n)]
 
 
-def tree_expansion(h: PolyMap, degree: int, weight, nparams: int = 0) -> PolyMap:
-    """z + sum over trees T of weight(T) * q_T through `degree`, where q_T
-    is the vector of labeled root sums of ``tree_sums`` and weight(T) a
-    series of n variables and `nparams` parameters.  Each component is one
-    ``dot``.  A root sum is left out only when ``known_zero`` through
-    `degree`, and weight(T) is called only for trees with one left in.
-    ``invert_bcw`` is the expansion with the constant weights 1/aut(T),
-    the formal flow the one with weights in a parameter t."""
-    one = MSeries.const(h.n, ONE, nparams=nparams)
-    pairs = [[(z_i, one)] for z_i in PolyMap.identity(h.n, trunc=degree, nparams=nparams)]
-    for tree, sums in tree_sums(h, degree):
-        live = [(i, q) for i, q in enumerate(sums) if not q.known_zero(degree)]
+def tree_expansion(sums, n: int, degree: int, weight, nparams: int = 0) -> PolyMap:
+    """z + sum over trees T of weight(T) * q_T through `degree`, for the
+    (tree, q_T) pairs `sums` of ``tree_sums`` on an H in `n` variables,
+    with weight(T) a series of n variables and `nparams` parameters.  Each
+    component is one ``dot``.  A root sum is left out only when
+    ``known_zero`` through `degree`, and weight(T) is called only for trees
+    with one left in.  ``invert_bcw`` is the expansion with the constant
+    weights 1/aut(T); the formal flow runs it with weights in a parameter
+    t (``FlowSeries.map``) or at a point (``FlowSeries.at``) on one pass
+    of sums."""
+    one = MSeries.const(n, ONE, nparams=nparams)
+    pairs = [[(z_i, one)] for z_i in PolyMap.identity(n, trunc=degree, nparams=nparams)]
+    for tree, sums_t in sums:
+        live = [(i, q) for i, q in enumerate(sums_t) if not q.known_zero(degree)]
         if live:
             w = weight(tree)
             for i, q in live:

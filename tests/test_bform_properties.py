@@ -8,6 +8,7 @@ the series kernel.
 """
 
 import math
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from forminv.inversion import BForm
 from forminv.rat import Rat
 from forminv.series import INF, MSeries, PolyMap
+from forminv.trees import TreePolyCache
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -116,3 +118,24 @@ def test_diagonal_is_h_with_its_truncation(h):
     for g, comp in zip(got.components, h.components):
         assert g.terms == comp.terms
         assert g.trunc == comp.trunc
+
+
+@SETTINGS
+@given(truncated_forms(), st.data())
+@example(PolyMap([MSeries(2, 2, {(2, 0): Rat(1)}), MSeries(2, 2, {})]), None)
+def test_live_multisets_change_no_value(h, data):
+    """``apply`` folds only into the multisets of ``TreePolyCache.live``,
+    those with a partial of H that is not exactly zero.  On a truncated
+    homogeneous H, where a partial can have no terms and a finite
+    truncation, terms and truncation equal those of folds over every
+    multiset."""
+    d = h.homogeneous_degree()
+    if data is None:
+        args, cap = [PolyMap.identity(h.n)] * d, None
+    else:
+        args = [PolyMap([data.draw(polys(h.n, 0, 3)) for _ in range(h.n)]) for _ in range(d)]
+        cap = data.draw(st.one_of(st.none(), st.integers(0, 9)))
+    got = BForm(h).apply(args, cap=cap)
+    with patch.object(TreePolyCache, "live", lambda self, size: None):
+        want = BForm(h).apply(args, cap=cap)
+    assert [(g.terms, g.trunc) for g in got] == [(w.terms, w.trunc) for w in want]

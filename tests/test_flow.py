@@ -8,7 +8,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from forminv import (
@@ -325,6 +325,54 @@ def homogeneous_maps(draw):
     )
     comps = [draw(st.dictionaries(exps, COEFFS, min_size=int(i == 0), max_size=3)) for i in range(n)]
     return PolyMap([MSeries(n, math.inf, terms) for terms in comps])
+
+
+@st.composite
+def triangular_maps(draw):
+    """F = z - H with n <= 3 and H_i a polynomial of degree 2 or 3 in
+    z_{i+1}, ..., z_n only, so JH is strictly upper triangular: nilpotent,
+    of index at most n."""
+    n = draw(st.integers(1, 3))
+    comps = []
+    for i in range(n):
+        exps = st.lists(st.integers(i + 1, n - 1), min_size=2, max_size=3).map(
+            lambda ks: tuple(ks.count(k) for k in range(n))
+        )
+        terms = draw(st.dictionaries(exps, COEFFS, max_size=3)) if i + 1 < n else {}
+        comps.append(MSeries(n, math.inf, terms))
+    return MapF(PolyMap(comps))
+
+
+def full_power_index(mat, n, degree=math.inf):
+    """The nilpotency index read off the whole powers M, M^2, ..., M^n,
+    each capped at `degree`: the oracle for the column-wise search."""
+    power = mat
+    for k in range(1, n + 1):
+        if all(entry.is_zero_through(degree) for row in power for entry in row):
+            return k
+        if k < n:
+            power = mat_mul(power, mat, cap=degree)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(small_maps(), triangular_maps(), homogeneous_maps().map(MapF)),
+    st.integers(1, 6),
+)
+@example(MapF(PolyMap([mono(3, (0, 2, 0)), mono(3, (0, 0, 2)), MSeries.zero(3)])), 5)
+def test_nilpotency_index_matches_full_powers(f, degree):
+    """``flow._nilpotency_index`` builds M^k e_c column by column; it gives
+    the index of the full powers on the exact JH and on JN_t read through
+    degree - 1."""
+    jh = f.h.jacobian()
+    index = flow._nilpotency_index(jh, f.n)
+    assert index == full_power_index(jh, f.n)
+    if all(not any(e[: i + 1]) for i, c in enumerate(f.h.components) for e in c.terms):
+        assert index is not None  # strictly triangular
+    event(f"JH index {index}")
+    jn = deformation_inverse(f, degree).jn_t
+    assert flow._nilpotency_index(jn, f.n, degree - 1) == full_power_index(jn, f.n, degree - 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,8 @@ operation on the exact operand through the truncation the result claims.
 A claim beyond what is exact would show as a mismatch.
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from forminv.inversion import METHODS, applicable_methods, invert_bcw, invert_fi
 from forminv.laurent import laurent_inv_power
 from forminv.rat import Rat
 from forminv.series import INF, MapF, MSeries, PolyMap, compose, unit_inverse
-from forminv.trees import tree_sums
+from forminv.trees import TreePolyCache, enumerate_trees, tree_poly, tree_sums
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -311,3 +313,70 @@ def test_fixed_point_matches_plain_passes(f, degree):
     got, want = invert_fixed_point(f, degree), plain_pass_fixed_point(f, degree)
     assert [c.trunc for c in got] == [c.trunc for c in want]
     assert [c.terms for c in got] == [c.terms for c in want]
+
+
+POINTS = (-1, 0, 1, 2, Rat(1, 2))
+
+
+@SETTINGS
+@given(
+    exact_maps(),
+    st.lists(st.one_of(st.none(), st.integers(1, 5)), min_size=2, max_size=2),
+    st.integers(2, 6),
+)
+def test_flow_at_a_point(f, cuts, degree):
+    """``FlowSeries.at(-1)`` is ``invert_bcw`` in terms and truncation.
+    At each point c, ``at(c)`` equals ``map.eval_param(0, c)`` through the
+    latter's truncation and certifies no less.  Where it certifies more
+    (a zero weight W_T(c) cancels the unknown tail of its term), it still
+    equals the exact-H flow at c through what it claims."""
+    g = MapF(PolyMap([c if d is None else c.truncate(d) for c, d in zip(f.h.components, cuts)]))
+    flow, exact = formal_flow(g, degree), formal_flow(f, degree)
+    bcw = invert_bcw(g, degree)
+    assert [(c.terms, c.trunc) for c in flow.at(-1)] == [(c.terms, c.trunc) for c in bcw]
+    for c in POINTS:
+        at, exact_at = flow.at(c), exact.at(c)
+        for got, want, true in zip(at, flow.map.eval_param(0, c), exact_at):
+            assert got.trunc >= want.trunc
+            assert through(got.terms, want.trunc, f.n) == want.terms
+            assert got.terms == through(true.terms, got.trunc, f.n)
+            if got.trunc > want.trunc:
+                event("at(c) certifies more")
+
+
+# H = (0, 2 z2^2), both known through degree 2: every partial of H_1 and
+# every partial of H_2 in z1 has no terms but a finite truncation
+CUT_PARTIALS = PolyMap([MSeries(2, 2, {}), MSeries(2, 2, {(0, 2): Rat(2)})])
+
+
+def tree_outputs(h, degree):
+    """Terms and truncation of every tree polynomial with at most 4
+    vertices, of ``invert_bcw`` and of the symbolic formal flow."""
+    f = MapF(h)
+    out = [
+        tree_poly(tree, h, i, cap=degree)
+        for trees in enumerate_trees(4).values()
+        for tree in trees
+        for i in range(h.n)
+    ]
+    out += [*invert_bcw(f, degree), *formal_flow(f, degree).map]
+    return [(s.terms, s.trunc) for s in out]
+
+
+@SETTINGS
+@given(
+    exact_maps(),
+    st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=2, max_size=2),
+    st.integers(2, 6),
+)
+@example(MapF(CUT_PARTIALS), [None, None], 6)
+def test_dead_label_multisets_change_no_tree_sum(f, cuts, degree):
+    """The folds skip only the label multisets whose partials of H are all
+    exactly zero.  On H cut at each component's own degree, where a partial
+    can have no terms and still be unknown past its truncation, the tree
+    polynomials, ``invert_bcw`` and the formal flow equal those of folds
+    over every multiset."""
+    h = PolyMap([c if d is None else c.truncate(d) for c, d in zip(f.h.components, cuts)])
+    got = tree_outputs(h, degree)
+    with patch.object(TreePolyCache, "live", lambda self, size: None):
+        assert got == tree_outputs(h, degree)
