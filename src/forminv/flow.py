@@ -246,18 +246,18 @@ def _nilpotency_index(mat, n, degree=INF) -> Optional[int]:
     column: the least k with M^k e_c zero through `degree`, built by
     ``mat_vec`` capped there and never past k = n; the index is the
     largest of these, and a column still nonzero at k = n gives None."""
-    index = None
+    index = 0
     for c in range(n):
         column = [row[c] for row in mat]
         for k in range(1, n + 1):
             if all(entry.is_zero_through(degree) for entry in column):
-                index = max(index or 0, k)
+                index = max(index, k)
                 break
             if k < n:
                 column = mat_vec(mat, column, cap=degree)
         else:
             return None
-    return index
+    return index or None
 
 
 def check_newp(h: PolyMap, degree: int) -> Report:

@@ -43,12 +43,12 @@ mixed partials of H, and ``trees.tree_expansion`` sums z + weight(T) q_T
 over the trees.  The multilinear form ``BForm`` is a fold and a
 contraction, ``invert_bcw`` the expansion with constant weights
 1/aut(T), and the formal flow the one with weights in t (``map``) or
-with the numbers they take at a point (``at``), on one pass of tree
-sums.  A zero
-factor is left out of a capped sum only when it is ``known_zero`` through
-the cap.  No product asserts its truncation.  ``inverse_powers`` is the
-one reciprocal: the binomial series of (1 - x)^(-a), which its products
-and sums certify, serves ``unit_inverse`` and the factors of ``laurent``.
+with their values at a point (``at``), both on one pass of tree sums.
+A zero factor is left out of a capped sum only when it is
+``known_zero`` through the cap.  No product asserts its truncation.
+``inverse_powers`` is the one reciprocal: the binomial series of
+(1 - x)^(-a), which its products and sums certify, serves
+``unit_inverse`` and the factors of ``laurent``.
 ``series_sum`` is the one way other series are summed, ``+`` included, so
 no other module accumulates terms or restates the truncation rule of a
 sum.  No stored coefficient is ever zero, which ``is_zero`` and ``order``

@@ -165,8 +165,9 @@ class TreePolyCache:
     Every fold builds only the multisets of ``live``, those alpha with some
     d^alpha H_i not exactly zero (no terms and truncation INF); every
     extension of such a dead alpha is dead too, so no contraction reads
-    its state.  A partial zero only through the cap keeps its state: that
-    state's order bounds the certified truncation of a later contraction.
+    its state.  A partial with no terms but a finite truncation keeps its
+    state: that state's order bounds the truncation certified by a
+    contraction with the partials that extend it.
     """
 
     def __init__(self, h: PolyMap, cap=None):
@@ -288,8 +289,8 @@ def tree_expansion(sums, n: int, degree: int, weight, nparams: int = 0) -> PolyM
     of sums."""
     one = MSeries.const(n, ONE, nparams=nparams)
     pairs = [[(z_i, one)] for z_i in PolyMap.identity(n, trunc=degree, nparams=nparams)]
-    for tree, sums_t in sums:
-        live = [(i, q) for i, q in enumerate(sums_t) if not q.known_zero(degree)]
+    for tree, qs in sums:
+        live = [(i, q) for i, q in enumerate(qs) if not q.known_zero(degree)]
         if live:
             w = weight(tree)
             for i, q in live:
