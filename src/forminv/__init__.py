@@ -82,6 +82,5 @@ from .mapdoc import (
     serialize_polymap,
 )
 from .bench import BenchRecord, run_bench, to_csv, to_table
-from .randmaps import acceptance_corpus, random_divisible_map, random_h, random_map
 
 __version__ = "0.1.0"

@@ -139,10 +139,9 @@ def deformation_inverse(f: MapF, degree: int) -> GradedInverse:
 
 def pde_residual(dinv: GradedInverse) -> PolyMap:
     """dN/dt - JN . N, symbolic in t; identically zero for any genuine
-    deformed inverse, and sensitive to any corrupted layer.  JN . N is
-    ``jn_n_t``, formed once per deformation and capped at its degree."""
-    lhs = PolyMap(tuple(c.pdiff(0) for c in dinv.n_t.components))
-    return lhs - dinv.jn_n_t
+    deformed inverse, and sensitive to any corrupted layer.  Both sides,
+    ``dn_t`` and ``jn_n_t``, are formed once per deformation."""
+    return dinv.dn_t - dinv.jn_n_t
 
 
 # -- identity checks -----------------------------------------------------------
@@ -357,8 +356,8 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     """The homogeneous-H identities tying N_t to JN_t through Euler's
     formula.  Two items are computed: N_t = (1/d) JN_t (z - (d-1) t N_t)
     and the transport equation dN_t/dt = JN_t . N_t, both reading the one
-    product ``jn_n_t``.  The other three are derived from them, each
-    naming its step."""
+    product ``jn_n_t`` (the transport item compares it with ``dn_t``).
+    The other three are derived from them, each naming its step."""
     d = h.homogeneous_degree()
     if d is None or d < 2:
         raise HomogeneityError("needs homogeneous H of degree >= 2")
@@ -380,8 +379,7 @@ def check_euler_identities(h: PolyMap, degree: int) -> Report:
     expansion = report.add_derived(
         "N_t = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^k z", [first], step
     )
-    dn_dt = PolyMap(tuple(c.pdiff(0) for c in n_t.components))
-    transport = report.add_equality("dN_t/dt = JN_t . N_t", dn_dt, jn_n_t, degree)
+    transport = report.add_equality("dN_t/dt = JN_t . N_t", dinv.dn_t, jn_n_t, degree)
     report.add_derived(
         "dN_t/dt = (1/d) sum_k (-(d-1)t/d)^(k-1) JN_t^(k+1) z",
         [expansion, transport],

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -46,7 +46,6 @@ from .errors import (
     HomogeneityError,
     MethodDisagreement,
 )
-from .laurent import inverse_power_factors, laurent_inv_power, residue
 from .rat import ONE, Rat
 from .series import (
     INF,
@@ -57,8 +56,8 @@ from .series import (
     dot,
     first_asymmetry,
     first_mismatch,
+    inverse_powers,
     jacobian_det,
-    label_fold,
     mat_mul,
     mat_vec,
     series_det,
@@ -148,9 +147,9 @@ class GradedInverse:
 
     The same layers, t-graded, give the inverse family of the deformation
     F_t = z - tH: G_t = z + t N_t with N_t = sum_m t^{m-1} N_[m], carried
-    as one series with the parameter t in its exponents (`n_t`), JN_t,
-    its Jacobian in z (`jn_t`), and JN_t . N_t (`jn_n_t`), each built on
-    first use.
+    as one series with the parameter t in its exponents (`n_t`), dN_t/dt
+    (`dn_t`), JN_t, its Jacobian in z (`jn_t`), and JN_t . N_t
+    (`jn_n_t`), each built on first use.
 
     It holds the dimension `n`, not H: ``invert_recurrent`` keeps its
     result on H, and a reference back to H would make a cycle that only
@@ -180,6 +179,11 @@ class GradedInverse:
         zero = PolyMap.zero(self.n, trunc, nparams=1)
         graded = [u.with_params(1).shift_param(0, m) for m, u in enumerate(self.layers)]
         return PolyMap(map(series_sum, zip(zero, *graded)))
+
+    @cached_property
+    def dn_t(self) -> PolyMap:
+        """dN_t/dt, the left side of the transport equation."""
+        return PolyMap(tuple(c.pdiff(0) for c in self.n_t.components))
 
     @cached_property
     def jn_t(self) -> tuple:
@@ -283,7 +287,7 @@ class BForm:
 
     where alpha runs over sorted tuples of d variable indices and S(alpha)
     is 1/d! times the sum of U^1_{a_1} ... U^d_{a_d} over the orderings a
-    of alpha.  ``series.label_fold`` builds S from {(): 1/d!} one argument
+    of alpha.  ``TreePolyCache.fold`` builds S from {(): 1/d!} one argument
     at a time, only into the multisets of ``TreePolyCache.live`` (those
     with a partial of H that is not exactly zero), and
     ``TreePolyCache.contract`` pairs S with the partials of H in one
@@ -324,7 +328,7 @@ class BForm:
                 )
         states = {(): MSeries.const(self.n, Rat(1, math.factorial(self.d)))}
         for size, u in enumerate(args, 1):
-            states = label_fold(states, u.components, cap, keys=self.partials.live(size))
+            states = self.partials.fold(states, u.components, size, cap)
         return PolyMap([self.partials.contract(states, i, cap) for i in range(self.n)])
 
 
@@ -433,17 +437,17 @@ def _checked_index(f: MapF, i: int, k: Sequence[int]) -> tuple:
     return k
 
 
-def jacobi_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:
-    """[z^k] G_i as the formal residue of j(F) F^{-k-1} z_i.  The expansion
-    of F^{-k-1} has z-degree >= -|k| - n, so the residue reads j(F) only
-    through |k| - 1."""
-    k = _checked_index(f, i, k)
-    weight = jacobian_det(f.map, cap=sum(k) - 1).mul_monomial(_unit_exp(f.n, i))
-    expansion = laurent_inv_power(f, k, window=-f.n - 1)
-    return residue(expansion.mul(weight, cap=-f.n))
+def inverse_power_factors(h: PolyMap, exps: Sequence[Iterable[int]], through) -> list:
+    """For each variable j, {a: S_j(a) for a in exps[j]} certified through
+    `through`, S_j(a) = (1 - H_j/z_j)^{-a}: ``inverse_powers`` of
+    X = H_j/z_j, which has order >= 1 and may be a Laurent series."""
+    return [
+        inverse_powers(comp.mul_monomial(tuple(-(i == j) for i in range(h.n))), wanted, through)
+        for j, (comp, wanted) in enumerate(zip(h.components, exps))
+    ]
 
 
-def _formula_map(f: MapF, weight: MSeries, c: int, exps, degree: int) -> PolyMap:
+def _formula_map(f: MapF, c: int, exps, degree: int) -> PolyMap:
     """[z^k] G_i for each k of the graded `exps` by one Lagrange-Good
     expansion: with S_j(a) = (1 - H_j/z_j)^{-a} (``inverse_power_factors``),
 
@@ -451,11 +455,14 @@ def _formula_map(f: MapF, weight: MSeries, c: int, exps, degree: int) -> PolyMap
 
     w = j(F), c = 1 for the residue formula (``jacobi``), and
     w = det(delta_ij - z_i f_i dh_i/dz_j), c = 0 for the product form
-    (``lagrange``; h_i = H_i / z_i, f_i = 1/(1 - h_i)).  One product per k,
-    capped at |k| - 1, serves every i; the factors are built only for the
-    a = k_j + c that `exps` use.  Certified through `degree`, or through
-    the last |k| before the first k whose product is not."""
+    (``lagrange``; h_i = H_i / z_i, f_i = 1/(1 - h_i)), w built here
+    through degree - 1.  One product per k, capped at |k| - 1, serves
+    every i; the factors are built only for the a = k_j + c that `exps`
+    use.  Certified through `degree`, or through the last |k| before the
+    first k whose product is not.  Both methods and both coefficient
+    functions read it."""
     n = f.n
+    weight = jacobian_det(f.map, cap=degree - 1) if c else _lagrange_weight(f, degree - 1)
     factors = inverse_power_factors(f.h, [{k[j] + c for k in exps} for j in range(n)], degree - 1)
     terms = [{} for _ in range(n)]
     for k in exps:
@@ -491,13 +498,24 @@ def _lagrange_weight(f: MapF, through) -> MSeries:
     return series_det(rows, cap=through)
 
 
+def _coefficient(f: MapF, i: int, k: Sequence[int], c: int) -> Rat:
+    """[z^k] G_i off ``_formula_map`` for the one exponent k."""
+    k = _checked_index(f, i, k)
+    component = _formula_map(f, c, [k], sum(k))[i]
+    component._require_precision(sum(k))  # TruncationError when H is cut too low
+    return component.coefficient(k)
+
+
+def jacobi_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:
+    """[z^k] G_i by the residue formula: the formal residue of
+    j(F) F^{-k-1} z_i, which reads j(F) only through |k| - 1.
+    ``laurent`` keeps the residue itself as the reference."""
+    return _coefficient(f, i, k, 1)
+
+
 def lagrange_coefficient(f: MapF, i: int, k: Sequence[int]) -> Rat:
     """[z^k] G_i by the product form, for maps with z_i | H_i."""
-    k = _checked_index(f, i, k)
-    weight = _lagrange_weight(f, sum(k) - 1)
-    component = _formula_map(f, weight, 0, [k], sum(k))[i]
-    component._require_precision(sum(k))
-    return component.coefficient(k)
+    return _coefficient(f, i, k, 0)
 
 
 # -- registry and cross-checking -----------------------------------------------------
@@ -509,12 +527,8 @@ METHODS: dict[str, Callable[[MapF, int], PolyMap]] = {
     "homog": lambda f, d: invert_homogeneous(f, degree=d).inverse_map(),
     "ag": invert_abhyankar_gurjar,
     "bcw": invert_bcw,
-    "jacobi": lambda f, d: _formula_map(
-        f, jacobian_det(f.map, cap=d - 1), 1, _graded_exponents(f.n, d), d
-    ),
-    "lagrange": lambda f, d: _formula_map(
-        f, _lagrange_weight(f, d - 1), 0, _graded_exponents(f.n, d), d
-    ),
+    "jacobi": lambda f, d: _formula_map(f, 1, _graded_exponents(f.n, d), d),
+    "lagrange": lambda f, d: _formula_map(f, 0, _graded_exponents(f.n, d), d),
 }
 
 # cross_check's default, which the `wide` benchmark runs; the coefficient

@@ -1,30 +1,21 @@
-"""The factors S_j(a) = (1 - H_j/z_j)^{-a} of both coefficient formulas of
-``inversion``, and the Laurent expansion z^{-k-1} prod_j S_j(k_j + 1) of
-prod_j F_j^{-k_j-1} that the residue formula reads.
-
-H_j/z_j may have negative exponents, so a factor may be a Laurent
-expansion: an ``MSeries`` whose ``trunc`` W certifies the stored terms of
-total degree <= W exactly, with finitely many terms below W.  The factors
-are the binomial series of ``series.inverse_powers``, and products use
-``MSeries.mul`` and its certified truncation unchanged.
+"""The residue route of the Jacobi coefficient formula, kept as the
+reference: the Laurent expansion z^{-k-1} prod_j S_j(k_j + 1) of
+prod_j F_j^{-k_j-1}, and the formal residue of j(F) F^{-k-1} z_i, which is
+[z^k] G_i.  ``inversion`` reads that coefficient off one product and never
+forms the residue; the tests hold the two routes equal.  A factor
+S_j(a) = (1 - H_j/z_j)^{-a} (``inversion.inverse_power_factors``) may be a
+Laurent expansion, whose ``trunc`` W certifies the stored terms of total
+degree <= W exactly; products use ``MSeries.mul`` unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch
+from .inversion import inverse_power_factors
 from .rat import ONE, Rat
-from .series import MapF, MSeries, PolyMap, inverse_powers
-
-
-def inverse_power_factors(h: PolyMap, exps: Sequence[Iterable[int]], through) -> list:
-    """For each variable j, {a: S_j(a) for a in exps[j]} certified through
-    `through`: ``inverse_powers`` of X = H_j/z_j, which has order >= 1."""
-    return [
-        inverse_powers(comp.mul_monomial(tuple(-(i == j) for i in range(h.n))), wanted, through)
-        for j, (comp, wanted) in enumerate(zip(h.components, exps))
-    ]
+from .series import MapF, MSeries
 
 
 def laurent_inv_power(f: MapF, k: Sequence[int], window: int) -> MSeries:

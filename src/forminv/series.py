@@ -36,11 +36,11 @@ themselves, a composition because routing it through ``dot`` builds one
 ``MSeries`` per outer term, which measured slower.  Each sum of products
 is one ``dot``: in ``mat_vec``, ``mat_mul``, ``series_det``,
 ``recurrent_layers`` and the three stages of every tree sum.  A tree sum
-is a fold, then a contraction, then an expansion: ``label_fold`` builds
-label-multiset states, only for the multisets whose partials of H are not
-all exactly zero, ``trees.TreePolyCache.contract`` pairs them with the
-mixed partials of H, and ``trees.tree_expansion`` sums z + weight(T) q_T
-over the trees.  The multilinear form ``BForm`` is a fold and a
+is a fold, then a contraction, then an expansion: the ``fold`` of
+``trees.TreePolyCache`` builds label-multiset states, only for the
+multisets of its ``live``, those whose partials of H are not all exactly
+zero, its ``contract`` pairs them with the mixed partials of H, and
+``trees.tree_expansion`` sums z + weight(T) q_T over the trees.  The multilinear form ``BForm`` is a fold and a
 contraction, ``invert_bcw`` the expansion with constant weights
 1/aut(T), and the formal flow the one with weights in t (``map``) or
 with their values at a point (``at``), both on one pass of tree sums.
@@ -48,7 +48,8 @@ A zero factor is left out of a capped sum only when it is
 ``known_zero`` through the cap.  No product asserts its truncation.
 ``inverse_powers`` is the one reciprocal: the binomial series of
 (1 - x)^(-a), which its products and sums certify, serves
-``unit_inverse`` and the factors of ``laurent``.
+``unit_inverse`` and the factors of the coefficient formulas
+(``inversion.inverse_power_factors``).
 ``series_sum`` is the one way other series are summed, ``+`` included, so
 no other module accumulates terms or restates the truncation rule of a
 sum.  No stored coefficient is ever zero, which ``is_zero`` and ``order``
@@ -850,26 +851,6 @@ def first_asymmetry(matrix):
     views = [[(s._view.width, s._view.den, sorted(s._view.rows)) for s in row] for row in matrix]
     pairs = combinations(range(len(matrix)), 2)
     return next(((i, j) for i, j in pairs if views[i][j] != views[j][i]), None)
-
-
-def label_fold(states: dict, vec, cap=None, keys=None) -> dict:
-    """Extend label-multiset states by one vector of series: `states` maps
-    sorted label tuples alpha to series, the result maps each sorted
-    alpha + (k,) to the sum of states[alpha] * vec[k] that reach it, one
-    ``dot`` per multiset; with `keys`, only the multisets in `keys`.  A
-    factor or a resulting state is left out only when ``known_zero``
-    through the cap.  The one fold of the tree sums (``TreePolyCache``)
-    and the multilinear form (``BForm``)."""
-    limit = INF if cap is None else cap
-    live = [(k, u) for k, u in enumerate(vec) if not u.known_zero(limit)]
-    pairs: dict = {}
-    for alpha, state in states.items():
-        for k, u in live:
-            key = tuple(sorted(alpha + (k,)))
-            if keys is None or key in keys:
-                pairs.setdefault(key, []).append((state, u))
-    folded = {a: dot(ps, cap) for a, ps in pairs.items()}
-    return {a: s for a, s in folded.items() if not s.known_zero(limit)}
 
 
 def inverse_powers(x: MSeries, exps: Iterable[int], through) -> dict:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import DimensionMismatch
 from .rat import ONE, Rat
-from .series import INF, MSeries, PolyMap, dot, label_fold, series_sum
+from .series import INF, MSeries, PolyMap, dot, series_sum
 
 
 class RootedTree:
@@ -153,7 +153,7 @@ class TreePolyCache:
     states map each sorted tuple alpha of child root labels to the sum of
     q(c_1, l_1) ... q(c_k, l_k) over the labels with that multiset.  Keyed
     by the prefix's child encodings, they are folded from the states of
-    (c_1, ..., c_{k-1}) and the root sums of c_k by ``series.label_fold``.
+    (c_1, ..., c_{k-1}) and the root sums of c_k by ``fold``.
     Children are sorted canonically, so every tree that starts with the
     same children reuses their states.  ``contract`` then pairs the states
     with the mixed partials of H_j, which are memoized, in one ``dot``.
@@ -162,7 +162,7 @@ class TreePolyCache:
     the cap, so sums and truncations equal those of ``series_sum`` over the
     capped ``mul``s of the same pairs.
 
-    Every fold builds only the multisets of ``live``, those alpha with some
+    ``fold`` builds only the multisets of ``live``, those alpha with some
     d^alpha H_i not exactly zero (no terms and truncation INF); every
     extension of such a dead alpha is dead too, so no contraction reads
     its state.  A partial with no terms but a finite truncation keeps its
@@ -203,6 +203,23 @@ class TreePolyCache:
             }
         return hit
 
+    def fold(self, states: dict, vec, size: int, cap=None) -> dict:
+        """The states of label tuples of length `size`, from those one
+        shorter and one vector of series: each sorted alpha + (k,) of
+        ``live(size)`` maps to the sum of states[alpha] * vec[k], one ``dot``
+        per multiset."""
+        limit = INF if cap is None else cap
+        keys = self.live(size)
+        live = [(k, u) for k, u in enumerate(vec) if not u.known_zero(limit)]
+        pairs: dict = {}
+        for alpha, state in states.items():
+            for k, u in live:
+                key = tuple(sorted(alpha + (k,)))
+                if key in keys:
+                    pairs.setdefault(key, []).append((state, u))
+        folded = {a: dot(ps, cap) for a, ps in pairs.items()}
+        return {a: s for a, s in folded.items() if not s.known_zero(limit)}
+
     def contract(self, states: dict, i: int, cap=None) -> MSeries:
         """sum_alpha states[alpha] * d^alpha H_i as one ``dot``.  A partial
         is left out only when ``known_zero`` through the cap; with no pair
@@ -222,8 +239,7 @@ class TreePolyCache:
         prev = self._child_states(children[:-1])
         child = children[-1]
         vec = [self.labeled_root_sum(child, k) for k in range(self.n)] if prev else []
-        live = self.live(len(children))
-        states = self._states[key] = label_fold(prev, vec, self.cap, keys=live)
+        states = self._states[key] = self.fold(prev, vec, len(children), self.cap)
         return states
 
     def labeled_root_sum(self, tree: RootedTree, i: int) -> MSeries:

@@ -31,11 +31,16 @@ from forminv import (
 )
 from forminv.bench import run_bench, to_csv
 from forminv.inversion import METHODS
-from forminv.randmaps import acceptance_corpus, random_divisible_map, random_h
 from forminv.rat import Rat
 from forminv.trees import enumerate_trees, order_polynomial, strict_order_count
 
-from forminv_testing import parent_list, terms_through
+from forminv_testing import (
+    acceptance_corpus,
+    parent_list,
+    random_divisible_map,
+    random_h,
+    terms_through,
+)
 
 DEGREE = 8
 CORPUS = acceptance_corpus(50)

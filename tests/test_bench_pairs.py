@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+from test_source_hygiene import code_tokens
+
+ROOT = Path(__file__).resolve().parent.parent
+_PATH = ROOT / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -127,6 +130,22 @@ def test_environment_records_each_sides_source_lines(tmp_path):
     assert env["source_lines"] == {"parent": 4, "change": 3}
     assert env["rational_backend"] == "fractions"
     assert env["change_rev"] == bench_pairs.source_digest(sides["change"])
+
+
+def test_environment_records_each_sides_series_tokens(tmp_path):
+    """Counted as the hygiene test counts them: no comment or blank line,
+    a docstring as one token."""
+    sides = {}
+    bodies = {"parent": "X = 1  # one\n\nY = (2,)\n", "change": '"""Doc\nstring."""\n'}
+    for name, body in bodies.items():
+        src = tmp_path / name / "src" / "forminv"
+        src.mkdir(parents=True)
+        (src / "series.py").write_text(body)
+        sides[name] = tmp_path / name
+    # X = 1 NEWLINE Y = ( 2 , ) NEWLINE ENDMARKER; STRING NEWLINE ENDMARKER
+    tokens = bench_pairs.environment(sides, "fractions")["series_tokens"]
+    assert tokens == {"parent": 12, "change": 3}
+    assert bench_pairs.series_tokens(ROOT) == code_tokens(ROOT / "src" / "forminv" / "series.py")
 
 
 def test_environment_records_each_sides_compile_time(tmp_path):

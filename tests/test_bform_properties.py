@@ -18,6 +18,8 @@ from forminv.rat import Rat
 from forminv.series import INF, MSeries, PolyMap
 from forminv.trees import TreePolyCache
 
+from forminv_testing import every_multiset
+
 SETTINGS = settings(max_examples=60, deadline=None)
 
 COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)])
@@ -145,6 +147,6 @@ def test_live_multisets_change_no_value(case, cap):
     multiset."""
     h, args = case
     got = BForm(h).apply(args, cap=cap)
-    with patch.object(TreePolyCache, "live", lambda self, size: None):
+    with patch.object(TreePolyCache, "live", every_multiset):
         want = BForm(h).apply(args, cap=cap)
     assert [(g.terms, g.trunc) for g in got] == [(w.terms, w.trunc) for w in want]

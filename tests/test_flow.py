@@ -36,12 +36,11 @@ from forminv import flow, inversion
 from forminv.cli import run_command
 from forminv.inversion import GradedInverse
 from forminv.mapdoc import parse_map, serialize_polymap
-from forminv.randmaps import random_h, random_map
 from forminv.rat import Rat
 from forminv.series import compose_map_components, first_mismatch, mat_mul, mat_vec, series_sum
 from forminv.trees import graded_cutoff
 
-from forminv_testing import mono
+from forminv_testing import mono, random_h, random_map
 
 
 class TestDeformation:

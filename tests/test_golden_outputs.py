@@ -54,9 +54,10 @@ from forminv import (
 )
 from forminv.cli import run_command
 from forminv.mapdoc import serialize_polymap
-from forminv.randmaps import CORPUS_SEED, acceptance_corpus, random_map
 from forminv.rat import Rat, rat_to_str
 from forminv.series import INF
+
+from forminv_testing import CORPUS_SEED, acceptance_corpus, random_map
 
 CORPUS = acceptance_corpus(12)
 SMALL = [f for f in CORPUS if f.n <= 2][:3]

@@ -29,11 +29,10 @@ from forminv import (
 )
 from forminv import inversion
 from forminv.inversion import METHODS, applicable_methods, recurrent_layers
-from forminv.randmaps import random_divisible_map, random_h, random_map
 from forminv.rat import Rat
 from forminv.series import INF, series_sum
 
-from forminv_testing import mono
+from forminv_testing import mono, random_divisible_map, random_h, random_map
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
 

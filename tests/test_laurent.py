@@ -1,16 +1,22 @@
 """Laurent expansions and residues, checked against a naive symbolic
-expansion oracle."""
+expansion oracle, and the residue route as the oracle of
+``jacobi_coefficient``."""
 
 import math
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from forminv import (
+    INF,
+    ForminvError,
     MapF,
     MSeries,
     PolyMap,
     TruncationError,
     jacobi_coefficient,
+    jacobian_det,
     laurent_inv_power,
     residue,
     series_from_terms,
@@ -152,3 +158,60 @@ class TestPrecisionGuards:
         f = MapF(PolyMap([h]))
         with pytest.raises(TruncationError):
             jacobi_coefficient(f, 0, (6,))
+
+
+COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)])
+
+
+def exponents(n, lo, hi):
+    """Exponent tuples of n entries with total in [lo, hi], drawn as lists
+    of variable indices."""
+    idx = st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)
+    return idx.map(lambda ks: tuple(ks.count(j) for j in range(n)))
+
+
+@st.composite
+def coefficient_probes(draw):
+    """(F, i, k): F = z - H with n <= 3 and H of degree 2..4, each
+    component exact or cut at a degree 0..6; a component i; and an
+    exponent k with |k| <= 6, k = 0 included."""
+    n = draw(st.integers(1, 3))
+    comps = [
+        MSeries(n, INF, draw(st.dictionaries(exponents(n, 2, 4), COEFFS, max_size=3))).truncate(
+            draw(st.one_of(st.just(INF), st.integers(0, 6)))
+        )
+        for _ in range(n)
+    ]
+    return MapF(PolyMap(comps)), draw(st.integers(0, n - 1)), draw(exponents(n, 0, 6))
+
+
+def residue_route(f, i, k):
+    """[z^k] G_i as the residue of j(F) F^{-k-1} z_i, j(F) through |k| - 1."""
+    z_i = tuple(int(j == i) for j in range(f.n))
+    weight = jacobian_det(f.map, cap=sum(k) - 1).mul_monomial(z_i)
+    return residue(laurent_inv_power(f, k, -f.n - 1).mul(weight, cap=-f.n))
+
+
+CUT_SQUARE = MapF(PolyMap([series_from_terms(1, 3, [((2,), 1)])]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_probes())
+@example((CUT_SQUARE, 0, (0,)))
+@example((CUT_SQUARE, 0, (6,)))
+@example((MapF(PolyMap([mono(2, (0, 2)), MSeries.zero(2)])), 1, (0, 0)))
+def test_residue_route_is_the_oracle_of_jacobi_coefficient(probe):
+    """``jacobi_coefficient`` reads [z^(k - e_i)] j(F) prod_j S_j(k_j + 1)
+    and never forms a residue.  On exact and cut H it gives the value of
+    the formal residue, or both routes raise the same ``ForminvError``."""
+    f, i, k = probe
+
+    def outcome(route):
+        try:
+            return route(f, i, k)
+        except ForminvError as err:
+            return type(err)
+
+    want = outcome(residue_route)
+    event("raised" if isinstance(want, type) else "compared")
+    assert outcome(jacobi_coefficient) == want

@@ -18,8 +18,9 @@ from fractions import Fraction
 import pytest
 
 from forminv.inversion import METHODS, applicable_methods
-from forminv.randmaps import acceptance_corpus, random_h
 from forminv.series import MapF
+
+from forminv_testing import acceptance_corpus, random_h
 
 D = 5
 # every homogeneous corpus map has n = 1; these run `homog` on n = 2, 3

@@ -18,7 +18,7 @@ from forminv import (
     series_from_terms,
     unit_inverse,
 )
-from forminv.laurent import inverse_power_factors
+from forminv.inversion import inverse_power_factors
 from forminv.series import inverse_powers
 from forminv.rat import Rat
 

@@ -1,6 +1,7 @@
 """Source hygiene of the library modules: no import that its module never
 uses, no private top-level function or class that nothing calls, no
-public one or public method that only the tests call, no read of a
+public one or public method that only the tests call (or, listed in
+``TRACER_ONLY``, only the benchmark's tracer), no read of a
 series' ``terms`` outside the functions listed with a reason, no
 ``MSeries`` built in ``mapdoc.py`` but through ``series_from_terms``, and
 ``series.py`` kept below the size at which importing it costs more
@@ -108,14 +109,18 @@ def test_every_private_helper_is_referenced():
     assert not unused, f"private helpers that nothing references: {unused}"
 
 
-# public names that nothing in the library, demos or perfbench calls, each
-# kept for a reason outside them
-TEST_OR_USER_ONLY = {
-    "series.py:MSeries.strip_params": "perfbench/tracing.py wraps it by its name, as a string",
-    "series.py:MSeries.subst_param_sum": "perfbench/tracing.py wraps it by its name, as a string",
-    "randmaps.py:acceptance_corpus": "the seeded corpus the tests share",
-    "randmaps.py:random_divisible_map": "the seeded divisible maps the tests share",
+# public names whose one reference outside the tests and ``__init__.py`` is
+# perfbench/tracing.py, which wraps each by name: kept for the tracer alone,
+# and the list of what goes once the tracer stops wrapping by name
+TRACER_ONLY = {
+    "inversion.py:b_form_apply": "renames BForm.apply; wrapped as inversion.homog.bform",
+    "laurent.py:laurent_inv_power": "the residue route, the tests' oracle of jacobi_coefficient; "
+    "wrapped as laurent.inv_power",
+    "laurent.py:residue": "the residue route's last step; wrapped as laurent.residue",
+    "series.py:MSeries.strip_params": "wrapped as series.param, by its name as a string",
+    "series.py:MSeries.subst_param_sum": "wrapped as series.param, by its name as a string",
 }
+TRACER = Path("perfbench") / "tracing.py"
 
 
 def public_definitions():
@@ -133,29 +138,59 @@ def public_definitions():
                         yield f"{name}:{stmt.name}.{sub.name}", sub.name, (name, i, j)
 
 
+def outside_references():
+    """The names that ``demos/`` and ``perfbench/`` outside its tests refer
+    to, by name, attribute or string, as {"tracer": ..., "other": ...}:
+    those of perfbench/tracing.py and those of every other file."""
+    root = SRC.parent.parent
+    out = {"tracer": set(), "other": set()}
+    for folder in ("demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            rel = path.relative_to(root)
+            if rel.parts[:2] == ("perfbench", "tests"):
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            strings = {
+                sub.value for sub in ast.walk(tree)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            }
+            out["tracer" if rel == TRACER else "other"] |= referenced(tree) | strings
+    return out
+
+
 def test_every_public_helper_has_a_caller():
     """Each public top-level function or class of the library, and each
     public method of its classes, is referenced in ``src/forminv`` outside
     its own definition and ``__init__.py``, in ``demos/`` or in
-    ``perfbench/``, so no public helper is kept for the tests alone."""
-    root = SRC.parent.parent
-    outside = [
-        ast.parse(path.read_text(), filename=str(path))
-        for folder in ("demos", "perfbench")
-        for path in sorted((root / folder).rglob("*.py"))
-    ]
-    used = set().union(*map(referenced, outside))
-    defined = list(public_definitions())
-    assert set(TEST_OR_USER_ONLY) <= {label for label, _, _ in defined}
+    ``perfbench/`` outside its tests, so no public helper is kept for the
+    tests alone; the names of ``TRACER_ONLY`` are kept for the tracer."""
+    used = outside_references()
     orphans = [
         label
-        for label, helper, own in defined
+        for label, helper, own in public_definitions()
         if not helper.startswith("_")
-        and label not in TEST_OR_USER_ONLY
-        and helper not in used
+        and label not in TRACER_ONLY
+        and helper not in used["other"]
         and not referenced_outside(helper, own)
     ]
     assert not orphans, f"public helpers that only tests reach: {orphans}"
+
+
+def test_tracer_only_names_are_pinned():
+    """The public names that only perfbench/tracing.py reaches, by name or
+    as a string, are exactly ``TRACER_ONLY``: a library, demo or benchmark
+    call to one of them fails here, as does a new name kept for the tracer
+    alone."""
+    used = outside_references()
+    tracer_only = {
+        label
+        for label, helper, own in public_definitions()
+        if not helper.startswith("_")
+        and helper in used["tracer"]
+        and helper not in used["other"]
+        and not referenced_outside(helper, own)
+    }
+    assert tracer_only == set(TRACER_ONLY)
 
 
 # the functions of the library that read ``.terms``, each with the reason
@@ -257,9 +292,15 @@ def test_series_stays_below_the_import_memory_step():
     did, which moves the benchmark's ``peak_rss_mb``.  Checked here, a
     kernel change that crosses the step shows in the tier-1 suite and not
     only in paired benchmark runs."""
-    with (SRC / "series.py").open() as source:
-        count = sum(
+    count = code_tokens(SRC / "series.py")
+    assert count < 8158, f"series.py has {count} code tokens"
+
+
+def code_tokens(path):
+    """Every token of the file but comments and blank lines, a docstring
+    as one."""
+    with path.open() as source:
+        return sum(
             tok.type not in (tokenize.COMMENT, tokenize.NL)
             for tok in tokenize.generate_tokens(source.readline)
         )
-    assert count < 8158, f"series.py has {count} code tokens"

@@ -20,6 +20,8 @@ from forminv.rat import Rat
 from forminv.series import INF, MapF, MSeries, PolyMap, compose, unit_inverse
 from forminv.trees import TreePolyCache, enumerate_trees, tree_poly, tree_sums
 
+from forminv_testing import every_multiset
+
 SETTINGS = settings(max_examples=60, deadline=None)
 
 COEFFS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)])
@@ -378,5 +380,5 @@ def test_dead_label_multisets_change_no_tree_sum(f, cuts, degree):
     over every multiset."""
     h = PolyMap([c if d is None else c.truncate(d) for c, d in zip(f.h.components, cuts)])
     got = tree_outputs(h, degree)
-    with patch.object(TreePolyCache, "live", lambda self, size: None):
+    with patch.object(TreePolyCache, "live", every_multiset):
         assert got == tree_outputs(h, degree)

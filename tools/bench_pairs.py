@@ -18,7 +18,10 @@ environment block records the Python version, the rational backend, the
 CPU count, both git revisions (a source digest for a side that is not
 the top of its own git work tree, or whose src/forminv has uncommitted
 changes), each side's ``source_lines``, the total line count of its
-``src/forminv/*.py``, and each side's ``compile_s``, the median time of
+``src/forminv/*.py``, each side's ``series_tokens``, the code tokens of
+its ``series.py`` as ``tests/test_source_hygiene.py`` counts them (the
+benchmark's ``peak_rss_mb`` steps with that count), and each side's
+``compile_s``, the median time of
 a few ``compile()`` passes over those files: the work that a fresh
 import without cached bytecode adds to ``setup_s``; and each side's
 ``harness_digest``, a sha256 over the relative paths and bytes of its
@@ -43,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +122,16 @@ def source_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "forminv").glob("*.py"))
 
 
+def series_tokens(checkout: Path) -> int:
+    """The code tokens of the checkout's src/forminv/series.py: every token
+    but comments and blank lines, a docstring as one."""
+    with (checkout / "src" / "forminv" / "series.py").open() as source:
+        return sum(
+            tok.type not in (tokenize.COMMENT, tokenize.NL)
+            for tok in tokenize.generate_tokens(source.readline)
+        )
+
+
 def compile_seconds(checkout: Path, passes: int = 5) -> float:
     """The median time of `passes` passes of ``compile()`` over the
     checkout's src/forminv/*.py."""
@@ -134,8 +148,8 @@ def compile_seconds(checkout: Path, passes: int = 5) -> float:
 
 def environment(sides: dict, rational_backend: str) -> dict:
     """The environment block: the Python version, the rational backend,
-    the CPU count, and each side's revision, source line count, compile
-    time and harness digest."""
+    the CPU count, and each side's revision, source line count,
+    ``series.py`` token count, compile time and harness digest."""
     return {
         "python": platform.python_version(),
         "rational_backend": rational_backend,
@@ -143,6 +157,7 @@ def environment(sides: dict, rational_backend: str) -> dict:
         "parent_rev": git_rev(sides["parent"]),
         "change_rev": git_rev(sides["change"]),
         "source_lines": {side: source_lines(path) for side, path in sides.items()},
+        "series_tokens": {side: series_tokens(path) for side, path in sides.items()},
         "compile_s": {side: compile_seconds(path) for side, path in sides.items()},
         "harness_digest": {side: harness_digest(path) for side, path in sides.items()},
     }
