@@ -40,10 +40,11 @@ is a fold, then a contraction, then an expansion: the ``fold`` of
 ``trees.TreePolyCache`` builds label-multiset states, only for the
 multisets of its ``live``, those whose partials of H are not all exactly
 zero, its ``contract`` pairs them with the mixed partials of H, and
-``trees.tree_expansion`` sums z + weight(T) q_T over the trees.  The multilinear form ``BForm`` is a fold and a
-contraction, ``invert_bcw`` the expansion with constant weights
-1/aut(T), and the formal flow the one with weights in t (``map``) or
-with their values at a point (``at``), both on one pass of tree sums.
+``trees.tree_expansion`` sums z + weight(T) q_T over the trees.  The
+multilinear form ``BForm`` is a fold and a contraction, ``invert_bcw``
+the expansion with constant weights 1/aut(T), and the formal flow the
+one with weights in t (``map``) or with their values at a point
+(``at``), both on one pass of tree sums.
 A zero factor is left out of a capped sum only when it is
 ``known_zero`` through the cap.  No product asserts its truncation.
 ``inverse_powers`` is the one reciprocal: the binomial series of
