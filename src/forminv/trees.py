@@ -204,10 +204,9 @@ class TreePolyCache:
         return hit
 
     def fold(self, states: dict, vec, size: int, cap=None) -> dict:
-        """The states of label tuples of length `size`, from those one
-        shorter and one vector of series: each sorted alpha + (k,) of
-        ``live(size)`` maps to the sum of states[alpha] * vec[k], one ``dot``
-        per multiset."""
+        """The states of length `size` from those one shorter and a vector
+        of series: each sorted alpha + (k,) of ``live(size)`` maps to the
+        sum of states[alpha] * vec[k], one ``dot`` per multiset."""
         limit = INF if cap is None else cap
         keys = self.live(size)
         live = [(k, u) for k, u in enumerate(vec) if not u.known_zero(limit)]
